@@ -236,22 +236,28 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+# The Banach scan marks its candidates in a bool mask over [1, kmax] while
+# kmax is at most this many times |A|, so the mask never takes more than eight
+# times the memory of the element array; sparser sets sort the candidates.
+_MASK_PER_ELEMENT = 64
+
+
 def _max_reduce(cands: np.ndarray, values: np.ndarray) -> tuple[float, int]:
-    # smallest k among the maximizers; candidates need not be sorted
-    m = np.max(values)
-    return float(m), int(np.min(cands[values == m]))
+    # candidates are sorted, so the first maximizer has the smallest k
+    i = int(np.argmax(values))
+    return float(values[i]), int(cands[i])
 
 
 def _chunked_scan(cands: np.ndarray, evaluate, threads: int) -> tuple[float, int]:
-    """Evaluate window sums over candidate k's in chunks and max-reduce.
+    """Evaluate window sums over sorted candidate k's in chunks and max-reduce.
 
     Each window sum is computed by the same prefix difference regardless of
     chunking and ties resolve to the smallest k, so the result is
-    bit-identical for any thread count.
+    bit-identical for any thread count.  Workers are capped at the CPU count.
     """
     if len(cands) == 0:
         return 0.0, 0
-    threads = max(1, min(threads, len(cands)))
+    threads = max(1, min(threads, len(cands), os.cpu_count() or 1))
     if threads == 1:
         return _max_reduce(cands, evaluate(cands))
     chunks = np.array_split(cands, threads)
@@ -269,7 +275,11 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
 
     Window contents change only at k = a+1 (element a drops out below) and
     k = floor(a/n)+1 (element a enters on top), so scanning those candidate
-    k's plus k = 1 yields the exact truncated supremum.
+    k's plus k = 1 yields the exact truncated supremum.  The candidates are
+    deduplicated and sorted before any search; ties resolve to the smallest k.
+    For a dense set they are marked in a bool mask over [1, kmax]; when kmax
+    exceeds ``_MASK_PER_ELEMENT`` times |A| they are sorted with ``np.unique``
+    instead, so memory and time follow |A| rather than the horizon.
     """
     n = int(n)
     if n < 2:
@@ -282,8 +292,17 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
     elems, prefix = _prefix(spec, horizon, 1.0)
     if len(elems) == 0:
         return 0.0, 1
-    cands = np.concatenate((np.asarray([1], dtype=np.int64), elems + 1, elems // n + 1))
-    cands = cands[cands <= kmax]
+    i = np.searchsorted(elems, kmax, side="left")
+    j = np.searchsorted(elems, kmax * n, side="left")
+    if kmax <= _MASK_PER_ELEMENT * len(elems):
+        # one temporary at a time keeps the peak at one element-sized array
+        mask = np.zeros(kmax + 1, dtype=bool)
+        mask[1] = True
+        mask[elems[:i] + 1] = True
+        mask[elems[:j] // n + 1] = True
+        cands = np.flatnonzero(mask)
+    else:
+        cands = np.unique(np.concatenate(([1], elems[:i] + 1, elems[:j] // n + 1)))
 
     def evaluate(ks: np.ndarray) -> np.ndarray:
         i0 = np.searchsorted(elems, ks, side="left")
@@ -318,24 +337,31 @@ def lbd_estimate(spec: IntegerSetSpec, n_max: int, horizon: int, grid=None) -> f
     return min(v for _, _, v in rows)
 
 
+def _window_count_max(elems: np.ndarray, n: int, kmax: int) -> tuple[int, int]:
+    """(max over 1 <= k <= kmax of |A cap [k, k+n]|, smallest maximizing k).
+
+    While k-1 is not an element the count cannot decrease as k grows, so the
+    maximum is attained with the window's left edge on an element (or at
+    kmax); only those candidates are scanned.  Element i's left index is i,
+    so only kmax's left index and the right ends need a search.
+    """
+    j = int(np.searchsorted(elems, kmax, side="right"))
+    cands = np.append(elems[:j], kmax)
+    i0 = np.append(np.arange(j), np.searchsorted(elems, kmax, side="left"))
+    counts = np.searchsorted(elems, cands + n, side="right") - i0
+    i = int(np.argmax(counts))  # cands are sorted: first maximizer is the smallest k
+    return int(counts[i]), int(cands[i])
+
+
 def bd_estimate_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
     """(max over k <= H-n of |A cap [k, k+n]|/(n+1), maximizing k).
 
-    While k-1 is not an element the count cannot decrease as k grows, so the
-    maximum is attained with the window's left edge on an element (or at the
-    last admissible k); only those candidates are scanned.
+    Ties resolve to the smallest k; see ``_window_count_max`` for the scan.
     """
     n = int(n)
     if not 1 <= n < horizon:
         raise DomainError("need 1 <= n < horizon")
-    kmax = horizon - n
-    elems = _elements(spec, horizon)
-    cands = np.concatenate((elems[elems <= kmax], np.asarray([kmax], dtype=np.int64)))
-    i1 = np.searchsorted(elems, cands + n, side="right")
-    i0 = np.searchsorted(elems, cands, side="left")
-    counts = i1 - i0
-    best = int(np.max(counts))
-    k_star = int(np.min(cands[counts == best]))
+    best, k_star = _window_count_max(_elements(spec, horizon), n, horizon - n)
     return best / (n + 1), k_star
 
 
@@ -349,22 +375,18 @@ def bd_estimate(spec: IntegerSetSpec, n: int, horizon: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _counts_in_windows(spec: IntegerSetSpec, lo: np.ndarray, hi: np.ndarray, horizon: int) -> np.ndarray:
-    kind = spec.kind
+def _counts_in_windows(kind: str, block, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """|A cap [lo, hi]| for full, even, or a block union ``block``."""
     if kind == "full":
         return (hi - lo + 1).astype(np.int64)
     if kind == "even":
         return hi // 2 - (lo - 1) // 2
-    block = spec.block_union()
-    if block is not None:
-        counts = np.zeros(len(lo), dtype=np.int64)
-        for a, b in block.components:
-            top = np.minimum(hi, b)
-            bot = np.maximum(lo, a)
-            counts += np.maximum(top - bot + 1, 0)
-        return counts
-    elems = _elements(spec, horizon)
-    return np.searchsorted(elems, hi, side="right") - np.searchsorted(elems, lo, side="left")
+    counts = np.zeros(len(lo), dtype=np.int64)
+    for a, b in block.components:
+        top = np.minimum(hi, b)
+        bot = np.maximum(lo, a)
+        counts += np.maximum(top - bot + 1, 0)
+    return counts
 
 
 def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tuple[float, int]:
@@ -388,17 +410,19 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
         kmax = horizon - n
         if kmax < 1:
             return 0.0, 0
-        elems = _elements(spec, horizon) if spec.kind not in _STRUCTURED else None
-        if elems is not None:
-            cands = np.concatenate((elems[elems <= kmax], np.asarray([kmax], dtype=np.int64)))
+        if spec.kind not in _STRUCTURED:
+            best, k_star = _window_count_max(_elements(spec, horizon), n, kmax)
+            return best / n, k_star
+        block = spec.block_union()
+        if block is not None:
+            # every window ends at or below the horizon, so clipping the blocks
+            # there is exact and keeps block ends within int64
+            block = block.clip(1, horizon)
+            starts = np.asarray([a for a, _ in block.components if a <= kmax], dtype=np.int64)
+            cands = np.concatenate((starts, np.asarray([1, kmax], dtype=np.int64)))
         else:
-            block = spec.block_union()
-            if block is not None:
-                starts = np.asarray([a for a, _ in block.components if a <= kmax], dtype=np.int64)
-                cands = np.concatenate((starts, np.asarray([1, kmax], dtype=np.int64)))
-            else:
-                cands = np.asarray([1, kmax], dtype=np.int64)
-        counts = _counts_in_windows(spec, cands, cands + n, horizon)
+            cands = np.asarray([1, kmax], dtype=np.int64)
+        counts = _counts_in_windows(spec.kind, block, cands, cands + n)
         best = int(np.max(counts))
         k_star = int(np.min(cands[counts == best]))
         return best / (m * n), k_star

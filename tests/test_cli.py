@@ -5,6 +5,7 @@ import pytest
 
 from densitylab import cli
 from densitylab.intset import IntegerSetSpec, IntervalSet
+from densitylab.numerics import geometric_grid
 
 
 def run_cli(args, tmp_path, name):
@@ -66,6 +67,15 @@ def test_density_bdm_rows(tmp_path):
     assert code == 0
     rows = [r for r in json.loads(text)["report"] if r["functional"] == "bd_m"]
     assert rows and all(r["m"] == 2 for r in rows)
+
+
+def test_density_example2_m1_exit_ok(tmp_path):
+    code, text = run_cli(
+        ["density", "--set", "example2:j=2,depth=4", "--horizon", "1e4", "--nmax", "100", "--m", "1"],
+        tmp_path, "e2.csv",
+    )
+    assert code == 0
+    assert sum(line.startswith("bd_m,1,") for line in text.splitlines()) == len(geometric_grid(2, 100))
 
 
 def test_monad_json(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from densitylab import density as density_module
 from densitylab.errors import DomainError
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.density import (
@@ -109,6 +110,9 @@ def test_count_extremes_exact():
 
 def test_banach_empty():
     assert banach_window_sup(EMPTY, 10, 10**4) == 0.0
+    # the only element lies above every window: all windows are empty and
+    # the maximizer is still k = 1
+    assert banach_window_sup_at(IntegerSetSpec.explicit([60]), 2, 60) == (0.0, 1)
 
 
 def test_banach_full_window_at_one():
@@ -138,6 +142,29 @@ def test_banach_vs_exhaustive_oracle(seed, n):
     assert got_k == want_k
 
 
+@pytest.mark.parametrize("seed,n", [(5, 2), (6, 3), (7, 10), (8, 100)])
+def test_banach_sparse_vs_exhaustive_oracle(seed, n):
+    # 20 elements below 5000: kmax is far above 64 * |A| for n <= 3, so the
+    # candidates are sorted rather than marked in a mask
+    rng = np.random.RandomState(seed)
+    els = sorted(rng.choice(np.arange(1, 5001), size=20, replace=False).tolist())
+    got, got_k = banach_window_sup_at(IntegerSetSpec.explicit(els), n, 5000)
+    want, want_k = brute_banach_sup(els, n, 5000)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got_k == want_k
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000])
+def test_banach_few_elements_huge_horizon(n):
+    # windows starting above max(A) are empty, so the brute scan up to
+    # k = max(A) + 1 is the whole answer; memory must follow |A|, not H
+    els = [2, 3, 5, 7, 1000, 1001, 4999]
+    got, got_k = banach_window_sup_at(IntegerSetSpec.explicit(els), n, 10**12)
+    want, want_k = brute_banach_sup(els, n, (max(els) + 1) * n)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got_k == want_k
+
+
 def test_banach_subadditivity_exact(canonical_specs):
     # g(n^j) <= j*g(n), both sides from the same summation scheme
     H = 10**5
@@ -154,6 +181,25 @@ def test_banach_subadditivity_exact(canonical_specs):
                 if n**j > H:
                     break
                 assert g(n**j) <= j * g(n)
+
+
+def test_thread_pool_capped_at_cpu_count(monkeypatch):
+    real_pool = density_module.ThreadPoolExecutor
+    workers = []
+
+    def recording_pool(max_workers):
+        workers.append(max_workers)
+        if max_workers > 4:
+            raise AssertionError(f"asked for {max_workers} threads")
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(density_module, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(density_module.os, "cpu_count", lambda: 4)
+    spec = IntegerSetSpec.explicit(range(1, 3001, 3))
+    want = banach_window_sup_at(spec, 2, 3000)
+    monkeypatch.setenv("DENSITYLAB_THREADS", "1000000")
+    assert banach_window_sup_at(spec, 2, 3000) == want
+    assert workers == [4]
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +274,16 @@ def test_bdm_m1_equals_window_count_form(rng):
         spec = IntegerSetSpec.explicit(els)
         n = int(rng.randint(2, 40))
         assert bdm_window_sup(spec, 1, n, 3000) == brute_window_count_max(els, n, 3000)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 40, 100])
+def test_bdm_m1_example2_blocks_beyond_int64(n):
+    # the top block of example2(2, 4) ends far above int64; windows never
+    # reach it, so the count form must still match the brute scan
+    spec = IntegerSetSpec.example2(2, 4)
+    H = 5000
+    els = spec.members(1, H).tolist()
+    assert bdm_window_sup(spec, 1, n, H) == brute_window_count_max(els, n, H)
 
 
 @pytest.mark.parametrize("m,n,H", [(2, 3, 4000), (2, 7, 4000), (3, 2, 8000)])
