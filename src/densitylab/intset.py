@@ -238,6 +238,15 @@ class IntegerSetSpec:
             return IntervalSet(_example2_blocks(self.j, self.depth))
         return None
 
+    def blocks_upto(self, horizon: int) -> IntervalSet | None:
+        """A cap [1, horizon] as blocks: the single block [1, horizon] for
+        full, the clipped block union for interval-structured kinds, else
+        None (the set is kept as elements)."""
+        if self.kind == "full":
+            return IntervalSet(((1, int(horizon)),))
+        blocks = self.block_union()
+        return None if blocks is None else blocks.clip(1, horizon)
+
     # -- membership and materialization -------------------------------------
 
     def contains(self, x: int) -> bool:
@@ -459,17 +468,23 @@ def _sieve_members(kind: str, hi: int) -> np.ndarray:
         arr = cached[1]
         i1 = int(np.searchsorted(arr, hi, side="right"))
         return arr[:i1]
-    parts = []
+    # Pass 1 sieves and counts each segment and keeps it bit-packed (one
+    # bit per integer); pass 2 writes the members into one buffer of the
+    # exact size, so the peak is that buffer plus one segment.
+    packed = []
     total = 0
-    lo = 1
-    while lo <= hi:
-        top = min(hi, lo + _SEGMENT - 1)
-        seg = _sieve_segment(kind, lo, top)
-        parts.append(np.flatnonzero(seg).astype(np.int64) + lo)
-        total += len(parts[-1])
+    for lo in range(1, hi + 1, _SEGMENT):
+        seg = _sieve_segment(kind, lo, min(hi, lo + _SEGMENT - 1))
+        total += int(np.count_nonzero(seg))
         _check_size(total)  # trip before the build grows any further
-        lo = top + 1
-    arr = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        packed.append((lo, len(seg), np.packbits(seg)))
+        del seg  # not held while the buffer fills
+    arr = np.empty(total, dtype=np.int64)
+    pos = 0
+    for lo, size, bits in packed:
+        offsets = np.flatnonzero(np.unpackbits(bits, count=size))
+        np.add(offsets, lo, out=arr[pos : pos + len(offsets)])
+        pos += len(offsets)
     arr.flags.writeable = False
     _SIEVE_CACHE[kind] = (hi, arr)
     return arr

@@ -59,22 +59,35 @@ class GapReport:
         }
 
 
+def _factor_members(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, hi: int):
+    """(A cap [1, hi // min(B)], B cap [1, hi // min(A)]): the members that
+    have a partner with product at most hi; None when A or B has no member
+    up to hi."""
+    a_min = a_spec.next_member(1, hi)
+    b_min = b_spec.next_member(1, hi)
+    if a_min is None or b_min is None:
+        return None
+    return a_spec.members(1, hi // b_min), b_spec.members(1, hi // a_min)
+
+
 def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int,
                 limit: int = PRODUCT_HORIZON) -> np.ndarray:
     """Sorted distinct {a*b : a in A, b in B, lo <= a*b <= hi}.
 
-    Iterates a over A cap [1, hi] and range-scans B cap [ceil(lo/a),
-    floor(hi/a)], in flat vectorized chunks.
+    Materializes only the factors that can take part: A up to
+    hi // min(B) and B up to hi // min(A).  Iterates a over that part of A
+    and range-scans B cap [ceil(lo/a), floor(hi/a)], in flat vectorized
+    chunks.
     """
     lo, hi = int(lo), int(hi)
     if lo > hi or lo < 1:
         raise DomainError("need 1 <= lo <= hi")
     if hi > limit:
         raise CapacityError(f"productset window capped at {limit}")
-    a_elems = a_spec.members(1, hi)
-    b_elems = b_spec.members(1, hi)
-    if len(a_elems) == 0 or len(b_elems) == 0:
+    factors = _factor_members(a_spec, b_spec, hi)
+    if factors is None:
         return np.empty(0, dtype=np.int64)
+    a_elems, b_elems = factors
     b_lo = np.searchsorted(b_elems, -(-lo // a_elems), side="left")
     b_hi = np.searchsorted(b_elems, hi // a_elems, side="right")
     lens = b_hi - b_lo
@@ -185,7 +198,7 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
     cands = _exact_candidates(a_spec, b_spec, n, x_max, horizon)
     if cands is None:
         cands = _grid_candidates(n, x_max, grid_ratio)
-    a_elems = None
+    factors = None
     best: GapReport | None = None
     for x in cands:
         lo, hi = x, n * x
@@ -194,10 +207,9 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
         if best is not None and best.m == 2:
             # multi-product windows cannot beat m = 2; only a singleton
             # window whose product equals x (m = 1) improves the report
-            if a_elems is None:
-                a_elems = a_spec.members(1, horizon)
-                b_elems = b_spec.members(1, horizon)
-            count, prod = _distinct_upto2(a_elems, b_elems, lo, hi)
+            if factors is None:
+                factors = _factor_members(a_spec, b_spec, horizon)
+            count, prod = _distinct_upto2(*factors, lo, hi)
             if count == 1:
                 g = _window_gap(np.asarray([prod]), x)
                 if g < best.m:

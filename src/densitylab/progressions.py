@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-from .intset import IntegerSetSpec
-from .numerics import ceil_nth_root
+from .errors import CapacityError, DomainError, ValidationError
+from .intset import _SIEVE_KINDS, IntegerSetSpec, _check_size
+from .numerics import ceil_nth_root, floor_nth_root
 
 __all__ = [
     "GeoProgression",
@@ -148,19 +148,47 @@ def approx_subset(x_terms, spec: IntegerSetSpec, n: int, horizon: int) -> Approx
 
 
 # ---------------------------------------------------------------------------
-# Vectorized "does (x/n, x*n) meet A" tests against a materialized element
-# array; this is the inner loop of both searches.
+# Vectorized "does (x/n, x*n) meet A" tests; this is the inner loop of both
+# searches.
 # ---------------------------------------------------------------------------
 
 
-def _allowed(elems: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
-    if len(elems) == 0:
+def _search_view(spec: IntegerSetSpec, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """A cap [1, horizon] as sorted disjoint blocks (starts, ends).
+
+    Kinds with block structure (``IntegerSetSpec.blocks_upto``) give their
+    block endpoints, clipped to the horizon before the int64 arrays are built,
+    and never materialize.  Every other kind gives its element array as both
+    starts and ends, one block per element.
+    """
+    blocks = spec.blocks_upto(horizon)
+    if blocks is None:
+        elems = spec.members(1, horizon)
+        return elems, elems
+    starts = np.asarray([a for a, _ in blocks.components], dtype=np.int64)
+    ends = np.asarray([b for _, b in blocks.components], dtype=np.int64)
+    return starts, ends
+
+
+def _allowed(view: tuple[np.ndarray, np.ndarray], xs: np.ndarray, n: int) -> np.ndarray:
+    """True where the open window (x/n, x*n) meets A.
+
+    ``view`` is the (starts, ends) pair of ``_search_view``.  The least
+    member at or above lo = x//n + 1 is max(starts[i], lo) for the first
+    block i ending at or above lo; the window meets A when that block exists
+    and that member lies below x*n.  For an element array (starts is ends)
+    ends[i] >= lo already is that member.
+    """
+    starts, ends = view
+    if len(ends) == 0:
         return np.zeros(len(xs), dtype=bool)
     lo = xs // n + 1
-    idx = np.searchsorted(elems, lo, side="left")
-    ok = idx < len(elems)
-    cand = elems[np.minimum(idx, len(elems) - 1)]
-    return ok & (cand < xs * n)
+    idx = np.searchsorted(ends, lo, side="left")
+    ok = idx < len(ends)
+    first = starts[np.minimum(idx, len(ends) - 1)]
+    if starts is not ends:
+        first = np.maximum(first, lo)
+    return ok & (first < xs * n)
 
 
 def find_geo(spec: IntegerSetSpec, l: int, n: int, min_a: int, min_r: int, horizon: int) -> ApproxWitness | None:
@@ -179,7 +207,7 @@ def find_geo(spec: IntegerSetSpec, l: int, n: int, min_a: int, min_r: int, horiz
         raise DomainError("horizon admits no candidate progression")
     if horizon * n > 2**62:
         raise CapacityError("horizon too large for the vectorized scan")
-    elems = spec.members(1, horizon)
+    view = _search_view(spec, horizon)
     best: tuple[int, int] | None = None
     r = min_r + 1
     while l > 1 or r == min_r + 1:
@@ -188,12 +216,15 @@ def find_geo(spec: IntegerSetSpec, l: int, n: int, min_a: int, min_r: int, horiz
         a_cap = horizon // (n * r ** (l - 1))
         a_lo = min_a + 1
         if best is not None:
+            if best[0] == a_lo:
+                break  # no later ratio beats the least admissible a
             a_cap = min(a_cap, best[0] - 1)  # only strictly smaller a helps
         if a_cap >= a_lo:
+            _check_size(a_cap - a_lo + 1)
             a_vals = np.arange(a_lo, a_cap + 1, dtype=np.int64)
             ok = np.ones(len(a_vals), dtype=bool)
             for i in range(l):
-                ok &= _allowed(elems, a_vals * r**i, n)
+                ok &= _allowed(view, a_vals * r**i, n)
                 if not ok.any():
                     break
             hits = np.flatnonzero(ok)
@@ -217,9 +248,20 @@ def find_gp3(spec: IntegerSetSpec, horizon: int) -> tuple[int, int, int] | None:
     For each a, admissible b are the multiples of s(a) = prod p^ceil(e/2)
     over the factorization a = prod p^e (the least s with a | s*s), which
     keeps the exhaustive scan near-linear.
+
+    Squarefree numbers and primes hold no such progression, so for those
+    kinds the answer is None without a scan.  Take b in A above a with
+    a | b*b; b is a multiple k*s of s = s(a), and s <= a < b gives k >= 2.
+    Then c = b*b/a = k^2 * (s*s/a) with s*s/a an integer, so c has the square
+    factor k^2 and is neither squarefree nor prime.  Other kinds are scanned;
+    there c may exceed the horizon and is then tested with ``spec.contains``.
     """
     if horizon > GP_CERTIFY_HORIZON:
         raise CapacityError(f"3-term scan capped at horizon {GP_CERTIFY_HORIZON}")
+    if horizon < 1:
+        raise ValidationError("horizon must be >= 1")
+    if spec.kind in _SIEVE_KINDS:
+        return None
     elems = spec.members(1, horizon)
     if len(elems) < 2:
         return None
@@ -284,25 +326,28 @@ def find_power_ap(spec: IntegerSetSpec, m: int, l: int, n: int, min_a: int, min_
     t_floor = ceil_nth_root(min_a + 1, m)
     if (t_floor + (l - 1) * (min_d + 1)) ** m * n > horizon:
         raise DomainError("horizon admits no candidate pattern")
-    elems = spec.members(1, horizon)
+    view = _search_view(spec, horizon)
+    t_top = floor_nth_root(horizon // n, m)
     best: tuple[int, int] | None = None
     d = min_d + 1
     while l > 1 or d == min_d + 1:
         if (t_floor + (l - 1) * d) ** m * n > horizon:
             break
-        # largest usable root start for this d
-        t_hi = ceil_nth_root(horizon // n, m)
-        while (t_hi + (l - 1) * d) ** m * n > horizon:
-            t_hi -= 1
+        # largest usable root start for this d: (t + (l-1)d)^m * n <= horizon
+        # exactly when t + (l-1)d <= floor((horizon // n)^(1/m))
+        t_hi = t_top - (l - 1) * d
+        if best is not None:
+            if best[0] == min_a + 1:
+                break  # no later step beats the least admissible a
+            # only strictly smaller a helps: (t-1)^m + 1 < best a
+            t_hi = min(t_hi, floor_nth_root(best[0] - 2, m) + 1)
         if t_hi >= t_floor:
+            _check_size(t_hi - t_floor + 1)
             t_vals = np.arange(t_floor, t_hi + 1, dtype=np.int64)
             a_vals = np.maximum(min_a + 1, (t_vals - 1) ** m + 1)
-            if best is not None:
-                keep = a_vals < best[0]
-                t_vals, a_vals = t_vals[keep], a_vals[keep]
             ok = np.ones(len(t_vals), dtype=bool)
             for i in range(l):
-                ok &= _allowed(elems, (t_vals + i * d) ** m, n)
+                ok &= _allowed(view, (t_vals + i * d) ** m, n)
                 if not ok.any():
                     break
             hits = np.flatnonzero(ok)

@@ -108,6 +108,22 @@ def brute_find_geo(elements, l, n, min_a, min_r, horizon):
     return None
 
 
+def brute_find_power_ap(elements, m, l, n, min_a, min_d, horizon):
+    """Lexicographically least (a, d) whose pattern (ceil(a^(1/m)) + i*d)^m,
+    i < l, is n-approximated with n times its last term within the horizon:
+    plain nested scan over a, then d."""
+    a = min_a + 1
+    while (_ceil_root(a, m) + (l - 1) * (min_d + 1)) ** m * n <= horizon:
+        t0 = _ceil_root(a, m)
+        d = min_d + 1
+        while (t0 + (l - 1) * d) ** m * n <= horizon:
+            if all(has_n_approx(elements, (t0 + i * d) ** m, n) for i in range(l)):
+                return a, d
+            d += 1
+        a += 1
+    return None
+
+
 def brute_gp3_free(elements, horizon):
     """No 3-term GP with b*b = a*c: cubic scan over element pairs."""
     elem_set = set(elements)
@@ -134,3 +150,27 @@ def brute_max_gap_ratio(products):
     if len(products) < 2:
         return 1
     return max(-(-q // p) for p, q in zip(products, products[1:]))
+
+
+def brute_find_gp3(elements, horizon, member_beyond):
+    """First (a, b, c) with a < b <= horizon in A, b*b = a*c and c in A, in
+    (a, b) order; c <= horizon is looked up in the element list and
+    c > horizon is decided by ``member_beyond(c)``."""
+    elem_set = set(elements)
+    els = [x for x in elements if x <= horizon]
+    for i, a in enumerate(els):
+        for b in els[i + 1 :]:
+            if (b * b) % a:
+                continue
+            c = (b * b) // a
+            if (c in elem_set) if c <= horizon else member_beyond(c):
+                return a, b, c
+    return None
+
+
+def is_squarefree_td(x):
+    return all(x % (d * d) for d in range(2, math.isqrt(x) + 1))
+
+
+def is_prime_td(x):
+    return x >= 2 and all(x % d for d in range(2, math.isqrt(x) + 1))

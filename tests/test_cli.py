@@ -170,6 +170,19 @@ def test_capacity_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_search_capacity_exit_code(capsys):
+    # full and interval sets are searched as blocks; a scan range past the
+    # materialization cap still exits 4 instead of allocating it
+    interval = '{"kind": "interval_union", "params": {"intervals": [[1, 1000000000000]]}}'
+    for spec in ("full", interval):
+        assert cli.main(["search-gp", "--set", spec, "--l", "3", "--n", "2", "--min-a", "1",
+                         "--min-r", "1", "--horizon", "1e12"]) == 4
+        assert cli.main(["search-pap", "--set", spec, "--m", "1", "--l", "3", "--n", "2",
+                         "--horizon", "1e12"]) == 4
+    assert cli.main(["certify", "gp-free", "--set", "squarefree", "--horizon", "0"]) == 2
+    capsys.readouterr()
+
+
 def test_threads_env_same_result(tmp_path, monkeypatch):
     args = ["density", "--set", "squarefree", "--horizon", "1e4", "--nmax", "32"]
     _, base = run_cli(args, tmp_path, "t1.csv")

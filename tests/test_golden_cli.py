@@ -1,9 +1,13 @@
-"""Golden `density` reports: sha256 of the exact report bytes.
+"""Golden CLI reports: sha256 of the exact report bytes.
 
-The digests were captured before the window scans were reworked to skip
-duplicate candidates and redundant searches; any change to a value, a
-maximizing k, the row order or the header shows up here.  Regenerate them
-only when report bytes change on purpose, and say so in CHANGES.md.
+The `density` digests were captured before the window scans were reworked
+to skip duplicate candidates and redundant searches.  The `search-gp`,
+`search-pap`, `certify` and `productset` digests were captured before the
+searches read block endpoints, `find_gp3` stopped scanning the sieve
+kinds, and productsets bounded their factors.  Any change to a
+value, a witness, a maximizing k, the row order or the header shows up
+here.  Regenerate them only when report bytes change on purpose, and say so
+in CHANGES.md.
 """
 
 import hashlib
@@ -59,4 +63,96 @@ def test_density_report_digest(name, tmp_path):
     args, digest = GOLDEN[name]
     out = tmp_path / "report"
     assert cli.main(["density", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+EX2 = "example2:j=2,depth=4"
+
+# command arguments, expected exit code, report digest
+GOLDEN_SEARCH = {
+    "gp-example2-blocked": (
+        ["search-gp", "--set", EX2, "--l", "3", "--n", "2", "--min", "16", "--horizon", "1e6"],
+        3, "5863aa91a633ceb7bfe02db9ebd2c1bf556791603a8bc7406531dc8013c38945",
+    ),
+    "gp-example2-found": (
+        ["search-gp", "--set", EX2, "--l", "3", "--n", "2", "--min-a", "2", "--min-r", "1", "--horizon", "1e6"],
+        0, "8b3d7646552485b3337723474df0b94e07b869aa04f0c169b4a22afe60c3e405",
+    ),
+    "gp-example2-depth5": (
+        ["search-gp", "--set", "example2:j=2,depth=5", "--l", "3", "--n", "3", "--min-a", "2", "--min-r", "2",
+         "--horizon", "1e6"],
+        0, "f3bb1d61d2605a818b43f17fecdc4fcc4ffa727931afce0fab36ec0a212783e9",
+    ),
+    "gp-intervals": (
+        ["search-gp", "--set", INTERVALS, "--l", "3", "--n", "2", "--min", "10", "--horizon", "1e6"],
+        0, "ed726d4025ac556ea4aef30fc07a1099b094474c8bb484958711e3336a13eb0e",
+    ),
+    "gp-full": (
+        ["search-gp", "--set", "full", "--l", "4", "--n", "3", "--min", "10", "--horizon", "1e6"],
+        0, "09f804baea59fbf3bc0a5722d0671d46fb85ebf24a035f9e7bc0d5457de946ae",
+    ),
+    "pap-example2-m2": (
+        ["search-pap", "--set", EX2, "--m", "2", "--l", "3", "--n", "2", "--min", "16", "--horizon", "1e6"],
+        3, "ff00ec51f2e9377f5ac8d3f87911d81eaa448b79a503d7fa5fd30658b1316c3e",
+    ),
+    "pap-example2-m3": (
+        ["search-pap", "--set", EX2, "--m", "3", "--l", "3", "--n", "2", "--min", "2", "--horizon", "1e6"],
+        3, "7f2fa5e1283c954d3d2c6815c07b46ad985b0d256ba4d11c2d9284e72e234b6b",
+    ),
+    "pap-example2-depth5-m2": (
+        ["search-pap", "--set", "example2:j=3,depth=5", "--m", "2", "--l", "3", "--n", "3", "--min", "3",
+         "--horizon", "1e6"],
+        0, "8f9f1cfaf7a958cfa845420afca15f6c14544cb80ff5bb9fb88d4a40efcef7e8",
+    ),
+    "pap-intervals-m2": (
+        ["search-pap", "--set", INTERVALS, "--m", "2", "--l", "3", "--n", "2", "--min", "10", "--horizon", "1e6"],
+        0, "342ed54306bed16d5e74f937261c8f684ad95ab37efa3bc8d77ef34f2863ee63",
+    ),
+    "pap-intervals-m3": (
+        ["search-pap", "--set", INTERVALS, "--m", "3", "--l", "3", "--n", "2", "--min", "2", "--horizon", "1e6"],
+        0, "93d218b808ebc952bf1e0f9c67ce8d802bed492832207673e049a23758d36560",
+    ),
+    "pap-full-m2": (
+        ["search-pap", "--set", "full", "--m", "2", "--l", "4", "--n", "2", "--min", "10", "--horizon", "1e6"],
+        0, "64c8acaaad6e23fc2f850eb1c5f224b792bcffa5d421cbaca180babdecc0a15e",
+    ),
+    "certify-squarefree": (
+        ["certify", "gp-free", "--set", "squarefree", "--horizon", "1e4"],
+        0, "de49b36746db7b07199a00e5e9037c964a9f0aff27a82dd0f692cb323a489812",
+    ),
+    # the documented cap is 1e6; before c > horizon was decided without
+    # trial division this request took several seconds and 1e6 did not finish
+    "certify-squarefree-1e5": (
+        ["certify", "gp-free", "--set", "squarefree", "--horizon", "1e5"],
+        0, "9605f2f0f342d851894e71a1f95143f3295a61693f6a8a41a01914cb1acfd9cb",
+    ),
+    "certify-primes": (
+        ["certify", "gp-free", "--set", "primes", "--horizon", "1e5"],
+        0, "2a40ac3cea630229b2773c8e5898a7bb20279a72cfce0cbff327779d293583c9",
+    ),
+    "certify-full": (
+        ["certify", "gp-free", "--set", "full", "--horizon", "1e3"],
+        3, "127d43e4eae1247de35a450e87c0a46df21e2cee17194fd24f36aea27e42beba",
+    ),
+    "productset-primes": (
+        ["productset", "--set-a", "primes", "--set-b", "primes", "--n", "4,16,64", "--horizon", "1e6"],
+        0, "8637cd71ec65c5b39374a590072df21d16ff7e31c0cf843058bc76d9e7042fc1",
+    ),
+    "productset-primes-wide-grid": (
+        ["productset", "--set-a", "primes", "--set-b", "primes", "--n", "2,3", "--horizon", "1e6",
+         "--grid-ratio", "1.5"],
+        0, "322d86825115c77c9c3412a98d1a5db7e17361a6b18744ec5287cc8590562168",
+    ),
+    "productset-example2-squarefree": (
+        ["productset", "--set-a", EX2, "--set-b", "squarefree", "--n", "2,4,16,64", "--horizon", "1e6"],
+        0, "940ad38f551f009881aca08b084b239524fb03436938d42a62e02ef31eee199d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
+def test_search_certify_productset_report_digest(name, tmp_path):
+    args, code, digest = GOLDEN_SEARCH[name]
+    out = tmp_path / "report"
+    assert cli.main([*args, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densitylab import intset
 from densitylab.errors import CapacityError, DomainError, ValidationError
 from densitylab.intset import (
     IntegerSetSpec,
@@ -64,6 +65,48 @@ def test_contains_examples():
 def test_sieve_horizon_cap():
     with pytest.raises(CapacityError):
         materialize(IntegerSetSpec.squarefree(), 1, 10**9 + 1)
+
+
+@pytest.fixture()
+def empty_sieve_cache(monkeypatch):
+    monkeypatch.setattr(intset, "_SIEVE_CACHE", {})
+
+
+@pytest.mark.parametrize("kind, brute", [("squarefree", brute_squarefree), ("primes", brute_primes)])
+def test_sieve_build_vs_trial_division(kind, brute, empty_sieve_cache):
+    for hi in (1, 2, 3, 4, 9, 10, 97, 2000):
+        intset._SIEVE_CACHE.clear()
+        got = intset._sieve_members(kind, hi)
+        assert got.dtype == np.int64 and got.tolist() == brute(hi)
+
+
+@pytest.mark.parametrize("kind", ["squarefree", "primes"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_sieve_build_at_segment_edges(kind, k, delta, empty_sieve_cache):
+    hi = k * intset._SEGMENT + delta
+    got = intset._sieve_members(kind, hi)
+    want = np.flatnonzero(intset._sieve_segment(kind, 1, hi)) + 1
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert not got.flags.writeable
+
+
+def test_sieve_build_cap_trips_before_allocation(monkeypatch, empty_sieve_cache):
+    # the buffer is filled only after every segment is counted, so a cap trip
+    # in the first of three segments means no buffer was allocated
+    sieved = []
+    segment = intset._sieve_segment
+
+    def counting_segment(kind, lo, hi):
+        sieved.append((lo, hi))
+        return segment(kind, lo, hi)
+
+    monkeypatch.setattr(intset, "MATERIALIZE_LIMIT", 1000)
+    monkeypatch.setattr(intset, "_sieve_segment", counting_segment)
+    with pytest.raises(CapacityError):
+        intset._sieve_members("squarefree", 3 * intset._SEGMENT)
+    assert sieved == [(1, intset._SEGMENT)]
+    assert intset._SIEVE_CACHE == {}
 
 
 @given(st.sampled_from(["full", "even", "squarefree", "primes"]),

@@ -5,7 +5,7 @@ from densitylab.errors import CapacityError, DomainError
 from densitylab.intset import IntegerSetSpec
 from densitylab.productset import GapReport, gap_witness, max_gap_ratio, products_in
 
-from oracles import brute_max_gap_ratio, brute_products
+from oracles import brute_max_gap_ratio, brute_primes, brute_products
 
 FULL = IntegerSetSpec.full()
 SQUAREFREE = IntegerSetSpec.squarefree()
@@ -34,6 +34,38 @@ def test_products_in_matches_brute(rng):
         hi = lo + int(rng.randint(0, 20000))
         got = products_in(EXPL(a), EXPL(b), lo, hi).tolist()
         assert got == brute_products(a, b, lo, hi)
+
+
+def test_products_in_bounded_factors_match_brute(rng, monkeypatch):
+    # each factor set is materialized only up to hi // min(other set)
+    calls = []
+    members = IntegerSetSpec.members
+
+    def spy(self, lo, hi):
+        calls.append((self.kind, hi))
+        return members(self, lo, hi)
+
+    monkeypatch.setattr(IntegerSetSpec, "members", spy)
+    primes = IntegerSetSpec.primes()
+    ex2 = IntegerSetSpec.example2(2, 2)
+    for _ in range(20):
+        lo = int(rng.randint(1, 2000))
+        hi = lo + int(rng.randint(0, 6000))
+        calls.clear()
+        got = products_in(ex2, primes, lo, hi).tolist()
+        assert got == brute_products(ex2.members(1, hi).tolist(), brute_primes(hi), lo, hi)
+        assert calls[:2] == [("example2", hi // 2), ("primes", hi // 2)]
+    a = sorted(rng.choice(np.arange(50, 500), size=30, replace=False).tolist())
+    b = sorted(rng.choice(np.arange(20, 500), size=30, replace=False).tolist())
+    for lo, hi in ((1, 999), (1000, 1000), (1000, 30000), (5000, 250000)):
+        calls.clear()
+        got = products_in(EXPL(a), EXPL(b), lo, hi).tolist()
+        assert got == brute_products(a, b, lo, hi)
+        assert calls == [("explicit", hi // b[0]), ("explicit", hi // a[0])]
+    # a factor set with no member up to hi materializes nothing
+    calls.clear()
+    assert products_in(EXPL([7]), EXPL([500]), 1, 100).tolist() == []
+    assert calls == []
 
 
 def test_max_gap_ratio_examples():

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitylab.errors import DomainError
-from densitylab.intset import IntegerSetSpec
+from densitylab.errors import CapacityError, DomainError
+from densitylab.intset import IntegerSetSpec, IntervalSet
+from densitylab.numerics import ceil_nth_root, floor_nth_root
+from densitylab import progressions
 from densitylab.progressions import (
+    _allowed,
+    _search_view,
     ApproxWitness,
     GeoProgression,
     PowerProgression,
@@ -17,7 +21,7 @@ from densitylab.progressions import (
     is_n_approx,
 )
 
-from oracles import brute_find_geo, brute_gp3_free
+from oracles import brute_find_geo, brute_find_gp3, brute_find_power_ap, brute_gp3_free, brute_primes, brute_squarefree, is_prime_td, is_squarefree_td
 
 FULL = IntegerSetSpec.full()
 SQUAREFREE = IntegerSetSpec.squarefree()
@@ -27,6 +31,15 @@ EVEN = IntegerSetSpec.even()
 def _random_explicit(rng, hi, size):
     els = sorted(rng.choice(np.arange(1, hi + 1), size=size, replace=False).tolist())
     return IntegerSetSpec.explicit(els), els
+
+
+def _random_intervals(rng, hi, count):
+    """Random interval union inside [1, hi], some components touching hi."""
+    comps = []
+    for _ in range(count):
+        a = int(rng.randint(1, hi + 1))
+        comps.append((a, min(hi + 50, a + int(rng.randint(0, hi // 8 + 1)))))
+    return IntegerSetSpec.interval_union(IntervalSet(tuple(comps)))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +105,47 @@ def test_witness_validates_matches():
 
 
 # ---------------------------------------------------------------------------
+# _allowed on block endpoints
+# ---------------------------------------------------------------------------
+
+
+def test_allowed_blocks_equal_elements(rng):
+    for _ in range(40):
+        horizon = int(rng.randint(50, 5000))
+        spec = _random_intervals(rng, horizon, int(rng.randint(1, 8)))
+        blocks = _search_view(spec, horizon)
+        assert len(blocks[0]) <= len(spec.intervals)  # endpoints, not elements
+        elems = spec.members(1, horizon)
+        for n in (1, 2, 3, 10):
+            xs = rng.randint(1, horizon // n + 1, size=300).astype(np.int64)
+            assert np.array_equal(_allowed(blocks, xs, n), _allowed((elems, elems), xs, n))
+
+
+def test_allowed_full_is_one_block():
+    starts, ends = _search_view(FULL, 10**9)
+    assert starts.tolist() == [1] and ends.tolist() == [10**9]
+    xs = np.arange(1, 1000, dtype=np.int64)
+    assert _allowed((starts, ends), xs, 2).all()
+    assert not _allowed((starts, ends), xs, 1).any()  # n = 1 windows are empty
+
+
+def test_allowed_example2_blocks_beyond_int64():
+    # block ends of depth 5 exceed int64; the view clips them at the horizon
+    spec = IntegerSetSpec.example2(2, 5)
+    horizon = 10**9
+    view = _search_view(spec, horizon)
+    assert view[0].tolist() == [2, 65, 2197001] and view[1].tolist() == [4, 130, 4394002]
+    rng = np.random.RandomState(5)
+    for n in (1, 2, 3, 10):
+        edges = [v + e for a, b in spec.block_union().clip(1, horizon).components
+                 for v in (a * n, b * n, a // n, b // n) for e in (-1, 0, 1)]
+        xs = np.asarray(sorted({x for x in edges if 1 <= x <= horizon // n}
+                               | set(rng.randint(1, horizon // n + 1, size=200).tolist())), dtype=np.int64)
+        want = [spec.next_member(x // n + 1, min(x * n - 1, horizon)) is not None for x in xs.tolist()]
+        assert _allowed(view, xs, n).tolist() == want
+
+
+# ---------------------------------------------------------------------------
 # find_geo
 # ---------------------------------------------------------------------------
 
@@ -126,6 +180,20 @@ def test_find_geo_matches_brute_oracle(rng):
             assert (got.progression.a, got.progression.r) == want
 
 
+def test_find_geo_blocks_equal_explicit_and_brute(rng):
+    specs = [IntegerSetSpec.example2(2, 2), IntegerSetSpec.example2(3, 1)]
+    specs += [_random_intervals(rng, 3000, int(rng.randint(1, 6))) for _ in range(15)]
+    for spec in specs:
+        els = spec.members(1, 3000).tolist()
+        as_explicit = IntegerSetSpec.explicit(els)
+        for n, min_a, min_r in ((2, 2, 2), (3, 1, 1), (2, 20, 3)):
+            got = find_geo(spec, 3, n, min_a, min_r, 3000)
+            same = find_geo(as_explicit, 3, n, min_a, min_r, 3000)
+            want = brute_find_geo(els, 3, n, min_a, min_r, 3000)
+            assert (got and got.to_json()) == (same and same.to_json())
+            assert (got and (got.progression.a, got.progression.r)) == want
+
+
 def test_find_geo_blocked_by_cubic_gap_set():
     # the cubically separated block set defeats every search with
     # min_a = min_r = n^3 * j; checked here for j = 2 and n <= 4
@@ -158,6 +226,15 @@ def test_gp_free_examples():
     assert not gp_free_certify(FULL, 100)
     assert find_gp3(FULL, 100) == (1, 2, 4)
     assert gp_free_certify(IntegerSetSpec.explicit([2, 3, 5]), 10)
+
+
+def test_find_gp3_sieve_kinds_match_trial_division_oracle():
+    # the sieve kinds are answered without a scan; the oracle scans every
+    # pair and decides c > horizon by trial division
+    horizon = 3000
+    for spec, els, member in ((SQUAREFREE, brute_squarefree(horizon), is_squarefree_td),
+                              (IntegerSetSpec.primes(), brute_primes(horizon), is_prime_td)):
+        assert find_gp3(spec, horizon) == brute_find_gp3(els, horizon, member) is None
 
 
 def test_gp_free_matches_brute_oracle(rng):
@@ -198,6 +275,77 @@ def test_find_power_ap_squarefree_revalidates():
     assert w is not None
     again = approx_subset(w.progression.terms, SQUAREFREE, 3, 10**6)
     assert again is not None and again.matches == w.matches
+
+
+def test_root_start_cap_closed_form():
+    # find_power_ap takes the largest root start t with (t + (l-1)d)^m n <= H
+    # as floor_nth_root(H // n, m) - (l-1)d; the reference is the decrement
+    # loop it replaced
+    for m in (1, 2, 3, 4):
+        for l in (1, 2, 3, 5):
+            for d in (1, 2, 7, 40):
+                for n in (1, 2, 3, 10):
+                    for horizon in (1, 7, 64, 1000, 10**6 + 1, 3**20, 10**12):
+                        t_hi = ceil_nth_root(horizon // n, m)
+                        while (t_hi + (l - 1) * d) ** m * n > horizon:
+                            t_hi -= 1
+                        assert floor_nth_root(horizon // n, m) - (l - 1) * d == t_hi
+
+
+def test_find_power_ap_blocks_equal_explicit(rng):
+    specs = [IntegerSetSpec.example2(2, 2), IntegerSetSpec.example2(3, 1)]
+    specs += [_random_intervals(rng, 5000, int(rng.randint(1, 6))) for _ in range(15)]
+    for spec in specs:
+        as_explicit = IntegerSetSpec.explicit(spec.members(1, 5000).tolist())
+        for m, l, n, min_a, min_d in ((2, 3, 2, 3, 1), (3, 3, 2, 1, 1), (2, 2, 3, 30, 2), (1, 3, 2, 5, 5)):
+            got = find_power_ap(spec, m, l, n, min_a, min_d, 5000)
+            want = find_power_ap(as_explicit, m, l, n, min_a, min_d, 5000)
+            assert (got and got.to_json()) == (want and want.to_json())
+
+
+def test_find_power_ap_matches_brute_oracle(rng):
+    # later steps d scan only root starts whose a beats the best so far; the
+    # oracle scans every (a, d) in order
+    for _ in range(12):
+        spec, els = _random_explicit(rng, 700, int(rng.randint(20, 300)))
+        for m, l, n, min_a, min_d in ((1, 3, 2, 5, 1), (2, 3, 2, 3, 1), (3, 2, 2, 1, 0), (2, 2, 3, 0, 2)):
+            got = find_power_ap(spec, m, l, n, min_a, min_d, 700)
+            want = brute_find_power_ap(els, m, l, n, min_a, min_d, 700)
+            assert (got and (got.progression.a, got.progression.d)) == want
+
+
+def _count_allowed(monkeypatch):
+    calls = []
+    allowed = progressions._allowed
+
+    def counting(view, xs, n):
+        calls.append(len(xs))
+        return allowed(view, xs, n)
+
+    monkeypatch.setattr(progressions, "_allowed", counting)
+    return calls
+
+
+def test_searches_stop_at_least_admissible_a(monkeypatch):
+    # once the best a is min_a + 1 no later ratio or step can beat it, so a
+    # full set at H = 1e12 is answered by the first ratio or step alone (the
+    # ratio loop would otherwise run on to r = 5e11)
+    calls = _count_allowed(monkeypatch)
+    w = find_geo(FULL, 2, 2, 0, 10**5, 10**12)
+    assert (w.progression.a, w.progression.r) == (1, 10**5 + 1) and len(calls) == 2
+    calls.clear()
+    w = find_power_ap(FULL, 2, 3, 2, 0, 0, 10**12)
+    assert (w.progression.a, w.progression.d) == (1, 1) and len(calls) == 3
+
+
+def test_search_scan_range_capped():
+    # blocks never materialize, but the scanned a or root-start range does
+    spec = IntegerSetSpec.interval_union(IntervalSet(((1, 10**12),)))
+    for s in (FULL, spec):
+        with pytest.raises(CapacityError):
+            find_geo(s, 3, 2, 1, 1, 10**12)
+        with pytest.raises(CapacityError):
+            find_power_ap(s, 1, 3, 2, 0, 0, 10**12)
 
 
 def test_find_power_ap_least_pair(rng):
