@@ -286,7 +286,6 @@ def run(config: RunConfig) -> int:
         raise ValidationError(f"unknown command {config.command!r}")
     if config.fmt not in ("csv", "json"):
         raise ValidationError("format must be csv or json")
-    density.thread_count()  # validate DENSITYLAB_THREADS early
     return _RUNNERS[config.command](config)
 
 

@@ -18,16 +18,15 @@ ceil(k^(1/m))), so no candidate maximum is sampled away.
 
 from __future__ import annotations
 
+import bisect
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError
-from .intset import IntegerSetSpec
-from .numerics import PrefixSums, ceil_nth_root, floor_nth_root, geometric_grid, power_sum_range
+from .intset import IntegerSetSpec, block_offsets, count_le
+from .numerics import PrefixSums, floor_nth_root, geometric_grid, power_sum_range
 
 __all__ = [
     "DensityProfile",
@@ -46,8 +45,6 @@ __all__ = [
 ]
 
 FUNCTIONALS = ("upper_count", "lower_count", "upper_log", "lower_log", "banach", "banach_log", "bd_m")
-
-_STRUCTURED = ("full", "even", "interval_union", "example2")
 
 
 @dataclass(frozen=True)
@@ -96,76 +93,37 @@ def default_checkpoints(horizon: int, start: int = 2) -> list[int]:
     return pts
 
 
-def thread_count() -> int:
-    """Worker cap from DENSITYLAB_THREADS (default 1, sequential)."""
-    raw = os.environ.get("DENSITYLAB_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError:
-        raise ValidationError(f"DENSITYLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, t)
-
-
 # ---------------------------------------------------------------------------
 # Cached element arrays and weight prefix sums
 # ---------------------------------------------------------------------------
 
-_PREFIX_CACHE: dict = {}
-_ELEMS_CACHE: dict = {}
+# One entry per (spec, beta): the largest horizon built so far, the members up
+# to it and the prefix sums of their weights x**(-beta).  A smaller horizon is
+# a slice of the entry, a larger one rebuilds it, as intset's sieve cache does.
+# The entry count is bounded so a long-lived process that sees many specs
+# does not keep all of them.
+_WEIGHTS_CACHE: dict = {}
+_WEIGHTS_CACHE_ENTRIES = 64
 
 
-def _elements(spec: IntegerSetSpec, horizon: int) -> np.ndarray:
-    key = (spec, horizon)
-    arr = _ELEMS_CACHE.get(key)
-    if arr is None:
-        arr = spec.members(1, horizon)
-        arr.flags.writeable = False
-        if len(_ELEMS_CACHE) > 64:
-            _ELEMS_CACHE.clear()
-        _ELEMS_CACHE[key] = arr
-    return arr
-
-
-def _prefix(spec: IntegerSetSpec, horizon: int, beta: float) -> tuple[np.ndarray, PrefixSums]:
-    key = (spec, horizon, beta)
-    hit = _PREFIX_CACHE.get(key)
-    if hit is None:
-        elems = _elements(spec, horizon)
-        x = elems.astype(np.float64)
-        if beta == 1.0:
-            w = np.reciprocal(x)
-        elif beta == 0.0:
-            w = np.ones_like(x)
-        else:
-            w = x ** (-beta)
-        hit = (elems, PrefixSums(w))
-        if len(_PREFIX_CACHE) > 64:
-            _PREFIX_CACHE.clear()
-        _PREFIX_CACHE[key] = hit
-    return hit
-
-
-def _power_sum_over(spec: IntegerSetSpec, lo: int, hi: int, beta: float) -> float:
-    """sum of x**(-beta) over spec's members in [lo, hi], without
-    materializing structured kinds."""
-    if hi < lo:
-        return 0.0
-    kind = spec.kind
-    if kind == "full":
-        return power_sum_range(lo, hi, beta)
-    if kind == "even":
-        lo2 = (lo + 1) // 2
-        hi2 = hi // 2
-        if hi2 < lo2:
-            return 0.0
-        return 2.0 ** (-beta) * power_sum_range(lo2, hi2, beta)
-    block = spec.block_union()
-    if block is not None:
-        total = 0.0
-        for a, b in block.clip(lo, hi).components:
-            total += power_sum_range(a, b, beta)
-        return total
-    raise ValidationError(f"no closed-form sums for kind {spec.kind!r}")
+def _weighted(spec: IntegerSetSpec, horizon: int, beta: float) -> tuple[np.ndarray, PrefixSums]:
+    """Members of ``spec`` up to the horizon and the compensated prefix sums
+    of x**(-beta) over them."""
+    key = (spec, beta)
+    hit = _WEIGHTS_CACHE.get(key)
+    if hit is not None and hit[0] >= horizon:
+        _, elems, prefix = hit
+        i = int(np.searchsorted(elems, horizon, side="right"))
+        return elems[:i], prefix.head(i)
+    _WEIGHTS_CACHE.pop(key, None)  # the smaller entry is not held while the larger one builds
+    if len(_WEIGHTS_CACHE) >= _WEIGHTS_CACHE_ENTRIES:
+        _WEIGHTS_CACHE.clear()
+    elems = spec.members(1, horizon)
+    elems.flags.writeable = False
+    x = elems.astype(np.float64)
+    prefix = PrefixSums(np.reciprocal(x) if beta == 1.0 else x ** (-beta))
+    _WEIGHTS_CACHE[key] = (horizon, elems, prefix)
+    return elems, prefix
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +147,7 @@ def counting_profile(spec: IntegerSetSpec, kind: str, horizon: int, checkpoints=
     if kind not in ("upper", "lower"):
         raise ValidationError("kind must be 'upper' or 'lower'")
     pts = _validate_checkpoints(checkpoints or default_checkpoints(horizon), horizon)
-    elems = _elements(spec, horizon)
-    counts = np.searchsorted(elems, np.asarray(pts, dtype=np.int64), side="right")
+    counts = count_le(spec.view(horizon), np.asarray(pts, dtype=np.int64))
     values = [(n, int(c) / n) for n, c in zip(pts, counts)]
     return DensityProfile(f"{kind}_count", horizon, tuple(values))
 
@@ -204,7 +161,7 @@ def log_profile(spec: IntegerSetSpec, horizon: int, checkpoints=None, kind: str 
     if kind not in ("upper", "lower"):
         raise ValidationError("kind must be 'upper' or 'lower'")
     pts = _validate_checkpoints(checkpoints or default_checkpoints(horizon), horizon, minimum=2)
-    elems, prefix = _prefix(spec, horizon, 1.0)
+    elems, prefix = _weighted(spec, horizon, 1.0)
     idx = np.searchsorted(elems, np.asarray(pts, dtype=np.int64), side="right")
     sums = prefix.range_sum(np.zeros_like(idx), idx)
     values = [(n, float(s) / math.log(n)) for n, s in zip(pts, sums)]
@@ -218,7 +175,7 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
     minima just before the next element and at the horizon, so both extremes
     are computed from the element array alone.
     """
-    elems = _elements(spec, horizon)
+    elems = spec.members(1, horizon)
     total = len(elems)
     if total == 0:
         return 0.0, 0.0
@@ -242,32 +199,10 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 _MASK_PER_ELEMENT = 64
 
 
-def _max_reduce(cands: np.ndarray, values: np.ndarray) -> tuple[float, int]:
+def _max_reduce(cands, values: np.ndarray) -> tuple[float, int]:
     # candidates are sorted, so the first maximizer has the smallest k
     i = int(np.argmax(values))
     return float(values[i]), int(cands[i])
-
-
-def _chunked_scan(cands: np.ndarray, evaluate, threads: int) -> tuple[float, int]:
-    """Evaluate window sums over sorted candidate k's in chunks and max-reduce.
-
-    Each window sum is computed by the same prefix difference regardless of
-    chunking and ties resolve to the smallest k, so the result is
-    bit-identical for any thread count.  Workers are capped at the CPU count.
-    """
-    if len(cands) == 0:
-        return 0.0, 0
-    threads = max(1, min(threads, len(cands), os.cpu_count() or 1))
-    if threads == 1:
-        return _max_reduce(cands, evaluate(cands))
-    chunks = np.array_split(cands, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda ch: _max_reduce(ch, evaluate(ch)), chunks))
-    best_v, best_k = results[0]
-    for v, k in results[1:]:
-        if v > best_v or (v == best_v and k < best_k):
-            best_v, best_k = v, k
-    return best_v, best_k
 
 
 def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
@@ -289,7 +224,7 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
     kmax = (horizon + 1) // n
     if kmax < 1:
         return 0.0, 0
-    elems, prefix = _prefix(spec, horizon, 1.0)
+    elems, prefix = _weighted(spec, horizon, 1.0)
     if len(elems) == 0:
         return 0.0, 1
     i = np.searchsorted(elems, kmax, side="left")
@@ -303,14 +238,9 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
         cands = np.flatnonzero(mask)
     else:
         cands = np.unique(np.concatenate(([1], elems[:i] + 1, elems[:j] // n + 1)))
-
-    def evaluate(ks: np.ndarray) -> np.ndarray:
-        i0 = np.searchsorted(elems, ks, side="left")
-        i1 = np.searchsorted(elems, ks * n, side="left")
-        return prefix.range_sum(i0, i1)
-
-    value, k_star = _chunked_scan(cands, evaluate, thread_count())
-    return value, k_star
+    i0 = np.searchsorted(elems, cands, side="left")
+    i1 = np.searchsorted(elems, cands * n, side="left")
+    return _max_reduce(cands, prefix.range_sum(i0, i1))
 
 
 def banach_window_sup(spec: IntegerSetSpec, n: int, horizon: int) -> float:
@@ -337,31 +267,41 @@ def lbd_estimate(spec: IntegerSetSpec, n_max: int, horizon: int, grid=None) -> f
     return min(v for _, _, v in rows)
 
 
-def _window_count_max(elems: np.ndarray, n: int, kmax: int) -> tuple[int, int]:
-    """(max over 1 <= k <= kmax of |A cap [k, k+n]|, smallest maximizing k).
+def _window_count_max(view: tuple[np.ndarray, np.ndarray], n: int, kmax: int) -> tuple[int, int]:
+    """(max over 1 <= k <= kmax of |A cap [k, k+n]|, k*) on a set view.
 
-    While k-1 is not an element the count cannot decrease as k grows, so the
-    maximum is attained with the window's left edge on an element (or at
-    kmax); only those candidates are scanned.  Element i's left index is i,
-    so only kmax's left index and the right ends need a search.
+    While k-1 is not a member the count cannot decrease as k grows, and
+    inside a block it cannot increase (each step drops the member k), so the
+    maximum is attained at a block start at or below kmax (for an element
+    view, at an element) or at kmax; only those candidates are scanned.  The
+    members below a block start are its block offset, so only kmax's left
+    count and the right ends need a search.
+
+    k* is the smallest member k <= kmax whose window reaches the maximum, or
+    kmax when no such member does.  That is not always the smallest
+    maximizing k: a window starting below the first member of its best
+    window reaches the same count (primes, n = 2, H = 1000: k* = 2, and
+    k = 1 counts the same two primes).
     """
-    j = int(np.searchsorted(elems, kmax, side="right"))
-    cands = np.append(elems[:j], kmax)
-    i0 = np.append(np.arange(j), np.searchsorted(elems, kmax, side="left"))
-    counts = np.searchsorted(elems, cands + n, side="right") - i0
-    i = int(np.argmax(counts))  # cands are sorted: first maximizer is the smallest k
+    starts = view[0]
+    j = int(np.searchsorted(starts, kmax, side="right"))
+    cands = np.append(starts[:j], kmax)
+    below = np.append(block_offsets(view)[:j], count_le(view, kmax - 1))
+    counts = count_le(view, cands + n) - below
+    i = int(np.argmax(counts))  # cands are sorted: the first maximizer is k*
     return int(counts[i]), int(cands[i])
 
 
 def bd_estimate_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
-    """(max over k <= H-n of |A cap [k, k+n]|/(n+1), maximizing k).
+    """(max over k <= H-n of |A cap [k, k+n]|/(n+1), k*).
 
-    Ties resolve to the smallest k; see ``_window_count_max`` for the scan.
+    k* is the smallest member k reaching the maximum, or H-n when none does;
+    see ``_window_count_max`` for the scan and the rule.
     """
     n = int(n)
     if not 1 <= n < horizon:
         raise DomainError("need 1 <= n < horizon")
-    best, k_star = _window_count_max(_elements(spec, horizon), n, horizon - n)
+    best, k_star = _window_count_max(spec.view(horizon), n, horizon - n)
     return best / (n + 1), k_star
 
 
@@ -375,27 +315,24 @@ def bd_estimate(spec: IntegerSetSpec, n: int, horizon: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _counts_in_windows(kind: str, block, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """|A cap [lo, hi]| for full, even, or a block union ``block``."""
-    if kind == "full":
-        return (hi - lo + 1).astype(np.int64)
-    if kind == "even":
-        return hi // 2 - (lo - 1) // 2
-    counts = np.zeros(len(lo), dtype=np.int64)
-    for a, b in block.components:
-        top = np.minimum(hi, b)
-        bot = np.maximum(lo, a)
-        counts += np.maximum(top - bot + 1, 0)
-    return counts
+def _block_power_sum(starts: list, ends: list, lo: int, hi: int, beta: float) -> float:
+    """sum of x**(-beta) over the blocks' members in [lo, hi], block by block."""
+    total = 0.0
+    for b in range(bisect.bisect_left(ends, lo), bisect.bisect_right(starts, hi)):
+        total += power_sum_range(max(starts[b], lo), min(ends[b], hi), beta)
+    return total
 
 
 def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tuple[float, int]:
     """Maximum over k of (1/(m n)) sum_{x in A cap [k, (ceil(k^(1/m))+n)^m]} x^(-(m-1)/m).
 
-    Integer m-th roots are exact (binary search); for m >= 2 the value is
-    non-increasing while ceil(k^(1/m)) stays fixed, so only the left endpoint
-    of each root segment (plus k = 1) needs evaluation, which makes the scan
-    exact at every horizon.
+    m = 1 is the window count scan of ``bd_estimate_at`` (same k*), divided
+    by n.  For m >= 2, integer m-th roots are exact (binary search); the value
+    is non-increasing while ceil(k^(1/m)) stays fixed, so only the left
+    endpoint of each root segment (plus k = 1) needs evaluation, which makes
+    the scan exact at every horizon.  Block views sum each window in closed
+    form, element views by prefix-sum differences; ties resolve to the
+    smallest k.
     """
     m, n = int(m), int(n)
     if m < 1:
@@ -404,52 +341,38 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
         raise DomainError("n must be >= 1")
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    beta = (m - 1) / m
 
     if m == 1:
         kmax = horizon - n
         if kmax < 1:
             return 0.0, 0
-        if spec.kind not in _STRUCTURED:
-            best, k_star = _window_count_max(_elements(spec, horizon), n, kmax)
-            return best / n, k_star
-        block = spec.block_union()
-        if block is not None:
-            # every window ends at or below the horizon, so clipping the blocks
-            # there is exact and keeps block ends within int64
-            block = block.clip(1, horizon)
-            starts = np.asarray([a for a, _ in block.components if a <= kmax], dtype=np.int64)
-            cands = np.concatenate((starts, np.asarray([1, kmax], dtype=np.int64)))
-        else:
-            cands = np.asarray([1, kmax], dtype=np.int64)
-        counts = _counts_in_windows(spec.kind, block, cands, cands + n)
-        best = int(np.max(counts))
-        k_star = int(np.min(cands[counts == best]))
-        return best / (m * n), k_star
+        best, k_star = _window_count_max(spec.view(horizon), n, kmax)
+        return best / n, k_star
 
     tmax = floor_nth_root(horizon, m) - n
     if tmax < 1:
         return 0.0, 0
+    beta = (m - 1) / m
     ts = range(1, tmax + 1)
     ks = [1 if t == 1 else (t - 1) ** m + 1 for t in ts]
     tops = [(t + n) ** m for t in ts]
 
-    if spec.kind in _STRUCTURED:
-        best_v, best_k = -1.0, 0
-        for k, top in zip(ks, tops):
-            v = _power_sum_over(spec, k, top, beta)
-            if v > best_v:
-                best_v, best_k = v, k
-        return best_v / (m * n), best_k
-
-    elems, prefix = _prefix(spec, horizon, beta)
-    ks_arr = np.asarray(ks, dtype=np.int64)
-    tops_arr = np.asarray(tops, dtype=np.int64)
-    i0 = np.searchsorted(elems, ks_arr, side="left")
-    i1 = np.searchsorted(elems, tops_arr, side="right")
-    sums = prefix.range_sum(i0, i1)
-    i = int(np.argmax(sums))
-    return float(sums[i]) / (m * n), int(ks_arr[i])
+    if spec.kind == "even":
+        # even's reports are pinned to this form: 2^-beta times the sum over x/2
+        scale = 2.0 ** (-beta)
+        sums = [scale * power_sum_range((k + 1) // 2, top // 2, beta) for k, top in zip(ks, tops)]
+    else:
+        starts, ends = spec.view(horizon)
+        if starts is not ends:
+            starts, ends = starts.tolist(), ends.tolist()
+            sums = [_block_power_sum(starts, ends, k, top, beta) for k, top in zip(ks, tops)]
+        else:
+            elems, prefix = _weighted(spec, horizon, beta)
+            i0 = np.searchsorted(elems, np.asarray(ks, dtype=np.int64), side="left")
+            i1 = np.searchsorted(elems, np.asarray(tops, dtype=np.int64), side="right")
+            sums = prefix.range_sum(i0, i1)
+    value, k_star = _max_reduce(ks, np.asarray(sums))
+    return value / (m * n), k_star
 
 
 def bdm_window_sup(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> float:

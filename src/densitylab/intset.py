@@ -30,6 +30,8 @@ __all__ = [
     "SIEVE_HORIZON",
     "materialize",
     "contains",
+    "block_offsets",
+    "count_le",
     "example2_set",
     "classify",
     "invert_intervals",
@@ -238,14 +240,26 @@ class IntegerSetSpec:
             return IntervalSet(_example2_blocks(self.j, self.depth))
         return None
 
-    def blocks_upto(self, horizon: int) -> IntervalSet | None:
-        """A cap [1, horizon] as blocks: the single block [1, horizon] for
-        full, the clipped block union for interval-structured kinds, else
-        None (the set is kept as elements)."""
+    def view(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """A cap [1, horizon] as sorted disjoint blocks (starts, ends).
+
+        full is the single block [1, horizon]; interval_union and example2
+        give their block union clipped to the horizon before any int64 array
+        is built (example2 block ends pass int64 at depth 4).  None of the
+        three materializes.  Every other kind gives its element array as both
+        starts and ends, one block per element, so ``starts is ends``.
+        """
         if self.kind == "full":
-            return IntervalSet(((1, int(horizon)),))
-        blocks = self.block_union()
-        return None if blocks is None else blocks.clip(1, horizon)
+            blocks = IntervalSet(((1, int(horizon)),))
+        else:
+            blocks = self.block_union()
+            if blocks is None:
+                elems = self.members(1, horizon)
+                return elems, elems
+            blocks = blocks.clip(1, horizon)
+        starts = np.asarray([a for a, _ in blocks.components], dtype=np.int64)
+        ends = np.asarray([b for _, b in blocks.components], dtype=np.int64)
+        return starts, ends
 
     # -- membership and materialization -------------------------------------
 
@@ -526,6 +540,29 @@ def materialize(spec: IntegerSetSpec, lo: int, hi: int) -> np.ndarray:
 def contains(spec: IntegerSetSpec, x: int) -> bool:
     """Membership test, consistent with materialize."""
     return spec.contains(x)
+
+
+def block_offsets(view: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Members before each block of a view, then |A|: entry i is
+    |A cap [1, starts[i] - 1]|, so an element view gives 0, 1, ..., |A|."""
+    starts, ends = view
+    if starts is ends:
+        return np.arange(len(starts) + 1)
+    out = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(ends - starts + 1, out=out[1:])
+    return out
+
+
+def count_le(view: tuple[np.ndarray, np.ndarray], x):
+    """|A cap [1, x]| for each x >= 0 (int64 array or scalar), read from a
+    view of ``IntegerSetSpec.view`` whose horizon is at least x."""
+    starts, ends = view
+    i = np.searchsorted(starts, x, side="right")  # blocks starting at or below x
+    if starts is ends:
+        return i
+    # the last of those blocks may run past x; index 0 means no block
+    last_end = np.concatenate(([0], ends))[i]
+    return block_offsets(view)[i] - np.maximum(last_end - x, 0)
 
 
 def example2_set(j: int, depth: int) -> IntervalSet:

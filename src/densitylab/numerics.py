@@ -70,6 +70,17 @@ class PrefixSums:
         self._s = s
         self._c = c
 
+    def head(self, n: int) -> "PrefixSums":
+        """Prefix sums of ``weights[:n]``, sharing this object's arrays.
+
+        Both cumulative arrays are built front to back, so their first n + 1
+        entries are bit for bit those a build over ``weights[:n]`` gives.
+        """
+        out = object.__new__(PrefixSums)
+        out._s = self._s[: n + 1]
+        out._c = self._c[: n + 1]
+        return out
+
     def range_sum(self, i, j):
         """Sum of weights[i:j]; i, j may be scalars or index arrays."""
         s, c = self._s, self._c

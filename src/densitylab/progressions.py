@@ -153,27 +153,10 @@ def approx_subset(x_terms, spec: IntegerSetSpec, n: int, horizon: int) -> Approx
 # ---------------------------------------------------------------------------
 
 
-def _search_view(spec: IntegerSetSpec, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """A cap [1, horizon] as sorted disjoint blocks (starts, ends).
-
-    Kinds with block structure (``IntegerSetSpec.blocks_upto``) give their
-    block endpoints, clipped to the horizon before the int64 arrays are built,
-    and never materialize.  Every other kind gives its element array as both
-    starts and ends, one block per element.
-    """
-    blocks = spec.blocks_upto(horizon)
-    if blocks is None:
-        elems = spec.members(1, horizon)
-        return elems, elems
-    starts = np.asarray([a for a, _ in blocks.components], dtype=np.int64)
-    ends = np.asarray([b for _, b in blocks.components], dtype=np.int64)
-    return starts, ends
-
-
 def _allowed(view: tuple[np.ndarray, np.ndarray], xs: np.ndarray, n: int) -> np.ndarray:
     """True where the open window (x/n, x*n) meets A.
 
-    ``view`` is the (starts, ends) pair of ``_search_view``.  The least
+    ``view`` is the (starts, ends) pair of ``IntegerSetSpec.view``.  The least
     member at or above lo = x//n + 1 is max(starts[i], lo) for the first
     block i ending at or above lo; the window meets A when that block exists
     and that member lies below x*n.  For an element array (starts is ends)
@@ -207,7 +190,7 @@ def find_geo(spec: IntegerSetSpec, l: int, n: int, min_a: int, min_r: int, horiz
         raise DomainError("horizon admits no candidate progression")
     if horizon * n > 2**62:
         raise CapacityError("horizon too large for the vectorized scan")
-    view = _search_view(spec, horizon)
+    view = spec.view(horizon)
     best: tuple[int, int] | None = None
     r = min_r + 1
     while l > 1 or r == min_r + 1:
@@ -326,7 +309,7 @@ def find_power_ap(spec: IntegerSetSpec, m: int, l: int, n: int, min_a: int, min_
     t_floor = ceil_nth_root(min_a + 1, m)
     if (t_floor + (l - 1) * (min_d + 1)) ** m * n > horizon:
         raise DomainError("horizon admits no candidate pattern")
-    view = _search_view(spec, horizon)
+    view = spec.view(horizon)
     t_top = floor_nth_root(horizon // n, m)
     best: tuple[int, int] | None = None
     d = min_d + 1

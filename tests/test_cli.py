@@ -181,13 +181,3 @@ def test_search_capacity_exit_code(capsys):
                          "--horizon", "1e12"]) == 4
     assert cli.main(["certify", "gp-free", "--set", "squarefree", "--horizon", "0"]) == 2
     capsys.readouterr()
-
-
-def test_threads_env_same_result(tmp_path, monkeypatch):
-    args = ["density", "--set", "squarefree", "--horizon", "1e4", "--nmax", "32"]
-    _, base = run_cli(args, tmp_path, "t1.csv")
-    monkeypatch.setenv("DENSITYLAB_THREADS", "3")
-    _, threaded = run_cli(args, tmp_path, "t3.csv")
-    assert base == threaded
-    monkeypatch.setenv("DENSITYLAB_THREADS", "zebra")
-    assert cli.main(args) == 2

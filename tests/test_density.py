@@ -12,6 +12,7 @@ from densitylab.density import (
     bd_estimate,
     bd_estimate_at,
     bdm_window_sup,
+    bdm_window_sup_at,
     count_extremes,
     counting_profile,
     default_checkpoints,
@@ -183,25 +184,6 @@ def test_banach_subadditivity_exact(canonical_specs):
                 assert g(n**j) <= j * g(n)
 
 
-def test_thread_pool_capped_at_cpu_count(monkeypatch):
-    real_pool = density_module.ThreadPoolExecutor
-    workers = []
-
-    def recording_pool(max_workers):
-        workers.append(max_workers)
-        if max_workers > 4:
-            raise AssertionError(f"asked for {max_workers} threads")
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(density_module, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(density_module.os, "cpu_count", lambda: 4)
-    spec = IntegerSetSpec.explicit(range(1, 3001, 3))
-    want = banach_window_sup_at(spec, 2, 3000)
-    monkeypatch.setenv("DENSITYLAB_THREADS", "1000000")
-    assert banach_window_sup_at(spec, 2, 3000) == want
-    assert workers == [4]
-
-
 # ---------------------------------------------------------------------------
 # lbd_estimate
 # ---------------------------------------------------------------------------
@@ -284,6 +266,72 @@ def test_bdm_m1_example2_blocks_beyond_int64(n):
     H = 5000
     els = spec.members(1, H).tolist()
     assert bdm_window_sup(spec, 1, n, H) == brute_window_count_max(els, n, H)
+
+
+@pytest.mark.parametrize("H", [11, 100, 101, 1000, 1001])
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_bdm_m1_even_vs_brute(n, H):
+    # every window start counts, not only k = 1 and k = H - n
+    els = list(range(2, H + 1, 2))
+    assert bdm_window_sup(EVEN, 1, n, H) == brute_window_count_max(els, n, H)
+
+
+def _random_union(rng, hi):
+    comps = []
+    for _ in range(int(rng.randint(1, 8))):
+        a = int(rng.randint(1, hi + 1))
+        comps.append((a, a + int(rng.randint(0, hi // 6 + 1))))
+    return IntegerSetSpec.interval_union(IntervalSet(tuple(comps)))
+
+
+def test_window_count_blocks_equal_explicit(rng):
+    # block views and element arrays give the same (value, k*) to bd and to bd_m at m = 1
+    specs = [_random_union(rng, 3000) for _ in range(40)]
+    specs += [IntegerSetSpec.example2(2, 2), IntegerSetSpec.example2(3, 4), FULL,
+              IntegerSetSpec.interval_union(IntervalSet(((5, 10),)))]
+    for spec in specs:
+        for H in (100, 1001, 3000):
+            twin = IntegerSetSpec.explicit(spec.members(1, H).tolist())
+            for n in (1, 2, 3, 10, 40, 99):
+                assert bd_estimate_at(spec, n, H) == bd_estimate_at(twin, n, H)
+                assert bdm_window_sup_at(spec, 1, n, H) == bdm_window_sup_at(twin, 1, n, H)
+    one_block = IntegerSetSpec.interval_union(IntervalSet(((5, 10),)))
+    assert bdm_window_sup_at(one_block, 1, 10, 100) == (0.6, 5)
+    assert bd_estimate_at(one_block, 10, 100) == (6 / 11, 5)
+    # the best window starts at kmax = H - n, which is no member
+    tail = [1, 95, 96, 97, 98, 99, 100]
+    for spec in (IntegerSetSpec.explicit(tail), IntegerSetSpec.interval_union(IntervalSet(((1, 1), (95, 100))))):
+        assert bd_estimate_at(spec, 10, 100) == (6 / 11, 90)
+        assert bdm_window_sup_at(spec, 1, 10, 100) == (0.6, 90)
+
+
+def test_window_count_full_huge_horizon_reads_no_members(monkeypatch):
+    def no_members(self, lo, hi):
+        raise AssertionError("members called")
+
+    monkeypatch.setattr(IntegerSetSpec, "members", no_members)
+    assert bd_estimate_at(FULL, 10, 10**12) == (1.0, 1)
+    assert bdm_window_sup_at(FULL, 1, 10, 10**12) == (1.1, 1)
+    assert counting_profile(FULL, "upper", 10**12, [10, 10**12]).checkpoints == ((10, 1.0), (10**12, 1.0))
+
+
+@pytest.mark.parametrize("spec", [IntegerSetSpec.squarefree(),
+                                  IntegerSetSpec.explicit(range(1, 10**5 + 1, 7))])
+def test_weights_cache_slices_match_fresh_builds(spec, monkeypatch):
+    def calls(H):
+        return (log_profile(spec, H), lbd_profile(spec, 64, H), bdm_window_sup_at(spec, 2, 16, H))
+
+    cache = {}
+    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", cache)
+    fresh = {}
+    for H in (10**5, 2 * 10**4):
+        cache.clear()
+        fresh[H] = calls(H)
+    cache.clear()
+    for H in (10**5, 2 * 10**4, 10**5):
+        assert calls(H) == fresh[H]  # bit-identical
+    assert sorted(cache) == [(spec, 0.5), (spec, 1.0)]
+    assert all(entry[0] == 10**5 for entry in cache.values())
 
 
 @pytest.mark.parametrize("m,n,H", [(2, 3, 4000), (2, 7, 4000), (3, 2, 8000)])

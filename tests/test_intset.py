@@ -12,8 +12,10 @@ from densitylab.intset import (
     IntegerSetSpec,
     IntervalSet,
     Window,
+    block_offsets,
     classify,
     contains,
+    count_le,
     example2_set,
     invert_intervals,
     materialize,
@@ -138,6 +140,30 @@ def test_next_prev_member():
     sf = IntegerSetSpec.squarefree()
     assert sf.next_member(48, 100) == 51
     assert sf.prev_member(50) == 47
+
+
+def test_view_counts_equal_element_counts(canonical_specs):
+    rng = np.random.RandomState(11)
+    specs = list(canonical_specs.values())
+    specs += [IntegerSetSpec.explicit([3, 5, 6, 7, 100]), IntegerSetSpec.explicit([])]
+    for _ in range(20):
+        comps = [(a, a + int(rng.randint(0, 300))) for a in rng.randint(1, 2000, size=5).tolist()]
+        specs.append(IntegerSetSpec.interval_union(IntervalSet(tuple(comps))))
+    H = 2000
+    xs = np.arange(0, H + 1, dtype=np.int64)
+    for spec in specs:
+        view = spec.view(H)
+        elems = spec.members(1, H)
+        want = np.searchsorted(elems, xs, side="right")
+        assert np.array_equal(count_le(view, xs), want)
+        assert all(count_le(view, x) == want[x] for x in (0, 1, 17, H))
+        assert np.array_equal(block_offsets(view), np.append(count_le(view, view[0] - 1), len(elems)))
+        blocks = spec.kind in ("full", "interval_union", "example2")
+        assert (view[0] is view[1]) == (not blocks)
+        if blocks:
+            assert len(view[0]) <= max(1, len(spec.block_union() or ()))  # endpoints, not elements
+        else:
+            assert np.array_equal(view[0], elems)
 
 
 # ---------------------------------------------------------------------------

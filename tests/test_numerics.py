@@ -27,6 +27,18 @@ def test_prefix_sums_match_fsum():
     )
 
 
+def test_prefix_sums_head_is_a_build_over_the_head():
+    rng = np.random.RandomState(3)
+    x = np.cumsum(rng.randint(1, 9, size=50000)).astype(np.float64)
+    for beta in (1.0, 0.5, 2 / 3):
+        w = np.reciprocal(x) if beta == 1.0 else x ** (-beta)
+        whole = PrefixSums(w)
+        for n in (0, 1, 2, 777, 49999, 50000):
+            head, built = whole.head(n), PrefixSums(w[:n])
+            assert np.array_equal(head._s, built._s) and np.array_equal(head._c, built._c)
+            assert head.total == built.total
+
+
 def test_prefix_sums_empty_and_singleton():
     assert PrefixSums(np.empty(0)).total == 0.0
     assert PrefixSums(np.asarray([0.25])).total == 0.25

@@ -9,7 +9,6 @@ from densitylab.numerics import ceil_nth_root, floor_nth_root
 from densitylab import progressions
 from densitylab.progressions import (
     _allowed,
-    _search_view,
     ApproxWitness,
     GeoProgression,
     PowerProgression,
@@ -113,7 +112,7 @@ def test_allowed_blocks_equal_elements(rng):
     for _ in range(40):
         horizon = int(rng.randint(50, 5000))
         spec = _random_intervals(rng, horizon, int(rng.randint(1, 8)))
-        blocks = _search_view(spec, horizon)
+        blocks = spec.view(horizon)
         assert len(blocks[0]) <= len(spec.intervals)  # endpoints, not elements
         elems = spec.members(1, horizon)
         for n in (1, 2, 3, 10):
@@ -122,7 +121,7 @@ def test_allowed_blocks_equal_elements(rng):
 
 
 def test_allowed_full_is_one_block():
-    starts, ends = _search_view(FULL, 10**9)
+    starts, ends = FULL.view(10**9)
     assert starts.tolist() == [1] and ends.tolist() == [10**9]
     xs = np.arange(1, 1000, dtype=np.int64)
     assert _allowed((starts, ends), xs, 2).all()
@@ -133,7 +132,7 @@ def test_allowed_example2_blocks_beyond_int64():
     # block ends of depth 5 exceed int64; the view clips them at the horizon
     spec = IntegerSetSpec.example2(2, 5)
     horizon = 10**9
-    view = _search_view(spec, horizon)
+    view = spec.view(horizon)
     assert view[0].tolist() == [2, 65, 2197001] and view[1].tolist() == [4, 130, 4394002]
     rng = np.random.RandomState(5)
     for n in (1, 2, 3, 10):
