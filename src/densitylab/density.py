@@ -10,10 +10,13 @@ density window maximum, and the weighted family
 
     bd_m window value at k:  (1/(m*n)) * sum_{x in A, k <= x <= (ceil(k^(1/m))+n)^m} x^(-(m-1)/m).
 
-All window maxima are exact over the truncated k-range: the scans enumerate
-every k at which the window contents change (plus segment left endpoints for
-the m-th root windows, where the value is non-increasing between changes of
-ceil(k^(1/m))), so no candidate maximum is sampled away.
+All window maxima are exact over the truncated k-range, so no candidate
+maximum is sampled away.  The Banach windows and the count windows (bd, and
+bd_m at m = 1) share one scan, ``_window_max``: their values never fall while
+k steps over a non-member and never rise while it steps over a member, so
+only the set's block starts (its elements, for an element view) and the last
+k are evaluated.  The m-th root windows evaluate the left endpoint of each
+segment of constant ceil(k^(1/m)), where the value is non-increasing.
 """
 
 from __future__ import annotations
@@ -189,32 +192,44 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Banach window scans
+# Banach and count window scans
 # ---------------------------------------------------------------------------
 
 
-# The Banach scan marks its candidates in a bool mask over [1, kmax] while
-# kmax is at most this many times |A|, so the mask never takes more than eight
-# times the memory of the element array; sparser sets sort the candidates.
-_MASK_PER_ELEMENT = 64
+def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, prefix: PrefixSums | None = None):
+    """The best window [k, tops(k)] over 1 <= k <= kmax on a set view, as
+    (value, k, upto): upto counts the members up to tops(k), and the value is
+    the count of members in the window, or their weight sum from ``prefix``.
 
-
-def _max_reduce(cands, values: np.ndarray) -> tuple[float, int]:
-    # candidates are sorted, so the first maximizer has the smallest k
-    i = int(np.argmax(values))
-    return float(values[i]), int(cands[i])
+    The window functionals here never fall while k steps over a non-member
+    and never rise while it steps over a member, so the maximum is attained
+    at a block start at or below kmax (for an element view, at an element) or
+    at kmax; only those candidates are scanned.  The members below a block
+    start are its block offset, so only kmax's left count and the window tops
+    need a search.  k is the first maximizing candidate.
+    """
+    starts = view[0]
+    j = int(np.searchsorted(starts, kmax, side="right"))
+    cands = np.append(starts[:j], kmax)
+    below = np.append(block_offsets(view)[:j], count_le(view, kmax - 1))
+    upto = count_le(view, tops(cands))
+    values = upto - below if prefix is None else prefix.range_sum(below, upto)
+    i = int(np.argmax(values))  # cands are sorted: the first maximizer
+    return values[i], int(cands[i]), int(upto[i])
 
 
 def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
-    """(g_H(n), maximizing k) with windows [k, k*n) and k*n <= horizon + 1.
+    """(g_H(n), smallest maximizing k) with windows [k, k*n) and k*n <= horizon + 1.
 
-    Window contents change only at k = a+1 (element a drops out below) and
-    k = floor(a/n)+1 (element a enters on top), so scanning those candidate
-    k's plus k = 1 yields the exact truncated supremum.  The candidates are
-    deduplicated and sorted before any search; ties resolve to the smallest k.
-    For a dense set they are marked in a bool mask over [1, kmax]; when kmax
-    exceeds ``_MASK_PER_ELEMENT`` times |A| they are sorted with ``np.unique``
-    instead, so memory and time follow |A| rather than the horizon.
+    Stepping from k to k+1 drops 1/k when k is a member and adds the members
+    of [k*n, k*n + n), at most n terms each at most 1/(k*n), so less than
+    1/k in all: the sum falls past a member and never falls past a
+    non-member, and ``_window_max`` finds the maximum at a block start or at
+    kmax, k1.  The smallest maximizer is p // n + 1, where p is the largest
+    member of k1's window (0 if it is empty).  A member e in
+    [p // n + 1, k1) would have p < e*n, so e's window would hold e and all
+    of k1's window and beat it; hence every window from p // n + 1 to k1
+    holds the same members and gives the same float.
     """
     n = int(n)
     if n < 2:
@@ -225,22 +240,9 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
     if kmax < 1:
         return 0.0, 0
     elems, prefix = _weighted(spec, horizon, 1.0)
-    if len(elems) == 0:
-        return 0.0, 1
-    i = np.searchsorted(elems, kmax, side="left")
-    j = np.searchsorted(elems, kmax * n, side="left")
-    if kmax <= _MASK_PER_ELEMENT * len(elems):
-        # one temporary at a time keeps the peak at one element-sized array
-        mask = np.zeros(kmax + 1, dtype=bool)
-        mask[1] = True
-        mask[elems[:i] + 1] = True
-        mask[elems[:j] // n + 1] = True
-        cands = np.flatnonzero(mask)
-    else:
-        cands = np.unique(np.concatenate(([1], elems[:i] + 1, elems[:j] // n + 1)))
-    i0 = np.searchsorted(elems, cands, side="left")
-    i1 = np.searchsorted(elems, cands * n, side="left")
-    return _max_reduce(cands, prefix.range_sum(i0, i1))
+    value, _, upto = _window_max(spec.view(horizon), kmax, lambda k: k * n - 1, prefix)
+    top = int(elems[upto - 1]) if upto else 0
+    return float(value), top // n + 1
 
 
 def banach_window_sup(spec: IntegerSetSpec, n: int, horizon: int) -> float:
@@ -267,42 +269,20 @@ def lbd_estimate(spec: IntegerSetSpec, n_max: int, horizon: int, grid=None) -> f
     return min(v for _, _, v in rows)
 
 
-def _window_count_max(view: tuple[np.ndarray, np.ndarray], n: int, kmax: int) -> tuple[int, int]:
-    """(max over 1 <= k <= kmax of |A cap [k, k+n]|, k*) on a set view.
-
-    While k-1 is not a member the count cannot decrease as k grows, and
-    inside a block it cannot increase (each step drops the member k), so the
-    maximum is attained at a block start at or below kmax (for an element
-    view, at an element) or at kmax; only those candidates are scanned.  The
-    members below a block start are its block offset, so only kmax's left
-    count and the right ends need a search.
-
-    k* is the smallest member k <= kmax whose window reaches the maximum, or
-    kmax when no such member does.  That is not always the smallest
-    maximizing k: a window starting below the first member of its best
-    window reaches the same count (primes, n = 2, H = 1000: k* = 2, and
-    k = 1 counts the same two primes).
-    """
-    starts = view[0]
-    j = int(np.searchsorted(starts, kmax, side="right"))
-    cands = np.append(starts[:j], kmax)
-    below = np.append(block_offsets(view)[:j], count_le(view, kmax - 1))
-    counts = count_le(view, cands + n) - below
-    i = int(np.argmax(counts))  # cands are sorted: the first maximizer is k*
-    return int(counts[i]), int(cands[i])
-
-
 def bd_estimate_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
     """(max over k <= H-n of |A cap [k, k+n]|/(n+1), k*).
 
-    k* is the smallest member k reaching the maximum, or H-n when none does;
-    see ``_window_count_max`` for the scan and the rule.
+    ``_window_max`` scans the block starts and H-n, so k* is the smallest
+    member k reaching the maximum, or H-n when none does.  That is not
+    always the smallest maximizing k: a window starting below the first
+    member of its best window reaches the same count (primes, n = 2,
+    H = 1000: k* = 2, and k = 1 counts the same two primes).
     """
     n = int(n)
     if not 1 <= n < horizon:
         raise DomainError("need 1 <= n < horizon")
-    best, k_star = _window_count_max(spec.view(horizon), n, horizon - n)
-    return best / (n + 1), k_star
+    best, k_star, _ = _window_max(spec.view(horizon), horizon - n, lambda k: k + n)
+    return int(best) / (n + 1), k_star
 
 
 def bd_estimate(spec: IntegerSetSpec, n: int, horizon: int) -> float:
@@ -346,8 +326,8 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
         kmax = horizon - n
         if kmax < 1:
             return 0.0, 0
-        best, k_star = _window_count_max(spec.view(horizon), n, kmax)
-        return best / n, k_star
+        best, k_star, _ = _window_max(spec.view(horizon), kmax, lambda k: k + n)
+        return int(best) / n, k_star
 
     tmax = floor_nth_root(horizon, m) - n
     if tmax < 1:
@@ -358,7 +338,8 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     tops = [(t + n) ** m for t in ts]
 
     if spec.kind == "even":
-        # even's reports are pinned to this form: 2^-beta times the sum over x/2
+        # 2^-beta times the sum over x/2, in closed form: bd_m on even needs no
+        # element array, so it also runs above the materialization cap
         scale = 2.0 ** (-beta)
         sums = [scale * power_sum_range((k + 1) // 2, top // 2, beta) for k, top in zip(ks, tops)]
     else:
@@ -371,8 +352,8 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
             i0 = np.searchsorted(elems, np.asarray(ks, dtype=np.int64), side="left")
             i1 = np.searchsorted(elems, np.asarray(tops, dtype=np.int64), side="right")
             sums = prefix.range_sum(i0, i1)
-    value, k_star = _max_reduce(ks, np.asarray(sums))
-    return value / (m * n), k_star
+    i = int(np.argmax(sums))  # ks are sorted: the first maximizer has the smallest k
+    return float(sums[i]) / (m * n), ks[i]
 
 
 def bdm_window_sup(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> float:

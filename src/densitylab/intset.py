@@ -370,6 +370,19 @@ class IntegerSetSpec:
             y -= 1
         return None
 
+    def __hash__(self) -> int:
+        # An explicit set hashes its whole elements tuple, and the density
+        # caches look a spec up on every call, so the hash is kept per object.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.kind, self.elements, self.intervals, self.j, self.depth))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so a pickle leaves the hash out
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def _explicit_array(self) -> np.ndarray:
         arr = self.__dict__.get("_elements_arr")
         if arr is None:

@@ -158,10 +158,6 @@ def _distinct_upto2(a_elems: np.ndarray, b_elems: np.ndarray, lo: int, hi: int):
     return (0, None) if seen is None else (1, seen)
 
 
-def _grid_candidates(n: int, x_max: int, grid_ratio: float) -> list[int]:
-    return geometric_grid(1, x_max, grid_ratio)
-
-
 def _exact_candidates(a_spec, b_spec, n: int, x_max: int, horizon: int) -> list[int] | None:
     """All window starts where the gap statistic can change, for small
     explicit productsets; None when the exact scan does not apply."""
@@ -197,7 +193,7 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
         raise DomainError("horizon admits no window")
     cands = _exact_candidates(a_spec, b_spec, n, x_max, horizon)
     if cands is None:
-        cands = _grid_candidates(n, x_max, grid_ratio)
+        cands = geometric_grid(1, x_max, grid_ratio)
     factors = None
     best: GapReport | None = None
     for x in cands:

@@ -159,8 +159,7 @@ def _allowed(view: tuple[np.ndarray, np.ndarray], xs: np.ndarray, n: int) -> np.
     ``view`` is the (starts, ends) pair of ``IntegerSetSpec.view``.  The least
     member at or above lo = x//n + 1 is max(starts[i], lo) for the first
     block i ending at or above lo; the window meets A when that block exists
-    and that member lies below x*n.  For an element array (starts is ends)
-    ends[i] >= lo already is that member.
+    and that member lies below x*n.
     """
     starts, ends = view
     if len(ends) == 0:
@@ -168,9 +167,7 @@ def _allowed(view: tuple[np.ndarray, np.ndarray], xs: np.ndarray, n: int) -> np.
     lo = xs // n + 1
     idx = np.searchsorted(ends, lo, side="left")
     ok = idx < len(ends)
-    first = starts[np.minimum(idx, len(ends) - 1)]
-    if starts is not ends:
-        first = np.maximum(first, lo)
+    first = np.maximum(starts[np.minimum(idx, len(ends) - 1)], lo)
     return ok & (first < xs * n)
 
 

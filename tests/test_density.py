@@ -145,8 +145,8 @@ def test_banach_vs_exhaustive_oracle(seed, n):
 
 @pytest.mark.parametrize("seed,n", [(5, 2), (6, 3), (7, 10), (8, 100)])
 def test_banach_sparse_vs_exhaustive_oracle(seed, n):
-    # 20 elements below 5000: kmax is far above 64 * |A| for n <= 3, so the
-    # candidates are sorted rather than marked in a mask
+    # 20 elements below 5000: the scan sees 20 block starts and kmax, and the
+    # best window mostly starts below its first member, so k* is a step back
     rng = np.random.RandomState(seed)
     els = sorted(rng.choice(np.arange(1, 5001), size=20, replace=False).tolist())
     got, got_k = banach_window_sup_at(IntegerSetSpec.explicit(els), n, 5000)
@@ -164,6 +164,29 @@ def test_banach_few_elements_huge_horizon(n):
     want, want_k = brute_banach_sup(els, n, (max(els) + 1) * n)
     assert got == pytest.approx(want, abs=1e-12)
     assert got_k == want_k
+
+
+def test_banach_smallest_maximizer_vs_exhaustive_oracle(rng):
+    # the scan's best candidate is a block start or kmax; k* steps back from
+    # it over the level run before it and must be the oracle's smallest k
+    H = 1000
+    specs = [_random_union(rng, 900) for _ in range(12)]
+    specs += [IntegerSetSpec.explicit(sorted(rng.choice(np.arange(1, 901), size=int(rng.randint(1, 30)),
+                                                        replace=False).tolist())) for _ in range(8)]
+    specs += [IntegerSetSpec.example2(2, 2), FULL,
+              # every best window starts below the set's first member
+              IntegerSetSpec.explicit([100]), IntegerSetSpec.explicit([300, 301, 700]),
+              # for n = 2 the best window is kmax's, [500, 999], and no member starts it
+              IntegerSetSpec.explicit([3] + list(range(600, 901)))]
+    for spec in specs:
+        els = spec.members(1, H).tolist()
+        for n in (2, 3, 10, 100):
+            got, got_k = banach_window_sup_at(spec, n, H)
+            want, want_k = brute_banach_sup(els, n, H)
+            assert got_k == want_k
+            assert got == pytest.approx(want, abs=1e-12)
+    assert banach_window_sup_at(IntegerSetSpec.explicit([100]), 2, H) == (0.01, 51)
+    assert banach_window_sup_at(specs[-1], 2, H)[1] == 451
 
 
 def test_banach_subadditivity_exact(canonical_specs):
@@ -347,10 +370,6 @@ def test_bdm_structured_matches_element_backed():
     ev = bdm_window_sup(EVEN, 2, 10, 10**5)
     ev_explicit = bdm_window_sup(IntegerSetSpec.explicit(range(2, 10**5 + 1, 2)), 2, 10, 10**5)
     assert ev == pytest.approx(ev_explicit, rel=1e-10)
-
-
-def test_bdm_full_m2_near_one():
-    assert bdm_window_sup(FULL, 2, 100, 10**8) == pytest.approx(1.0, abs=0.02)
 
 
 # ---------------------------------------------------------------------------

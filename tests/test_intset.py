@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,20 @@ def test_view_counts_equal_element_counts(canonical_specs):
 # ---------------------------------------------------------------------------
 # IntervalSet
 # ---------------------------------------------------------------------------
+
+
+def test_spec_hash_is_kept_per_object():
+    a = IntegerSetSpec.explicit(range(1, 1000))
+    b = IntegerSetSpec.explicit(range(1, 1000))
+    assert "_hash" not in a.__dict__
+    assert a == b and hash(a) == hash(b)
+    assert a.__dict__["_hash"] == hash(a)
+    object.__setattr__(a, "_hash", 7)
+    assert hash(a) == 7  # later calls read the stored value
+    assert a == b
+    # string hashes differ between processes: a pickle carries no hash
+    c = pickle.loads(pickle.dumps(b))
+    assert "_hash" not in c.__dict__ and c == b and hash(c) == hash(b)
 
 
 def test_interval_set_normalizes():
