@@ -17,6 +17,10 @@ k steps over a non-member and never rise while it steps over a member, so
 only the set's block starts (its elements, for an element view) and the last
 k are evaluated.  The m-th root windows evaluate the left endpoint of each
 segment of constant ceil(k^(1/m)), where the value is non-increasing.
+Every window sum of x^(-beta) comes from ``_power_sums``: block views
+(``full``, ``interval_union``, ``example2``) in closed form, never
+materialized, so also above the materialization cap; element views from
+compensated prefix sums (``even`` too: its own closed form had no caller).
 """
 
 from __future__ import annotations
@@ -97,11 +101,11 @@ def default_checkpoints(horizon: int, start: int = 2) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Cached element arrays and weight prefix sums
+# Power sums: cached weight prefix sums and closed-form block sums
 # ---------------------------------------------------------------------------
 
-# One entry per (spec, beta): the largest horizon built so far, the members up
-# to it and the prefix sums of their weights x**(-beta).  A smaller horizon is
+# One entry per (spec, beta): the largest horizon built so far and the prefix
+# sums of the weights x**(-beta) of the members up to it.  A smaller horizon is
 # a slice of the entry, a larger one rebuilds it, as intset's sieve cache does.
 # The entry count is bounded so a long-lived process that sees many specs
 # does not keep all of them.
@@ -109,24 +113,52 @@ _WEIGHTS_CACHE: dict = {}
 _WEIGHTS_CACHE_ENTRIES = 64
 
 
-def _weighted(spec: IntegerSetSpec, horizon: int, beta: float) -> tuple[np.ndarray, PrefixSums]:
-    """Members of ``spec`` up to the horizon and the compensated prefix sums
-    of x**(-beta) over them."""
+def _weighted(spec: IntegerSetSpec, horizon: int, beta: float, elems: np.ndarray) -> PrefixSums:
+    """Compensated prefix sums of x**(-beta) over ``elems``, the members of
+    ``spec`` up to the horizon."""
     key = (spec, beta)
     hit = _WEIGHTS_CACHE.get(key)
     if hit is not None and hit[0] >= horizon:
-        _, elems, prefix = hit
-        i = int(np.searchsorted(elems, horizon, side="right"))
-        return elems[:i], prefix.head(i)
+        return hit[1].head(len(elems))
     _WEIGHTS_CACHE.pop(key, None)  # the smaller entry is not held while the larger one builds
     if len(_WEIGHTS_CACHE) >= _WEIGHTS_CACHE_ENTRIES:
         _WEIGHTS_CACHE.clear()
-    elems = spec.members(1, horizon)
-    elems.flags.writeable = False
     x = elems.astype(np.float64)
     prefix = PrefixSums(np.reciprocal(x) if beta == 1.0 else x ** (-beta))
-    _WEIGHTS_CACHE[key] = (horizon, elems, prefix)
-    return elems, prefix
+    _WEIGHTS_CACHE[key] = (horizon, prefix)
+    return prefix
+
+
+def block_power_sums(starts: list, ends: list, windows, beta: float) -> list[float]:
+    """Sum of x**(-beta) over the sorted disjoint blocks [starts[b], ends[b]]
+    in each window (lo, hi): one ``power_sum_range`` per block part, added in
+    increasing x.  A part met again (a block two windows cover whole) is
+    summed once and then remembered."""
+    parts: dict[tuple[int, int], float] = {}
+    sums = []
+    for lo, hi in windows:
+        total = 0.0
+        for b in range(bisect.bisect_left(ends, lo), bisect.bisect_right(starts, hi)):
+            part = (max(starts[b], lo), min(ends[b], hi))
+            if part not in parts:
+                parts[part] = power_sum_range(*part, beta)
+            total += parts[part]
+        sums.append(total)
+    return sums
+
+
+def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, below, upto, windows) -> np.ndarray:
+    """Sum of x**(-beta) over the members of each window [lo, hi] of
+    ``view = spec.view(horizon)``.  An element view reads the (spec, beta)
+    prefix sums at the caller's member counts below = |A cap [1, lo - 1]| and
+    upto = |A cap [1, hi]|.  A block view sums the (lo, hi) arrays that
+    ``windows()`` gives in closed form; only it calls ``windows``, so an
+    element view's caller holds no window-top array."""
+    starts, ends = view
+    if starts is ends:
+        return _weighted(spec, horizon, beta, starts).range_sum(below, upto)
+    lo, hi = windows()
+    return np.asarray(block_power_sums(starts.tolist(), ends.tolist(), zip(lo.tolist(), hi.tolist()), beta))
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +190,14 @@ def counting_profile(spec: IntegerSetSpec, kind: str, horizon: int, checkpoints=
 def log_profile(spec: IntegerSetSpec, horizon: int, checkpoints=None, kind: str = "upper") -> DensityProfile:
     """(1/ln n) * sum_{x in A, x <= n} 1/x at each checkpoint.
 
-    The reciprocal sum is accumulated in increasing x with compensated
-    summation.
+    The reciprocal sum is accumulated in increasing x, with compensated
+    summation over an element view and in closed form over a block view.
     """
     if kind not in ("upper", "lower"):
         raise ValidationError("kind must be 'upper' or 'lower'")
     pts = _validate_checkpoints(checkpoints or default_checkpoints(horizon), horizon, minimum=2)
-    elems, prefix = _weighted(spec, horizon, 1.0)
-    idx = np.searchsorted(elems, np.asarray(pts, dtype=np.int64), side="right")
-    sums = prefix.range_sum(np.zeros_like(idx), idx)
+    view, tops = spec.view(horizon), np.asarray(pts, dtype=np.int64)
+    sums = _power_sums(spec, horizon, 1.0, view, 0, count_le(view, tops), lambda: (np.ones_like(tops), tops))
     values = [(n, float(s) / math.log(n)) for n, s in zip(pts, sums)]
     return DensityProfile(f"{kind}_log", horizon, tuple(values))
 
@@ -196,10 +227,10 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, prefix: PrefixSums | None = None):
+def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=None):
     """The best window [k, tops(k)] over 1 <= k <= kmax on a set view, as
-    (value, k, upto): upto counts the members up to tops(k), and the value is
-    the count of members in the window, or their weight sum from ``prefix``.
+    (value, k): the value is the count of members in the window, or, given
+    ``weights = (spec, horizon, beta)``, their x**(-beta) sum by ``_power_sums``.
 
     The window functionals here never fall while k steps over a non-member
     and never rise while it steps over a member, so the maximum is attained
@@ -213,9 +244,9 @@ def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, prefix: Pr
     cands = np.append(starts[:j], kmax)
     below = np.append(block_offsets(view)[:j], count_le(view, kmax - 1))
     upto = count_le(view, tops(cands))
-    values = upto - below if prefix is None else prefix.range_sum(below, upto)
+    values = upto - below if weights is None else _power_sums(*weights, view, below, upto, lambda: (cands, tops(cands)))
     i = int(np.argmax(values))  # cands are sorted: the first maximizer
-    return values[i], int(cands[i]), int(upto[i])
+    return values[i], int(cands[i])
 
 
 def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
@@ -226,7 +257,7 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
     1/k in all: the sum falls past a member and never falls past a
     non-member, and ``_window_max`` finds the maximum at a block start or at
     kmax, k1.  The smallest maximizer is p // n + 1, where p is the largest
-    member of k1's window (0 if it is empty).  A member e in
+    member of k1's window (0 if it is empty), read from the view.  A member e in
     [p // n + 1, k1) would have p < e*n, so e's window would hold e and all
     of k1's window and beat it; hence every window from p // n + 1 to k1
     holds the same members and gives the same float.
@@ -236,13 +267,11 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
         raise DomainError("window ratio n must be >= 2")
     if n > horizon:
         raise DomainError("need n <= horizon")
-    kmax = (horizon + 1) // n
-    if kmax < 1:
-        return 0.0, 0
-    elems, prefix = _weighted(spec, horizon, 1.0)
-    value, _, upto = _window_max(spec.view(horizon), kmax, lambda k: k * n - 1, prefix)
-    top = int(elems[upto - 1]) if upto else 0
-    return float(value), top // n + 1
+    view = spec.view(horizon)
+    value, k1 = _window_max(view, (horizon + 1) // n, lambda k: k * n - 1, (spec, horizon, 1.0))
+    i = int(np.searchsorted(view[0], k1 * n - 1, side="right"))
+    p = min(int(view[1][i - 1]), k1 * n - 1) if i else 0
+    return float(value), p // n + 1
 
 
 def banach_window_sup(spec: IntegerSetSpec, n: int, horizon: int) -> float:
@@ -281,7 +310,7 @@ def bd_estimate_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, i
     n = int(n)
     if not 1 <= n < horizon:
         raise DomainError("need 1 <= n < horizon")
-    best, k_star, _ = _window_max(spec.view(horizon), horizon - n, lambda k: k + n)
+    best, k_star = _window_max(spec.view(horizon), horizon - n, lambda k: k + n)
     return int(best) / (n + 1), k_star
 
 
@@ -295,14 +324,6 @@ def bd_estimate(spec: IntegerSetSpec, n: int, horizon: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_power_sum(starts: list, ends: list, lo: int, hi: int, beta: float) -> float:
-    """sum of x**(-beta) over the blocks' members in [lo, hi], block by block."""
-    total = 0.0
-    for b in range(bisect.bisect_left(ends, lo), bisect.bisect_right(starts, hi)):
-        total += power_sum_range(max(starts[b], lo), min(ends[b], hi), beta)
-    return total
-
-
 def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tuple[float, int]:
     """Maximum over k of (1/(m n)) sum_{x in A cap [k, (ceil(k^(1/m))+n)^m]} x^(-(m-1)/m).
 
@@ -310,9 +331,9 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     by n.  For m >= 2, integer m-th roots are exact (binary search); the value
     is non-increasing while ceil(k^(1/m)) stays fixed, so only the left
     endpoint of each root segment (plus k = 1) needs evaluation, which makes
-    the scan exact at every horizon.  Block views sum each window in closed
-    form, element views by prefix-sum differences; ties resolve to the
-    smallest k.
+    the scan exact at every horizon.  Window sums come from ``_power_sums``
+    (``even`` reads its elements like any element kind: no caller needed a
+    closed form for it); ties resolve to the smallest k.
     """
     m, n = int(m), int(n)
     if m < 1:
@@ -326,34 +347,20 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
         kmax = horizon - n
         if kmax < 1:
             return 0.0, 0
-        best, k_star, _ = _window_max(spec.view(horizon), kmax, lambda k: k + n)
+        best, k_star = _window_max(spec.view(horizon), kmax, lambda k: k + n)
         return int(best) / n, k_star
 
     tmax = floor_nth_root(horizon, m) - n
     if tmax < 1:
         return 0.0, 0
-    beta = (m - 1) / m
     ts = range(1, tmax + 1)
-    ks = [1 if t == 1 else (t - 1) ** m + 1 for t in ts]
-    tops = [(t + n) ** m for t in ts]
-
-    if spec.kind == "even":
-        # 2^-beta times the sum over x/2, in closed form: bd_m on even needs no
-        # element array, so it also runs above the materialization cap
-        scale = 2.0 ** (-beta)
-        sums = [scale * power_sum_range((k + 1) // 2, top // 2, beta) for k, top in zip(ks, tops)]
-    else:
-        starts, ends = spec.view(horizon)
-        if starts is not ends:
-            starts, ends = starts.tolist(), ends.tolist()
-            sums = [_block_power_sum(starts, ends, k, top, beta) for k, top in zip(ks, tops)]
-        else:
-            elems, prefix = _weighted(spec, horizon, beta)
-            i0 = np.searchsorted(elems, np.asarray(ks, dtype=np.int64), side="left")
-            i1 = np.searchsorted(elems, np.asarray(tops, dtype=np.int64), side="right")
-            sums = prefix.range_sum(i0, i1)
+    ks = np.asarray([1 if t == 1 else (t - 1) ** m + 1 for t in ts], dtype=np.int64)
+    tops = np.asarray([(t + n) ** m for t in ts], dtype=np.int64)
+    view = spec.view(horizon)
+    below, upto = count_le(view, ks - 1), count_le(view, tops)
+    sums = _power_sums(spec, horizon, (m - 1) / m, view, below, upto, lambda: (ks, tops))
     i = int(np.argmax(sums))  # ks are sorted: the first maximizer has the smallest k
-    return float(sums[i]) / (m * n), ks[i]
+    return float(sums[i]) / (m * n), int(ks[i])
 
 
 def bdm_window_sup(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> float:

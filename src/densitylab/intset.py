@@ -246,8 +246,9 @@ class IntegerSetSpec:
         full is the single block [1, horizon]; interval_union and example2
         give their block union clipped to the horizon before any int64 array
         is built (example2 block ends pass int64 at depth 4).  None of the
-        three materializes.  Every other kind gives its element array as both
-        starts and ends, one block per element, so ``starts is ends``.
+        three materializes; ``density`` sums their blocks in closed form, also
+        above the materialization cap.  Every other kind, ``even`` included,
+        gives its element array as both starts and ends, so ``starts is ends``.
         """
         if self.kind == "full":
             blocks = IntervalSet(((1, int(horizon)),))

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .density import block_power_sums
 from .errors import DomainError, ValidationError
 from .intset import IntervalSet, Window, classify, invert_intervals
 from .numerics import ceil_nth_root, harmonic_range, power_sum_range
@@ -277,13 +278,10 @@ def inversion_check(window: Window, s: IntervalSet, margin: int = 1000) -> Inver
     return InversionCheckReport(nu_set.value, nu_inv.value, abs(nu_set.value - nu_inv.value), bound)
 
 
-def density_plus(window: Window, cut: RatioCut, x_set: IntervalSet, x: int, r_grid) -> list[tuple[float, float]]:
-    """Local measures of X over right windows [x, floor(x*r)], normalized by
-    ln r, for each r in the grid (all r must exceed the cut's rho).
-
-    The local density estimate at x is the minimum over the grid tail; see
-    ``local_density_estimate``.
-    """
+def _local_measures(window: Window, cut: RatioCut, x_set: IntervalSet, x: int, r_grid, bounds):
+    """(r, nu-sum of X over bounds(r) / ln r) for each r of the grid, in
+    increasing r; ``bounds(r)`` is the (lo, hi) of the window at x, widest
+    at the largest r."""
     if not window.contains(x):
         raise DomainError("base point outside the window")
     rs = sorted(float(r) for r in r_grid)
@@ -291,15 +289,22 @@ def density_plus(window: Window, cut: RatioCut, x_set: IntervalSet, x: int, r_gr
         raise DomainError("empty r grid")
     if Fraction(rs[0]) <= cut.rho:
         raise DomainError("grid values must exceed the cut rho")
-    if int(x * rs[-1]) > window.hi:
+    windows = [bounds(r) for r in rs]
+    if windows[-1][0] < window.lo or windows[-1][1] > window.hi:
         raise DomainError("grid exceeds the window")
-    out = []
-    for r in rs:
-        top = math.floor(x * r)
-        local = x_set.clip(x, top)
-        total = sum(harmonic_range(a, b) for a, b in local.components)
-        out.append((r, total / math.log(r)))
-    return out
+    comps = x_set.components
+    sums = block_power_sums([a for a, _ in comps], [b for _, b in comps], windows, 1.0)
+    return [(r, total / math.log(r)) for r, total in zip(rs, sums)]
+
+
+def density_plus(window: Window, cut: RatioCut, x_set: IntervalSet, x: int, r_grid) -> list[tuple[float, float]]:
+    """Local measures of X over right windows [x, floor(x*r)], normalized by
+    ln r, for each r in the grid (all r must exceed the cut's rho).
+
+    The local density estimate at x is the minimum over the grid tail; see
+    ``local_density_estimate``.
+    """
+    return _local_measures(window, cut, x_set, x, r_grid, lambda r: (x, math.floor(x * r)))
 
 
 def density_minus(window: Window, cut: RatioCut, x_set: IntervalSet, x: int, r_grid) -> list[tuple[float, float]]:
@@ -308,22 +313,7 @@ def density_minus(window: Window, cut: RatioCut, x_set: IntervalSet, x: int, r_g
     The mirror convention: the left window is [floor(x/r), x] and the
     normalizer is the same ln r.
     """
-    if not window.contains(x):
-        raise DomainError("base point outside the window")
-    rs = sorted(float(r) for r in r_grid)
-    if not rs:
-        raise DomainError("empty r grid")
-    if Fraction(rs[0]) <= cut.rho:
-        raise DomainError("grid values must exceed the cut rho")
-    if math.floor(x / rs[-1]) < window.lo:
-        raise DomainError("grid exceeds the window")
-    out = []
-    for r in rs:
-        bot = math.floor(x / r)
-        local = x_set.clip(bot, x)
-        total = sum(harmonic_range(a, b) for a, b in local.components)
-        out.append((r, total / math.log(r)))
-    return out
+    return _local_measures(window, cut, x_set, x, r_grid, lambda r: (math.floor(x / r), x))
 
 
 def local_density_estimate(rows: list[tuple[float, float]]) -> float:

@@ -81,11 +81,14 @@ def test_log_profile_even_1e6():
 
 
 def test_log_profile_vs_fsum_oracle(rng):
+    # an element view (prefix sums) and two block views (closed form)
     els = sorted(rng.choice(np.arange(1, 20001), size=5000, replace=False).tolist())
-    spec = IntegerSetSpec.explicit(els)
-    prof = log_profile(spec, 2 * 10**4, [100, 5000, 2 * 10**4])
-    for n, v in prof.checkpoints:
-        assert v == pytest.approx(brute_log_value(els, n), abs=1e-12)
+    H = 2 * 10**4
+    for spec in (IntegerSetSpec.explicit(els), _random_union(rng, H), IntegerSetSpec.example2(2, 2)):
+        members = spec.members(1, H).tolist()
+        prof = log_profile(spec, H, [3, 100, 130, 5000, H])
+        for n, v in prof.checkpoints:
+            assert v == pytest.approx(brute_log_value(members, n), abs=1e-12)
 
 
 def test_default_checkpoints():
@@ -333,9 +336,32 @@ def test_window_count_full_huge_horizon_reads_no_members(monkeypatch):
         raise AssertionError("members called")
 
     monkeypatch.setattr(IntegerSetSpec, "members", no_members)
-    assert bd_estimate_at(FULL, 10, 10**12) == (1.0, 1)
-    assert bdm_window_sup_at(FULL, 1, 10, 10**12) == (1.1, 1)
-    assert counting_profile(FULL, "upper", 10**12, [10, 10**12]).checkpoints == ((10, 1.0), (10**12, 1.0))
+    H = 10**12
+    assert bd_estimate_at(FULL, 10, H) == (1.0, 1)
+    assert bdm_window_sup_at(FULL, 1, 10, H) == (1.1, 1)
+    assert counting_profile(FULL, "upper", H, [10, H]).checkpoints == ((10, 1.0), (H, 1.0))
+    # the weighted functionals sum block views in closed form
+    assert banach_window_sup_at(FULL, 10, H) == (pytest.approx(H9, abs=1e-12), 1)
+    (_, lo), (_, hi) = log_profile(FULL, H, [10, H]).checkpoints
+    assert lo == pytest.approx(brute_harmonic(1, 10) / math.log(10), abs=1e-12)
+    assert hi == pytest.approx(1 + 0.5772156649015329 / math.log(H), abs=1e-12)
+    # n = 9990 leaves ten windows of about 1e12 terms each; the sum over
+    # [(t-1)^3 + 1, (t+n)^3] tends to 3(n+1) from below as t grows
+    value, k_star = bdm_window_sup_at(FULL, 3, 9990, H)
+    assert k_star == 9**3 + 1
+    assert value == pytest.approx(9991 / 9990, abs=1e-6)
+    # example2(2, 4) up to 1e12: blocks [2, 4], [65, 130], [2197001, 4394002]
+    ex2 = IntegerSetSpec.example2(2, 4)
+    assert banach_window_sup_at(ex2, 10, H) == (pytest.approx(1 / 2 + 1 / 3 + 1 / 4, abs=1e-15), 1)
+    big = math.log(4394002.5 / 2197000.5)  # H(b) - H(a - 1) to within 1e-14
+    (_, lo), (_, hi) = log_profile(ex2, H, [10, H]).checkpoints
+    assert lo == pytest.approx((1 / 2 + 1 / 3 + 1 / 4) / math.log(10), abs=1e-15)
+    assert hi == pytest.approx((1 / 2 + 1 / 3 + 1 / 4 + brute_harmonic(65, 130) + big) / math.log(H), abs=1e-12)
+    value, k_star = bdm_window_sup_at(ex2, 3, 9990, H)
+    assert k_star == 1  # only k = 1 reaches the blocks below 65
+    small = math.fsum(x ** (-2 / 3) for x in list(range(2, 5)) + list(range(65, 131)))
+    big = 3 * (4394002.5 ** (1 / 3) - 2197000.5 ** (1 / 3))  # midpoint rule, error below 1e-12
+    assert value == pytest.approx((small + big) / (3 * 9990), abs=1e-15)
 
 
 @pytest.mark.parametrize("spec", [IntegerSetSpec.squarefree(),
@@ -365,11 +391,20 @@ def test_bdm_vs_exhaustive_oracle(m, n, H):
     assert got == pytest.approx(brute_bdm(els, m, n, H), abs=1e-11)
 
 
-def test_bdm_structured_matches_element_backed():
-    # same window maxima whether sums come from closed forms or elements
-    ev = bdm_window_sup(EVEN, 2, 10, 10**5)
-    ev_explicit = bdm_window_sup(IntegerSetSpec.explicit(range(2, 10**5 + 1, 2)), 2, 10, 10**5)
-    assert ev == pytest.approx(ev_explicit, rel=1e-10)
+def test_bdm_structured_matches_element_backed(rng):
+    # block kinds summed in closed form give the k* and, to rounding, the
+    # values of their explicit twins summed from prefix sums
+    specs = [_random_union(rng, 10**5) for _ in range(6)]
+    specs += [FULL, IntegerSetSpec.example2(2, 4), IntegerSetSpec.example2(3, 3)]
+    for spec in specs:
+        for H in (3000, 10**5):
+            twin = IntegerSetSpec.explicit(spec.members(1, H).tolist())
+            for n in (2, 3, 10, 40):
+                pairs = [(bdm_window_sup_at(spec, 2, n, H), bdm_window_sup_at(twin, 2, n, H)),
+                         (banach_window_sup_at(spec, n, H), banach_window_sup_at(twin, n, H))]
+                for (got, got_k), (want, want_k) in pairs:
+                    assert got_k == want_k
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
