@@ -150,18 +150,13 @@ def _run_density(config: RunConfig) -> int:
 
     counting = density.counting_profile(spec, "upper", horizon, checkpoints)
     logp = density.log_profile(spec, horizon, [n for n in checkpoints if n >= 2])
-    run_max = run_min = None
-    for n, v in counting.checkpoints:
-        run_max = v if run_max is None else max(run_max, v)
-        run_min = v if run_min is None else min(run_min, v)
-        rows.append(("upper_count", "", n, "", _fmt_value(run_max)))
-        rows.append(("lower_count", "", n, "", _fmt_value(run_min)))
-    run_max = run_min = None
-    for n, v in logp.checkpoints:
-        run_max = v if run_max is None else max(run_max, v)
-        run_min = v if run_min is None else min(run_min, v)
-        rows.append(("upper_log", "", n, "", _fmt_value(run_max)))
-        rows.append(("lower_log", "", n, "", _fmt_value(run_min)))
+    for name, profile in (("count", counting), ("log", logp)):
+        run_max = run_min = None
+        for n, v in profile.checkpoints:
+            run_max = v if run_max is None else max(run_max, v)
+            run_min = v if run_min is None else min(run_min, v)
+            rows.append((f"upper_{name}", "", n, "", _fmt_value(run_max)))
+            rows.append((f"lower_{name}", "", n, "", _fmt_value(run_min)))
     for n in grid:
         if n < horizon:
             value, k_star = density.bd_estimate_at(spec, n, horizon)

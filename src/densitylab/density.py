@@ -25,7 +25,6 @@ compensated prefix sums (``even`` too: its own closed form had no caller).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError
 from .intset import IntegerSetSpec, block_offsets, count_le
-from .numerics import PrefixSums, floor_nth_root, geometric_grid, power_sum_range
+from .numerics import BlockSums, PrefixSums, floor_nth_root, geometric_grid
 
 __all__ = [
     "DensityProfile",
@@ -101,64 +100,45 @@ def default_checkpoints(horizon: int, start: int = 2) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Power sums: cached weight prefix sums and closed-form block sums
+# Power sums: cached prefix sums of an element view, block sums of a block view
 # ---------------------------------------------------------------------------
 
-# One entry per (spec, beta): the largest horizon built so far and the prefix
-# sums of the weights x**(-beta) of the members up to it.  A smaller horizon is
-# a slice of the entry, a larger one rebuilds it, as intset's sieve cache does.
-# The entry count is bounded so a long-lived process that sees many specs
-# does not keep all of them.
+# One entry per (spec, beta): the largest horizon built so far and its table,
+# ``PrefixSums`` of the weights x**(-beta) of an element view's members or
+# the ``BlockSums`` of a block view.  Both answer a smaller horizon's windows
+# as they are (prefix sums are built front to back); a larger horizon
+# rebuilds the entry, as intset's sieve cache does.  The entry count is
+# bounded so a long-lived process that sees many specs does not keep all.
 _WEIGHTS_CACHE: dict = {}
 _WEIGHTS_CACHE_ENTRIES = 64
 
 
-def _weighted(spec: IntegerSetSpec, horizon: int, beta: float, elems: np.ndarray) -> PrefixSums:
-    """Compensated prefix sums of x**(-beta) over ``elems``, the members of
-    ``spec`` up to the horizon."""
+def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, bounds, counts=None) -> np.ndarray:
+    """Sum of x**(-beta) over the members of ``view = spec.view(horizon)`` in
+    each window [lo, hi] of (lo, hi) = bounds(): in closed form over a block
+    view (``BlockSums``), from prefix sums over an element view, read at the
+    member counts |A cap [1, lo - 1]| and |A cap [1, hi]| that ``counts()``
+    gives (Banach's block offsets; no window tops are held) or else counted."""
+    starts, ends = view
     key = (spec, beta)
     hit = _WEIGHTS_CACHE.get(key)
-    if hit is not None and hit[0] >= horizon:
-        return hit[1].head(len(elems))
-    _WEIGHTS_CACHE.pop(key, None)  # the smaller entry is not held while the larger one builds
-    if len(_WEIGHTS_CACHE) >= _WEIGHTS_CACHE_ENTRIES:
-        _WEIGHTS_CACHE.clear()
-    x = elems.astype(np.float64)
-    prefix = PrefixSums(np.reciprocal(x) if beta == 1.0 else x ** (-beta))
-    _WEIGHTS_CACHE[key] = (horizon, prefix)
-    return prefix
-
-
-def block_power_sums(starts: list, ends: list, windows, beta: float) -> list[float]:
-    """Sum of x**(-beta) over the sorted disjoint blocks [starts[b], ends[b]]
-    in each window (lo, hi): one ``power_sum_range`` per block part, added in
-    increasing x.  A part met again (a block two windows cover whole) is
-    summed once and then remembered."""
-    parts: dict[tuple[int, int], float] = {}
-    sums = []
-    for lo, hi in windows:
-        total = 0.0
-        for b in range(bisect.bisect_left(ends, lo), bisect.bisect_right(starts, hi)):
-            part = (max(starts[b], lo), min(ends[b], hi))
-            if part not in parts:
-                parts[part] = power_sum_range(*part, beta)
-            total += parts[part]
-        sums.append(total)
-    return sums
-
-
-def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, below, upto, windows) -> np.ndarray:
-    """Sum of x**(-beta) over the members of each window [lo, hi] of
-    ``view = spec.view(horizon)``.  An element view reads the (spec, beta)
-    prefix sums at the caller's member counts below = |A cap [1, lo - 1]| and
-    upto = |A cap [1, hi]|.  A block view sums the (lo, hi) arrays that
-    ``windows()`` gives in closed form; only it calls ``windows``, so an
-    element view's caller holds no window-top array."""
-    starts, ends = view
-    if starts is ends:
-        return _weighted(spec, horizon, beta, starts).range_sum(below, upto)
-    lo, hi = windows()
-    return np.asarray(block_power_sums(starts.tolist(), ends.tolist(), zip(lo.tolist(), hi.tolist()), beta))
+    if hit is None or hit[0] < horizon:
+        _WEIGHTS_CACHE.pop(key, None)  # the smaller entry is not held while the larger one builds
+        if len(_WEIGHTS_CACHE) >= _WEIGHTS_CACHE_ENTRIES:
+            _WEIGHTS_CACHE.clear()
+        if starts is ends:
+            x = starts.astype(np.float64)
+            table = PrefixSums(np.reciprocal(x) if beta == 1.0 else x ** (-beta))
+        else:
+            table = BlockSums(starts, ends, beta)
+        hit = _WEIGHTS_CACHE[key] = (horizon, table)
+    table = hit[1]
+    if starts is not ends:
+        return table.window_sums(*bounds())
+    if counts is None:
+        lo, hi = bounds()
+        return table.range_sum(count_le(view, lo - 1), count_le(view, hi))
+    return table.range_sum(*counts())
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +176,8 @@ def log_profile(spec: IntegerSetSpec, horizon: int, checkpoints=None, kind: str 
     if kind not in ("upper", "lower"):
         raise ValidationError("kind must be 'upper' or 'lower'")
     pts = _validate_checkpoints(checkpoints or default_checkpoints(horizon), horizon, minimum=2)
-    view, tops = spec.view(horizon), np.asarray(pts, dtype=np.int64)
-    sums = _power_sums(spec, horizon, 1.0, view, 0, count_le(view, tops), lambda: (np.ones_like(tops), tops))
+    tops = np.asarray(pts, dtype=np.int64)
+    sums = _power_sums(spec, horizon, 1.0, spec.view(horizon), lambda: (np.ones_like(tops), tops))
     values = [(n, float(s) / math.log(n)) for n, s in zip(pts, sums)]
     return DensityProfile(f"{kind}_log", horizon, tuple(values))
 
@@ -242,9 +222,15 @@ def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=No
     starts = view[0]
     j = int(np.searchsorted(starts, kmax, side="right"))
     cands = np.append(starts[:j], kmax)
-    below = np.append(block_offsets(view)[:j], count_le(view, kmax - 1))
-    upto = count_le(view, tops(cands))
-    values = upto - below if weights is None else _power_sums(*weights, view, below, upto, lambda: (cands, tops(cands)))
+
+    def counts():
+        return np.append(block_offsets(view)[:j], count_le(view, kmax - 1)), count_le(view, tops(cands))
+
+    if weights is None:
+        below, upto = counts()
+        values = upto - below
+    else:
+        values = _power_sums(*weights, view, lambda: (cands, tops(cands)), counts)
     i = int(np.argmax(values))  # cands are sorted: the first maximizer
     return values[i], int(cands[i])
 
@@ -356,9 +342,7 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     ts = range(1, tmax + 1)
     ks = np.asarray([1 if t == 1 else (t - 1) ** m + 1 for t in ts], dtype=np.int64)
     tops = np.asarray([(t + n) ** m for t in ts], dtype=np.int64)
-    view = spec.view(horizon)
-    below, upto = count_le(view, ks - 1), count_le(view, tops)
-    sums = _power_sums(spec, horizon, (m - 1) / m, view, below, upto, lambda: (ks, tops))
+    sums = _power_sums(spec, horizon, (m - 1) / m, spec.view(horizon), lambda: (ks, tops))
     i = int(np.argmax(sums))  # ks are sorted: the first maximizer has the smallest k
     return float(sums[i]) / (m * n), int(ks[i])
 

@@ -27,7 +27,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import block_power_sums
 from .errors import DomainError, ValidationError
 from .intset import IntervalSet, Window, classify, invert_intervals
 from .numerics import ceil_nth_root, harmonic_range, power_sum_range
@@ -292,8 +291,7 @@ def _local_measures(window: Window, cut: RatioCut, x_set: IntervalSet, x: int, r
     windows = [bounds(r) for r in rs]
     if windows[-1][0] < window.lo or windows[-1][1] > window.hi:
         raise DomainError("grid exceeds the window")
-    comps = x_set.components
-    sums = block_power_sums([a for a, _ in comps], [b for _, b in comps], windows, 1.0)
+    sums = [sum(harmonic_range(a, b) for a, b in x_set.clip(lo, hi).components) for lo, hi in windows]
     return [(r, total / math.log(r)) for r, total in zip(rs, sums)]
 
 

@@ -7,14 +7,16 @@ Everything downstream reduces to sums of the form
 
 either over explicit element arrays (compensated prefix sums, queried by
 difference) or over full integer ranges (exact vectorized summation below a
-cutoff, Euler-Maclaurin tail expansion above it).
+cutoff, Euler-Maclaurin tail expansion above it).  ``BlockSums`` answers
+windows over a union of integer blocks from the range sums: each whole block
+once, then only the parts of the blocks a window cuts.
 
 Accuracy notes
 --------------
 * ``PrefixSums`` stores the plain float64 cumulative sum together with the
-  cumulative rounding-error correction recovered by Fast2Sum.  The first-order
-  rounding error of the running sum is captured exactly (the terms are
-  positive and non-increasing, so the Fast2Sum precondition holds); what
+  cumulative rounding-error correction recovered by TwoSum.  The first-order
+  rounding error of the running sum is captured exactly for any terms (for
+  non-increasing positive terms it is the error Fast2Sum would give); what
   remains is the rounding of the correction accumulation itself, a
   second-order effect below 1e-12 even for 1e9 terms.  The documented
   worst-case error is < 1e-10 per 1e9 terms.
@@ -30,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "PrefixSums",
+    "BlockSums",
     "power_sum_range",
     "harmonic_range",
     "harmonic_number",
@@ -45,7 +48,7 @@ EM_START = 10**4
 
 
 class PrefixSums:
-    """Compensated prefix sums of ``weights`` (positive, non-increasing).
+    """Compensated prefix sums of ``weights`` (positive).
 
     ``range_sum(i, j)`` returns ``sum(weights[i:j])`` with the first-order
     rounding of the cumulative sum corrected for, so differences of far-apart
@@ -54,32 +57,19 @@ class PrefixSums:
 
     def __init__(self, weights: np.ndarray):
         w = np.ascontiguousarray(weights, dtype=np.float64)
-        n = len(w)
-        s = np.empty(n + 1)
-        c = np.empty(n + 1)
-        s[0] = 0.0
-        c[0] = 0.0
-        if n:
-            np.cumsum(w, out=s[1:])
-            e = np.empty(n)
-            e[0] = 0.0
-            # Fast2Sum error of s[i] = s[i-1] + w[i]; exact because the
-            # running sum dominates each new (non-increasing) term.
-            e[1:] = (s[1:-1] - s[2:]) + w[1:]
-            np.cumsum(e, out=c[1:])
+        s = np.zeros(len(w) + 1)
+        np.cumsum(w, out=s[1:])
+        # TwoSum error of each step s[i + 1] = s[i] + w[i], in place
+        e = s[1:] - s[:-1]
+        t = s[1:] - e
+        np.subtract(s[:-1], t, out=t)
+        np.subtract(w, e, out=e)
+        e += t
+        del t
+        c = np.zeros(len(w) + 1)
+        np.cumsum(e, out=c[1:])
         self._s = s
         self._c = c
-
-    def head(self, n: int) -> "PrefixSums":
-        """Prefix sums of ``weights[:n]``, sharing this object's arrays.
-
-        Both cumulative arrays are built front to back, so their first n + 1
-        entries are bit for bit those a build over ``weights[:n]`` gives.
-        """
-        out = object.__new__(PrefixSums)
-        out._s = self._s[: n + 1]
-        out._c = self._c[: n + 1]
-        return out
 
     def range_sum(self, i, j):
         """Sum of weights[i:j]; i, j may be scalars or index arrays."""
@@ -139,6 +129,40 @@ def power_sum_range(lo: int, hi: int, beta: float) -> float:
         total += _exact_range(start, EM_START - 1, beta)
         start = EM_START
     return total + (_em_tail(float(hi), beta) - _em_tail(float(start - 1), beta))
+
+
+class BlockSums:
+    """Window sums of x**(-beta) over a union of sorted disjoint integer
+    blocks [starts[b], ends[b]], without materializing its members.
+
+    Each block is summed once with ``power_sum_range`` into ``PrefixSums``,
+    so a window takes the blocks it covers whole by difference; the parts of
+    the at most two blocks it cuts are summed with ``power_sum_range``.
+    Windows holding the same members give the same float.
+    """
+
+    def __init__(self, starts, ends, beta: float):
+        self._starts = np.asarray(starts, dtype=np.int64)
+        self._ends = np.asarray(ends, dtype=np.int64)
+        self._beta = beta
+        blocks = zip(self._starts.tolist(), self._ends.tolist())
+        self._whole = PrefixSums([power_sum_range(a, b, beta) for a, b in blocks])
+
+    def window_sums(self, lo, hi) -> np.ndarray:
+        """Sum over the members in each window [lo, hi] (int64 arrays, lo <= hi)."""
+        starts, ends, last = self._starts, self._ends, len(self._starts) - 1
+        first = np.searchsorted(starts, lo, side="left")  # blocks starting below lo
+        stop = np.searchsorted(ends, hi, side="right")  # blocks ending at or below hi
+        out = self._whole.range_sum(first, np.maximum(stop, first))
+        if last < 0:
+            return out
+        # the cut blocks: one starting below lo that reaches lo, one starting
+        # in [lo, hi] that runs past hi
+        for w in np.flatnonzero((first > 0) & (ends[first - 1] >= lo)).tolist():
+            out[w] += power_sum_range(int(lo[w]), int(min(ends[first[w] - 1], hi[w])), self._beta)
+        for w in np.flatnonzero((stop >= first) & (stop <= last) & (starts[np.minimum(stop, last)] <= hi)).tolist():
+            out[w] += power_sum_range(int(starts[stop[w]]), int(hi[w]), self._beta)
+        return out
 
 
 def harmonic_range(lo: int, hi: int) -> float:

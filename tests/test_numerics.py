@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densitylab import numerics
 from densitylab.numerics import (
+    BlockSums,
     PrefixSums,
     ceil_nth_root,
     floor_nth_root,
@@ -33,15 +35,57 @@ def test_prefix_sums_head_is_a_build_over_the_head():
     for beta in (1.0, 0.5, 2 / 3):
         w = np.reciprocal(x) if beta == 1.0 else x ** (-beta)
         whole = PrefixSums(w)
+        # a cached build answers a smaller horizon's queries as they are
         for n in (0, 1, 2, 777, 49999, 50000):
-            head, built = whole.head(n), PrefixSums(w[:n])
-            assert np.array_equal(head._s, built._s) and np.array_equal(head._c, built._c)
-            assert head.total == built.total
+            built = PrefixSums(w[:n])
+            assert np.array_equal(whole._s[: n + 1], built._s) and np.array_equal(whole._c[: n + 1], built._c)
 
 
 def test_prefix_sums_empty_and_singleton():
     assert PrefixSums(np.empty(0)).total == 0.0
     assert PrefixSums(np.asarray([0.25])).total == 0.25
+
+
+def _random_blocks(rng, count, gap, length):
+    starts, ends, x = [], [], 0
+    for _ in range(count):
+        x += int(rng.randint(2, gap + 2))  # a non-member between blocks
+        starts.append(x)
+        x += int(rng.randint(0, length))
+        ends.append(x)
+    return starts, ends
+
+
+def test_block_sums_vs_fsum_oracle(rng):
+    # windows inside one block, in a gap, across many blocks, past either end
+    starts, ends = _random_blocks(rng, 60, 40, 30)
+    members = [x for a, b in zip(starts, ends) for x in range(a, b + 1)]
+    lo = rng.randint(1, ends[-1] + 20, size=400)
+    hi = lo + rng.randint(0, rng.choice([3, 40, 3000], size=400))
+    for beta in (1.0, 0.5, 2 / 3):
+        got = BlockSums(starts, ends, beta).window_sums(lo, hi)
+        for a, b, g in zip(lo.tolist(), hi.tolist(), got):
+            want = math.fsum(x ** -beta for x in members if a <= x <= b)
+            assert g == pytest.approx(want, rel=1e-13, abs=1e-300)
+    assert BlockSums([], [], 1.0).window_sums(np.array([1]), np.array([5])).tolist() == [0.0]
+
+
+def test_block_sums_cut_at_most_two_blocks_per_window(rng, monkeypatch):
+    # whole blocks are summed once at build; a window sums only the parts of
+    # the blocks it cuts, so its cost does not grow with the blocks it covers
+    starts, ends = _random_blocks(rng, 5000, 50, 50)
+    calls = []
+    real = numerics.power_sum_range
+    monkeypatch.setattr(numerics, "power_sum_range", lambda a, b, beta: calls.append(b - a + 1) or real(a, b, beta))
+    sums = BlockSums(starts, ends, 1.0)
+    assert len(calls) == 5000
+    calls.clear()
+    lo = np.asarray(starts[:2000], dtype=np.int64)
+    sums.window_sums(lo, lo * 2 + 7)
+    assert len(calls) <= 2 * 2000 and max(calls) <= 50
+    # windows holding the same members give the same float
+    a = sums.window_sums(np.array([starts[9] - 1, starts[9]]), np.array([ends[40], ends[40] + 1]))
+    assert a[0] == a[1]
 
 
 @pytest.mark.parametrize("lo,hi,beta", [
