@@ -21,6 +21,11 @@ Every window sum of x^(-beta) comes from ``_power_sums``: block views
 (``full``, ``interval_union``, ``example2``) in closed form, never
 materialized, so also above the materialization cap; element views from
 compensated prefix sums (``even`` too: its own closed form had no caller).
+The Banach scan and bd_m at m >= 2 only need the largest window, so on a
+block view they ask ``BlockSums.window_max`` (``_power_sum_max``): it
+estimates every window in O(1), sums exactly only those within the relative
+bound ``numerics.WINDOW_MAX_DELTA`` of the best estimate, and so reports the
+exact path's float and first maximizing k, bit for bit as a full scan would.
 """
 
 from __future__ import annotations
@@ -113,12 +118,9 @@ _WEIGHTS_CACHE: dict = {}
 _WEIGHTS_CACHE_ENTRIES = 64
 
 
-def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, bounds, counts=None) -> np.ndarray:
-    """Sum of x**(-beta) over the members of ``view = spec.view(horizon)`` in
-    each window [lo, hi] of (lo, hi) = bounds(): in closed form over a block
-    view (``BlockSums``), from prefix sums over an element view, read at the
-    member counts |A cap [1, lo - 1]| and |A cap [1, hi]| that ``counts()``
-    gives (Banach's block offsets; no window tops are held) or else counted."""
+def _table(spec: IntegerSetSpec, horizon: int, beta: float, view):
+    """The cached ``PrefixSums`` (element view) or ``BlockSums`` (block view)
+    of x**(-beta) over ``view = spec.view(horizon)``."""
     starts, ends = view
     key = (spec, beta)
     hit = _WEIGHTS_CACHE.get(key)
@@ -132,13 +134,35 @@ def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, bounds, c
         else:
             table = BlockSums(starts, ends, beta)
         hit = _WEIGHTS_CACHE[key] = (horizon, table)
-    table = hit[1]
-    if starts is not ends:
+    return hit[1]
+
+
+def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, bounds, counts=None) -> np.ndarray:
+    """Sum of x**(-beta) over the members of ``view = spec.view(horizon)`` in
+    each window [lo, hi] of (lo, hi) = bounds(): in closed form over a block
+    view (``BlockSums``), from prefix sums over an element view, read at the
+    member counts |A cap [1, lo - 1]| and |A cap [1, hi]| that ``counts()``
+    gives (Banach's block offsets; no window tops are held) or else counted."""
+    table = _table(spec, horizon, beta, view)
+    if view[0] is not view[1]:
         return table.window_sums(*bounds())
     if counts is None:
         lo, hi = bounds()
         return table.range_sum(count_le(view, lo - 1), count_le(view, hi))
     return table.range_sum(*counts())
+
+
+def _power_sum_max(spec: IntegerSetSpec, horizon: int, beta: float, view, bounds, counts=None) -> tuple[float, int]:
+    """(value, index) of the largest ``_power_sums`` window, the first one on
+    ties.  A block view asks ``BlockSums.window_max``, which sums exactly only
+    the windows whose O(1) estimate can reach the maximum and returns the
+    same float and index as the full scan; an element view takes the argmax
+    of its prefix-sum differences."""
+    if view[0] is not view[1]:
+        return _table(spec, horizon, beta, view).window_max(*bounds())
+    sums = _power_sums(spec, horizon, beta, view, bounds, counts)
+    i = int(np.argmax(sums))
+    return sums[i], i
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +234,8 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=None):
     """The best window [k, tops(k)] over 1 <= k <= kmax on a set view, as
     (value, k): the value is the count of members in the window, or, given
-    ``weights = (spec, horizon, beta)``, their x**(-beta) sum by ``_power_sums``.
+    ``weights = (spec, horizon, beta)``, their x**(-beta) sum, maximized by
+    ``_power_sum_max``.
 
     The window functionals here never fall while k steps over a non-member
     and never rise while it steps over a member, so the maximum is attained
@@ -229,10 +254,11 @@ def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=No
     if weights is None:
         below, upto = counts()
         values = upto - below
+        i = int(np.argmax(values))
+        value = values[i]
     else:
-        values = _power_sums(*weights, view, lambda: (cands, tops(cands)), counts)
-    i = int(np.argmax(values))  # cands are sorted: the first maximizer
-    return values[i], int(cands[i])
+        value, i = _power_sum_max(*weights, view, lambda: (cands, tops(cands)), counts)
+    return value, int(cands[i])  # cands are sorted: the first maximizer
 
 
 def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
@@ -317,7 +343,7 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     by n.  For m >= 2, integer m-th roots are exact (binary search); the value
     is non-increasing while ceil(k^(1/m)) stays fixed, so only the left
     endpoint of each root segment (plus k = 1) needs evaluation, which makes
-    the scan exact at every horizon.  Window sums come from ``_power_sums``
+    the scan exact at every horizon.  The best window comes from ``_power_sum_max``
     (``even`` reads its elements like any element kind: no caller needed a
     closed form for it); ties resolve to the smallest k.
     """
@@ -342,9 +368,8 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     ts = range(1, tmax + 1)
     ks = np.asarray([1 if t == 1 else (t - 1) ** m + 1 for t in ts], dtype=np.int64)
     tops = np.asarray([(t + n) ** m for t in ts], dtype=np.int64)
-    sums = _power_sums(spec, horizon, (m - 1) / m, spec.view(horizon), lambda: (ks, tops))
-    i = int(np.argmax(sums))  # ks are sorted: the first maximizer has the smallest k
-    return float(sums[i]) / (m * n), int(ks[i])
+    best, i = _power_sum_max(spec, horizon, (m - 1) / m, spec.view(horizon), lambda: (ks, tops))
+    return float(best) / (m * n), int(ks[i])  # ks are sorted: the first maximizer has the smallest k
 
 
 def bdm_window_sup(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> float:

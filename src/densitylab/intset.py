@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -244,23 +245,26 @@ class IntegerSetSpec:
         """A cap [1, horizon] as sorted disjoint blocks (starts, ends).
 
         full is the single block [1, horizon]; interval_union and example2
-        give their block union clipped to the horizon before any int64 array
-        is built (example2 block ends pass int64 at depth 4).  None of the
-        three materializes; ``density`` sums their blocks in closed form, also
-        above the materialization cap.  Every other kind, ``even`` included,
-        gives its element array as both starts and ends, so ``starts is ends``.
+        clip their cached block endpoints to the horizon by bisection before
+        any int64 array is built (example2 block ends pass int64 at depth 4).
+        None of the three materializes; ``density`` sums their blocks in
+        closed form, also above the materialization cap.  Every other kind,
+        ``even`` included, gives its element array as both starts and ends,
+        so ``starts is ends``.
         """
+        horizon = int(horizon)
         if self.kind == "full":
-            blocks = IntervalSet(((1, int(horizon)),))
+            starts, ends = [1], [horizon]
         else:
-            blocks = self.block_union()
+            blocks = self._block_ends()
             if blocks is None:
                 elems = self.members(1, horizon)
                 return elems, elems
-            blocks = blocks.clip(1, horizon)
-        starts = np.asarray([a for a, _ in blocks.components], dtype=np.int64)
-        ends = np.asarray([b for _, b in blocks.components], dtype=np.int64)
-        return starts, ends
+            i = bisect_right(blocks[0], horizon)  # blocks starting at or below the horizon
+            starts, ends = blocks[0][:i], blocks[1][:i]
+            if i and ends[-1] > horizon:
+                ends[-1] = horizon
+        return np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
 
     # -- membership and materialization -------------------------------------
 
@@ -278,7 +282,9 @@ class IntegerSetSpec:
             i = int(np.searchsorted(arr, x))
             return i < len(arr) and int(arr[i]) == x
         if kind in ("interval_union", "example2"):
-            return self.block_union().contains(x)
+            starts, ends = self._block_ends()
+            i = bisect_right(starts, x)  # blocks starting at or below x
+            return i > 0 and x <= ends[i - 1]
         if x > MEMBERSHIP_HORIZON:
             raise CapacityError(f"sieve membership supported up to {MEMBERSHIP_HORIZON}")
         if kind == "squarefree":
@@ -329,11 +335,12 @@ class IntegerSetSpec:
                 return None
             return int(arr[i])
         if kind in ("interval_union", "example2"):
-            for a, b in self.block_union().components:
-                if b >= x:
-                    cand = max(a, x)
-                    return cand if cand <= limit else None
-            return None
+            starts, ends = self._block_ends()
+            i = bisect_left(ends, x)  # the first block ending at or above x
+            if i == len(ends):
+                return None
+            cand = max(starts[i], x)
+            return cand if cand <= limit else None
         # Sieve kinds: scan upward; squarefree and prime gaps are tiny
         # relative to every supported horizon.
         y = x
@@ -358,12 +365,9 @@ class IntegerSetSpec:
             i = int(np.searchsorted(arr, x, side="right"))
             return int(arr[i - 1]) if i else None
         if kind in ("interval_union", "example2"):
-            prev = None
-            for a, b in self.block_union().components:
-                if a > x:
-                    break
-                prev = min(b, x)
-            return prev
+            starts, ends = self._block_ends()
+            i = bisect_right(starts, x)  # blocks starting at or below x
+            return min(ends[i - 1], x) if i else None
         y = x
         while y >= 1:
             if self.contains(y):
@@ -391,6 +395,18 @@ class IntegerSetSpec:
             arr.flags.writeable = False
             object.__setattr__(self, "_elements_arr", arr)
         return arr
+
+    def _block_ends(self) -> tuple[list[int], list[int]] | None:
+        """Block starts and ends of an interval-structured kind as Python-int
+        lists, kept per spec like the explicit array; None for other kinds."""
+        blocks = self.__dict__.get("_blocks")
+        if blocks is None:
+            union = self.block_union()
+            if union is None:
+                return None
+            blocks = ([a for a, _ in union.components], [b for _, b in union.components])
+            object.__setattr__(self, "_blocks", blocks)
+        return blocks
 
     # -- serialization -------------------------------------------------------
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from densitylab import density as density_module
+from densitylab import numerics
 from densitylab.errors import DomainError
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.density import (
@@ -381,6 +382,18 @@ def test_weights_cache_slices_match_fresh_builds(spec, monkeypatch):
         assert calls(H) == fresh[H]  # bit-identical
     assert sorted(cache) == [(spec, 0.5), (spec, 1.0)]
     assert all(entry[0] == 10**5 for entry in cache.values())
+
+
+def test_bdm_full_sums_only_the_windows_that_can_win(monkeypatch):
+    # 9,900 windows of up to 2e6 terms each; the estimates leave 4 of them
+    # to sum exactly, plus the one whole block [1, 1e8] at build
+    calls = []
+    real = numerics.power_sum_range
+    monkeypatch.setattr(numerics, "power_sum_range", lambda a, b, beta: calls.append(b - a + 1) or real(a, b, beta))
+    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", {})
+    value, k_star = bdm_window_sup_at(FULL, 2, 100, 10**8)
+    assert (value, k_star) == (1.0099999974492373, 97990202)
+    assert len(calls) <= 5
 
 
 @pytest.mark.parametrize("m,n,H", [(2, 3, 4000), (2, 7, 4000), (3, 2, 8000)])

@@ -167,6 +167,45 @@ def test_view_counts_equal_element_counts(canonical_specs):
             assert np.array_equal(view[0], elems)
 
 
+def _random_unions(rng, count):
+    specs = []
+    for _ in range(count):
+        comps = [(a, a + int(rng.randint(0, 40))) for a in rng.randint(1, 600, size=int(rng.randint(1, 12))).tolist()]
+        specs.append(IntegerSetSpec.interval_union(IntervalSet(tuple(comps))))
+    return specs
+
+
+def test_block_view_equals_clipped_union():
+    # the cached endpoints clipped by bisection give the blocks of an
+    # IntervalSet clip, at horizons on, inside and between blocks; example2
+    # at depth 5 has blocks past int64, which the clip must drop first
+    specs = _random_unions(np.random.RandomState(5), 30)
+    specs += [IntegerSetSpec.example2(2, 5), IntegerSetSpec.example2(3, 5)]
+    for spec in specs:
+        comps = spec.block_union().components
+        horizons = {e + d for a, b in comps for e in (a, b, (a + b) // 2) for d in (-1, 0, 1)}
+        horizons |= {1, 2**63 - 1}
+        for H in sorted(h for h in horizons if 1 <= h < 2**63):
+            clipped = spec.block_union().clip(1, H).components
+            starts, ends = spec.view(H)
+            assert starts.tolist() == [a for a, _ in clipped] and ends.tolist() == [b for _, b in clipped]
+
+
+def test_block_walks_vs_brute_scan():
+    specs = _random_unions(np.random.RandomState(6), 40) + [IntegerSetSpec.example2(2, 1)]
+    for spec in specs:
+        members = set(spec.members(1, spec.block_union().components[-1][1]).tolist())
+        top = max(members)
+        for x in range(0, top + 4):  # gaps, block edges and past the last block
+            up = next((y for y in range(max(x, 1), top + 1) if y in members), None)
+            down = next((y for y in range(x, 0, -1) if y in members), None)
+            for limit in (x, x + 3, top + 10):
+                assert spec.next_member(x, limit) == (up if up is not None and up <= limit else None)
+            assert spec.prev_member(x) == down
+            if x >= 1:
+                assert spec.contains(x) == (x in members)
+
+
 # ---------------------------------------------------------------------------
 # IntervalSet
 # ---------------------------------------------------------------------------

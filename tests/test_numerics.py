@@ -88,6 +88,62 @@ def test_block_sums_cut_at_most_two_blocks_per_window(rng, monkeypatch):
     assert a[0] == a[1]
 
 
+def _window_cases(rng):
+    """(starts, ends, lo, hi) cases for window_max: random unions, cut parts
+    below, across and above the estimate's switch point, exact ties, windows
+    in gaps, windows that are all zero and an empty union."""
+    S = numerics._EST_SWITCH
+    cases = []
+    starts, ends = _random_blocks(rng, 60, 40, 30)
+    for span in (3, 40, 3000):
+        lo = rng.randint(1, ends[-1] + 20, size=300)
+        cases.append((starts, ends, lo, lo + rng.randint(0, span, size=300)))
+    starts, ends = [S - 60, S + 40, 4 * S, 10 * S], [S + 20, 3 * S, 8 * S, 10**6]
+    lo = np.arange(1, 12 * S, 7)
+    for span in (5, 300, 5000, 10**6):
+        cases.append((starts, ends, lo, lo + span))
+    # ties: the best members come first at windows 2 and 3 (the same window)
+    # and again at 5, whose lo lies in the gap below the block
+    lo = np.array([S + 40, S + 500, S - 60, S - 60, 5 * S, S - 61, S - 50])
+    hi = np.array([3 * S, 3 * S + 2, 3 * S, 3 * S, 8 * S, 3 * S + 1, 3 * S])
+    cases.append((starts, ends, lo, hi))
+    gaps = np.array([S + 21, S + 30, 3 * S + 1, 9 * S])
+    cases.append((starts, ends, gaps, gaps + np.array([0, 19, 100, S - 1])))  # all zero
+    cases.append(([], [], np.array([1, 5]), np.array([5, 9])))
+    # near ties in one large block: windows [lo, 2 lo] whose values differ
+    # by less than the rounding of power_sum_range's Euler-Maclaurin tail
+    lo = 10**15 + rng.randint(0, 10**9, size=100).astype(np.int64) * 10**6
+    cases.append(([1], [10**17], lo, 2 * lo))
+    # ... and windows just past EXACT_RANGE_LIMIT terms far out, whose tail
+    # rounding is far above WINDOW_MAX_DELTA relative
+    lo = 10**15 + rng.randint(0, 10**6, size=100).astype(np.int64)
+    cases.append(([1], [10**17], lo, lo + numerics.EXACT_RANGE_LIMIT + 4))
+    return cases
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, 2 / 3])
+def test_block_sums_window_max_is_argmax_of_window_sums(rng, beta):
+    for starts, ends, lo, hi in _window_cases(rng):
+        lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+        sums = BlockSums(starts, ends, beta)
+        full = sums.window_sums(lo, hi)
+        i = int(np.argmax(full))
+        value, j = sums.window_max(lo, hi)
+        assert (float(value).hex(), j) == (float(full[i]).hex(), i)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, 2 / 3, 0.75])
+def test_estimate_range_vs_fsum(beta):
+    # head below the switch point, Euler-Maclaurin above it, and both
+    S = numerics._EST_SWITCH
+    for lo in (1, S - 1, S, S + 1, 10**9):
+        for length in (1, 2, 255, 256, 10**4, 10**6):
+            x = np.arange(lo, lo + length, dtype=np.float64)
+            want = math.fsum((np.reciprocal(x) if beta == 1.0 else x ** -beta).tolist())
+            got = numerics._estimate_range(np.array([lo]), np.array([lo + length - 1]), beta)[0]
+            assert abs(got - want) <= 1e-2 * numerics.WINDOW_MAX_DELTA * want
+
+
 @pytest.mark.parametrize("lo,hi,beta", [
     (1, 10**6, 1.0),
     (1000, 5 * 10**6, 1.0),
