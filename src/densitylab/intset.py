@@ -250,9 +250,11 @@ class IntegerSetSpec:
         None of the three materializes; ``density`` sums their blocks in
         closed form, also above the materialization cap.  Every other kind,
         ``even`` included, gives its element array as both starts and ends,
-        so ``starts is ends``.
+        so ``starts is ends``.  Horizons above 2^63 - 1 raise CapacityError.
         """
         horizon = int(horizon)
+        if horizon >= 2**63:
+            raise CapacityError("horizon exceeds 2^63 - 1")
         if self.kind == "full":
             starts, ends = [1], [horizon]
         else:

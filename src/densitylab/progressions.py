@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError
-from .intset import _SIEVE_KINDS, IntegerSetSpec, _check_size
+from .intset import _SIEVE_KINDS, IntegerSetSpec
 from .numerics import ceil_nth_root, floor_nth_root
 
 __all__ = [
@@ -111,9 +111,7 @@ def _nearest_match(spec: IntegerSetSpec, x: int, n: int, limit: int) -> int | No
     """Nearest set element inside (x/n, x*n) by |ln a - ln x|, ties to the
     smaller element; None if the range holds no element."""
     lo = x // n + 1           # least integer strictly above x/n
-    hi = x * n - 1            # greatest integer strictly below x*n
-    if hi > limit:
-        hi = min(hi, limit)
+    hi = min(x * n - 1, limit)  # greatest integer strictly below x*n
     if hi < lo:
         return None
     below = spec.prev_member(min(x, hi))
@@ -148,27 +146,72 @@ def approx_subset(x_terms, spec: IntegerSetSpec, n: int, horizon: int) -> Approx
 
 
 # ---------------------------------------------------------------------------
-# Vectorized "does (x/n, x*n) meet A" tests; this is the inner loop of both
-# searches.
+# Point queries "does (x/n, x*n) meet A" on the set view; both searches
+# leapfrog over them.
 # ---------------------------------------------------------------------------
 
 
-def _allowed(view: tuple[np.ndarray, np.ndarray], xs: np.ndarray, n: int) -> np.ndarray:
-    """True where the open window (x/n, x*n) meets A.
+def _allowed(view: tuple[np.ndarray, np.ndarray], x: int, n: int) -> int | None:
+    """Least x' >= x whose open window (x'/n, x'*n) meets A, or None.
 
-    ``view`` is the (starts, ends) pair of ``IntegerSetSpec.view``.  The least
-    member at or above lo = x//n + 1 is max(starts[i], lo) for the first
-    block i ending at or above lo; the window meets A when that block exists
-    and that member lies below x*n.
+    ``view`` is the (starts, ends) pair of ``IntegerSetSpec.view``.  For
+    n >= 2 the window of x' meets a block [s, e] exactly when
+    s//n + 1 <= x' <= e*n - 1, so the answer lies in the first block with
+    e*n > x, that is e > x//n.  For n = 1 every window is empty.
     """
     starts, ends = view
-    if len(ends) == 0:
-        return np.zeros(len(xs), dtype=bool)
-    lo = xs // n + 1
-    idx = np.searchsorted(ends, lo, side="left")
-    ok = idx < len(ends)
-    first = np.maximum(starts[np.minimum(idx, len(ends) - 1)], lo)
-    return ok & (first < xs * n)
+    i = int(np.searchsorted(ends, x // n, side="right"))
+    return max(x, int(starts[i]) // n + 1) if i < len(ends) and n > 1 else None
+
+
+def _least_start(view, n: int, a: int, a_cap: int, l: int, term, least) -> int | None:
+    """Least start in [a, a_cap] whose terms term(start, i), i < l, all have
+    windows meeting A, or None.
+
+    Each term is nondecreasing in the start, and least(y, i) is the least
+    start whose i-th term is at least y.  When a term's window misses A the
+    start leaps to the least one whose term reaches the next allowed value,
+    so the term passes a gap of the n-neighbourhood of A: there are at most
+    about l * len(view[0]) leaps.
+    """
+    i = passed = 0
+    while a <= a_cap:
+        x = term(a, i)
+        y = _allowed(view, x, n)
+        if y is None:
+            return None
+        if y > x:
+            a, passed = least(y, i), 0
+            continue
+        passed += 1
+        if passed == l:
+            return a
+        i = (i + 1) % l
+    return None
+
+
+def _least_pair(view, n: int, a_lo: int, k: int, l: int, cap, term, least) -> tuple[int, int] | None:
+    """Least (start, k'), lexicographically, over k' = k, k+1, ... (only k
+    when l = 1) with start >= a_lo, start <= cap(k') and every term
+    term(start, i, k') allowed.  cap falls with k', and the loop stops once
+    cap(k') < a_lo or the best start is a_lo: no later k' beats it."""
+    best = None
+    while (a_cap := cap(k)) >= a_lo:
+        if best is not None:
+            if best[0] == a_lo:
+                break
+            a_cap = min(a_cap, best[0] - 1)  # only strictly smaller starts help
+        a = _least_start(view, n, a_lo, a_cap, l, lambda a, i: term(a, i, k), lambda y, i: least(y, i, k))
+        if a is not None:
+            best = (a, k)
+        if l == 1:
+            break
+        k += 1
+    return best
+
+
+def _witness(prog, spec: IntegerSetSpec, n: int, horizon: int) -> ApproxWitness:
+    return ApproxWitness(prog, n, approx_subset(prog.terms, spec, n, horizon).matches)
 
 
 def find_geo(spec: IntegerSetSpec, l: int, n: int, min_a: int, min_r: int, horizon: int) -> ApproxWitness | None:
@@ -176,49 +219,26 @@ def find_geo(spec: IntegerSetSpec, l: int, n: int, min_a: int, min_r: int, horiz
     a * r**(l-1) * n <= horizon whose geometric progression is an
     n-approximate subset of A; None when the whole truncated space fails.
 
-    For each ratio r the least working a is found by a vectorized scan;
-    minimizing (least a, r) over r then yields the global lexicographic
-    minimum.  Ratios are restricted to integers; rational ratios only enter
-    the exact 3-term check in find_gp3.
+    For each ratio r the least working a is found by leapfrogging exact
+    point queries on the set view; minimizing (least a, r) over r then
+    yields the global lexicographic minimum.  Every a starts at a_lo, the
+    least allowed first term, and every term is at most x_top, the largest
+    allowed x with x*n <= horizon, so the ratios end once a_lo * r**(l-1)
+    exceeds x_top.  Ratios are restricted to integers; rational ratios only
+    enter the exact 3-term check in find_gp3.
     """
     if l < 1 or n < 1 or min_a < 0 or min_r < 0:
         raise DomainError("bad search parameters")
     if (min_a + 1) * (min_r + 1) ** (l - 1) * n > horizon:
         raise DomainError("horizon admits no candidate progression")
-    if horizon * n > 2**62:
-        raise CapacityError("horizon too large for the vectorized scan")
     view = spec.view(horizon)
-    best: tuple[int, int] | None = None
-    r = min_r + 1
-    while l > 1 or r == min_r + 1:
-        if (min_a + 1) * r ** (l - 1) * n > horizon:
-            break
-        a_cap = horizon // (n * r ** (l - 1))
-        a_lo = min_a + 1
-        if best is not None:
-            if best[0] == a_lo:
-                break  # no later ratio beats the least admissible a
-            a_cap = min(a_cap, best[0] - 1)  # only strictly smaller a helps
-        if a_cap >= a_lo:
-            _check_size(a_cap - a_lo + 1)
-            a_vals = np.arange(a_lo, a_cap + 1, dtype=np.int64)
-            ok = np.ones(len(a_vals), dtype=bool)
-            for i in range(l):
-                ok &= _allowed(view, a_vals * r**i, n)
-                if not ok.any():
-                    break
-            hits = np.flatnonzero(ok)
-            if len(hits):
-                a = int(a_vals[hits[0]])
-                if best is None or (a, r) < best:
-                    best = (a, r)
-        r += 1
-    if best is None:
+    a_lo = _allowed(view, min_a + 1, n)
+    if a_lo is None:
         return None
-    a, r = best
-    prog = GeoProgression(a, r, l)
-    witness = approx_subset(prog.terms, spec, n, horizon)
-    return ApproxWitness(prog, n, witness.matches)
+    x_top = min(horizon // n, int(view[1][-1]) * n - 1)
+    best = _least_pair(view, n, a_lo, min_r + 1, l, lambda r: x_top // r ** (l - 1),
+                       lambda a, i, r: a * r**i, lambda y, i, r: -(-y // r**i))
+    return best and _witness(GeoProgression(*best, l), spec, n, horizon)
 
 
 def find_gp3(spec: IntegerSetSpec, horizon: int) -> tuple[int, int, int] | None:
@@ -297,49 +317,23 @@ def find_power_ap(spec: IntegerSetSpec, m: int, l: int, n: int, min_a: int, min_
 
     The pattern depends on a only through t0 = ceil(a^(1/m)), so for each
     (d, t0) the least admissible a = max(min_a + 1, (t0-1)^m + 1) represents
-    its whole root segment.
+    its whole root segment, and a grows with t0.  The least root start per
+    step d is found as in find_geo, from the least root whose m-th power is
+    allowed up to t_top = floor(x_top^(1/m)).
     """
     if m < 1 or l < 1 or n < 1 or min_a < 0 or min_d < 0:
         raise DomainError("bad search parameters")
-    if horizon * n > 2**62:
-        raise CapacityError("horizon too large for the vectorized scan")
     t_floor = ceil_nth_root(min_a + 1, m)
     if (t_floor + (l - 1) * (min_d + 1)) ** m * n > horizon:
         raise DomainError("horizon admits no candidate pattern")
     view = spec.view(horizon)
-    t_top = floor_nth_root(horizon // n, m)
-    best: tuple[int, int] | None = None
-    d = min_d + 1
-    while l > 1 or d == min_d + 1:
-        if (t_floor + (l - 1) * d) ** m * n > horizon:
-            break
-        # largest usable root start for this d: (t + (l-1)d)^m * n <= horizon
-        # exactly when t + (l-1)d <= floor((horizon // n)^(1/m))
-        t_hi = t_top - (l - 1) * d
-        if best is not None:
-            if best[0] == min_a + 1:
-                break  # no later step beats the least admissible a
-            # only strictly smaller a helps: (t-1)^m + 1 < best a
-            t_hi = min(t_hi, floor_nth_root(best[0] - 2, m) + 1)
-        if t_hi >= t_floor:
-            _check_size(t_hi - t_floor + 1)
-            t_vals = np.arange(t_floor, t_hi + 1, dtype=np.int64)
-            a_vals = np.maximum(min_a + 1, (t_vals - 1) ** m + 1)
-            ok = np.ones(len(t_vals), dtype=bool)
-            for i in range(l):
-                ok &= _allowed(view, (t_vals + i * d) ** m, n)
-                if not ok.any():
-                    break
-            hits = np.flatnonzero(ok)
-            if len(hits):
-                a = int(a_vals[hits[0]])
-                cand = (a, d)
-                if best is None or cand < best:
-                    best = cand
-        d += 1
-    if best is None:
+    if not len(view[1]):
         return None
-    a, d = best
-    prog = PowerProgression(a, d, l, m)
-    witness = approx_subset(prog.terms, spec, n, horizon)
-    return ApproxWitness(prog, n, witness.matches)
+    t_top = floor_nth_root(min(horizon // n, int(view[1][-1]) * n - 1), m)
+    t_lo = _least_start(view, n, t_floor, t_top, 1, lambda t, i: t**m, lambda y, i: ceil_nth_root(y, m))
+    best = t_lo and _least_pair(view, n, t_lo, min_d + 1, l, lambda d: t_top - (l - 1) * d,
+                                lambda t, i, d: (t + i * d) ** m, lambda y, i, d: ceil_nth_root(y, m) - i * d)
+    if not best:
+        return None
+    prog = PowerProgression(max(min_a + 1, (best[0] - 1) ** m + 1), best[1], l, m)
+    return _witness(prog, spec, n, horizon)

@@ -171,13 +171,30 @@ def test_capacity_exit_code(capsys):
 
 
 def test_search_capacity_exit_code(capsys):
-    # full and interval sets are searched as blocks; a scan range past the
-    # materialization cap still exits 4 instead of allocating it
+    # full and interval sets are searched as blocks by point queries, so the
+    # requests that once hit the 2^27 scan-range cap now answer; a horizon
+    # past int64 exits 4
     interval = '{"kind": "interval_union", "params": {"intervals": [[1, 1000000000000]]}}'
     for spec in ("full", interval):
         assert cli.main(["search-gp", "--set", spec, "--l", "3", "--n", "2", "--min-a", "1",
-                         "--min-r", "1", "--horizon", "1e12"]) == 4
+                         "--min-r", "1", "--horizon", "1e12", "--format", "json"]) == 0
+        w = json.loads(capsys.readouterr().out)["report"]["witness"]
+        assert (w["a"], w["r"], w["matches"]) == (2, 2, [[2, 2], [4, 4], [8, 8]])
         assert cli.main(["search-pap", "--set", spec, "--m", "1", "--l", "3", "--n", "2",
-                         "--horizon", "1e12"]) == 4
+                         "--horizon", "1e12", "--format", "json"]) == 0
+        w = json.loads(capsys.readouterr().out)["report"]["witness"]
+        assert (w["a"], w["d"], w["matches"]) == (1, 1, [[1, 1], [2, 2], [3, 3]])
+    for spec in ("full", "explicit:3,5,11", "example2:j=2,depth=4"):
+        assert cli.main(["search-gp", "--set", spec, "--l", "3", "--n", "2", "--horizon", "1e19"]) == 4
     assert cli.main(["certify", "gp-free", "--set", "squarefree", "--horizon", "0"]) == 2
+    capsys.readouterr()
+
+
+def test_horizon_beyond_int64_exit_code(capsys):
+    # IntegerSetSpec.view is where every functional and search turns the
+    # horizon into int64; past 2^63 - 1 it raises CapacityError
+    for spec in ("full", "explicit:3,5,11", "example2:j=2,depth=4"):
+        assert cli.main(["density", "--set", spec, "--horizon", "1e19"]) == 4
+        assert "2^63 - 1" in capsys.readouterr().err
+    assert cli.main(["density", "--set", "full", "--horizon", str(2**63 - 1)]) == 0
     capsys.readouterr()

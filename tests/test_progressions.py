@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitylab.errors import CapacityError, DomainError
+from densitylab.errors import DomainError
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.numerics import ceil_nth_root, floor_nth_root
 from densitylab import progressions
@@ -20,7 +20,7 @@ from densitylab.progressions import (
     is_n_approx,
 )
 
-from oracles import brute_find_geo, brute_find_gp3, brute_find_power_ap, brute_gp3_free, brute_primes, brute_squarefree, is_prime_td, is_squarefree_td
+from oracles import brute_find_geo, brute_find_gp3, brute_find_power_ap, brute_gp3_free, brute_primes, brute_squarefree, has_n_approx, is_prime_td, is_squarefree_td
 
 FULL = IntegerSetSpec.full()
 SQUAREFREE = IntegerSetSpec.squarefree()
@@ -104,44 +104,47 @@ def test_witness_validates_matches():
 
 
 # ---------------------------------------------------------------------------
-# _allowed on block endpoints
+# _allowed point queries on the set view
 # ---------------------------------------------------------------------------
 
 
-def test_allowed_blocks_equal_elements(rng):
-    for _ in range(40):
+def _brute_allowed(spec, x, n, horizon, steps):
+    """Least x' in [x, x + steps) whose window (x'/n, x'*n) holds a member
+    up to the horizon, by stepping x'; None when none does."""
+    def meets(y):
+        return spec.next_member(y // n + 1, min(y * n - 1, horizon)) is not None
+    return next((y for y in range(x, x + steps) if meets(y)), None), meets
+
+
+def test_allowed_point_query_vs_brute_scan(rng):
+    # random unions and their explicit twins, and example2 at depth 5, whose
+    # block ends past the horizon exceed int64; x on block edges, in gaps
+    # and past the last block
+    cases = []
+    for _ in range(25):
         horizon = int(rng.randint(50, 5000))
         spec = _random_intervals(rng, horizon, int(rng.randint(1, 8)))
-        blocks = spec.view(horizon)
-        assert len(blocks[0]) <= len(spec.intervals)  # endpoints, not elements
-        elems = spec.members(1, horizon)
-        for n in (1, 2, 3, 10):
-            xs = rng.randint(1, horizon // n + 1, size=300).astype(np.int64)
-            assert np.array_equal(_allowed(blocks, xs, n), _allowed((elems, elems), xs, n))
-
-
-def test_allowed_full_is_one_block():
-    starts, ends = FULL.view(10**9)
-    assert starts.tolist() == [1] and ends.tolist() == [10**9]
-    xs = np.arange(1, 1000, dtype=np.int64)
-    assert _allowed((starts, ends), xs, 2).all()
-    assert not _allowed((starts, ends), xs, 1).any()  # n = 1 windows are empty
-
-
-def test_allowed_example2_blocks_beyond_int64():
-    # block ends of depth 5 exceed int64; the view clips them at the horizon
-    spec = IntegerSetSpec.example2(2, 5)
-    horizon = 10**9
-    view = spec.view(horizon)
-    assert view[0].tolist() == [2, 65, 2197001] and view[1].tolist() == [4, 130, 4394002]
-    rng = np.random.RandomState(5)
-    for n in (1, 2, 3, 10):
-        edges = [v + e for a, b in spec.block_union().clip(1, horizon).components
-                 for v in (a * n, b * n, a // n, b // n) for e in (-1, 0, 1)]
-        xs = np.asarray(sorted({x for x in edges if 1 <= x <= horizon // n}
-                               | set(rng.randint(1, horizon // n + 1, size=200).tolist())), dtype=np.int64)
-        want = [spec.next_member(x // n + 1, min(x * n - 1, horizon)) is not None for x in xs.tolist()]
-        assert _allowed(view, xs, n).tolist() == want
+        cases += [(spec, horizon), (IntegerSetSpec.explicit(spec.members(1, horizon).tolist()), horizon)]
+    cases += [(IntegerSetSpec.example2(2, 5), 10**9), (FULL, 10**9)]
+    assert [v.tolist() for v in FULL.view(10**9)] == [[1], [10**9]]
+    steps = 800
+    for spec, horizon in cases:
+        view = spec.view(horizon)
+        starts, ends = view[0].tolist(), view[1].tolist()
+        if spec.kind == "interval_union":
+            assert len(starts) <= len(spec.intervals)  # endpoints, not elements
+        for n in (2, 3, 10):
+            edges = {v + e for s, t in zip(starts, ends) for v in (s * n, t * n, s // n, t // n) for e in (-2, -1, 0, 1)}
+            xs = sorted({x for x in edges if x >= 1} | set(rng.randint(1, horizon // n + 1, size=40).tolist()))
+            for x in xs:
+                got = _allowed(view, x, n)
+                want, meets = _brute_allowed(spec, x, n, horizon, steps)
+                if want is not None:
+                    assert got == want, (x, n)
+                else:  # beyond the stepped range: check the answer itself
+                    assert got is None or (got >= x + steps and meets(got) and not meets(got - 1)), (x, n)
+        assert _allowed(view, ends[-1] * 10, 10) is None  # past the last block
+        assert all(_allowed(view, x, 1) is None for x in starts + ends)  # n = 1 windows are empty
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +180,67 @@ def test_find_geo_matches_brute_oracle(rng):
             assert got is None
         else:
             assert (got.progression.a, got.progression.r) == want
+
+
+def _gapped(rng, hi):
+    """A few members with ratios up to 9 between neighbours: their
+    n-neighbourhood has gaps, so the searches leap."""
+    els, x = [], int(rng.randint(1, 400))
+    while x <= hi:
+        els.append(x)
+        x = int(x * rng.uniform(1.1, 9)) + 1
+    return els
+
+
+def test_least_start_vs_brute(rng):
+    # a leap must re-check every term at the new start
+    for _ in range(150):
+        els = _gapped(rng, 10**6)
+        view = IntegerSetSpec.explicit(els).view(10**6)
+        n, l, k, m = int(rng.randint(2, 4)), int(rng.randint(1, 5)), int(rng.randint(1, 9)), int(rng.randint(1, 4))
+        a0 = int(rng.randint(1, 60))
+        geo = (lambda a, i: a * k**i, lambda y, i: -(-y // k**i), 10**6 // n // k ** (l - 1))
+        power = (lambda t, i: (t + i * k) ** m, lambda y, i: ceil_nth_root(y, m) - i * k,
+                 floor_nth_root(10**6 // n, m) - (l - 1) * k)
+        for term, least, cap in (geo, power):
+            want = next((a for a in range(a0, cap + 1)
+                         if all(has_n_approx(els, term(a, i), n) for i in range(l))), None)
+            assert progressions._least_start(view, n, a0, cap, l, term, least) == want
+
+
+# (elements, op, m, l, n, min_a, min_r or min_d, horizon): the first witness
+# found is beaten by a later ratio or step, or the least start is reached
+# only by a leap
+GAPPED_SEARCHES = [
+    ([269, 1711, 12633, 27075, 158110, 529159], "geo", 0, 4, 2, 1, 2, 53663),
+    ([40, 143, 400, 2970, 11174, 26993, 131701, 260841], "geo", 0, 4, 2, 293, 1, 26816),
+    ([207, 1684, 6301, 40604, 101016, 238963], "pap", 2, 3, 2, 281, 1, 2826),
+    ([97, 714, 4710, 34124, 147116, 914678], "pap", 2, 4, 2, 253, 18, 16823),
+    ([314, 2698, 24053, 72265, 612523], "pap", 2, 4, 2, 8, 15, 39792),
+    ([202, 1503, 5046, 39452, 220384], "pap", 2, 4, 2, 281, 8, 4392),
+]
+
+
+def test_searches_match_brute_on_gapped_sets(rng):
+    cases = list(GAPPED_SEARCHES)
+    for _ in range(20):
+        els = _gapped(rng, 5000)
+        cases += [(els, "geo", 0, int(rng.randint(2, 5)), 2, int(rng.randint(0, 300)), int(rng.randint(0, 6)), 5000),
+                  (els, "pap", int(rng.randint(1, 4)), int(rng.randint(2, 5)), 2, int(rng.randint(0, 300)),
+                   int(rng.randint(0, 6)), 5000)]
+    for els, op, m, l, n, min_a, min_k, horizon in cases:
+        spec = IntegerSetSpec.explicit(els)
+        try:
+            if op == "geo":
+                got = find_geo(spec, l, n, min_a, min_k, horizon)
+                want = brute_find_geo(els, l, n, min_a, min_k, horizon)
+            else:
+                got = find_power_ap(spec, m, l, n, min_a, min_k, horizon)
+                want = brute_find_power_ap(els, m, l, n, min_a, min_k, horizon)
+        except DomainError:
+            continue  # the horizon admits no candidate
+        got = got and (got.progression.a, got.progression.r if op == "geo" else got.progression.d)
+        assert got == want, (els, op, m, l, n, min_a, min_k, horizon)
 
 
 def test_find_geo_blocks_equal_explicit_and_brute(rng):
@@ -317,34 +381,52 @@ def _count_allowed(monkeypatch):
     calls = []
     allowed = progressions._allowed
 
-    def counting(view, xs, n):
-        calls.append(len(xs))
-        return allowed(view, xs, n)
+    def counting(view, x, n):
+        calls.append(x)
+        assert len(calls) < 1000, "unbounded search"  # fail fast instead of hanging
+        return allowed(view, x, n)
 
     monkeypatch.setattr(progressions, "_allowed", counting)
     return calls
 
 
 def test_searches_stop_at_least_admissible_a(monkeypatch):
-    # once the best a is min_a + 1 no later ratio or step can beat it, so a
-    # full set at H = 1e12 is answered by the first ratio or step alone (the
-    # ratio loop would otherwise run on to r = 5e11)
+    # once the best a is the least allowed first term a_lo no later ratio or
+    # step can beat it, so a full set at H = 1e12 is answered by the first
+    # ratio or step alone (the ratio loop would otherwise run on to r = 5e11):
+    # one query for a_lo, then one per term
     calls = _count_allowed(monkeypatch)
     w = find_geo(FULL, 2, 2, 0, 10**5, 10**12)
-    assert (w.progression.a, w.progression.r) == (1, 10**5 + 1) and len(calls) == 2
+    assert (w.progression.a, w.progression.r) == (1, 10**5 + 1) and len(calls) == 3
     calls.clear()
     w = find_power_ap(FULL, 2, 3, 2, 0, 0, 10**12)
-    assert (w.progression.a, w.progression.d) == (1, 1) and len(calls) == 3
+    assert (w.progression.a, w.progression.d) == (1, 1) and len(calls) == 4
+    # a_lo = 2 > min_a + 1 stops the ratio loop at the first ratio
+    sparse = IntegerSetSpec.explicit([3, 5, 11])
+    calls.clear()
+    w = find_geo(sparse, 2, 2, 0, 0, 10**12)
+    assert (w.progression.a, w.progression.r) == (2, 1) and len(calls) == 3
+    # every term is at most 11*2 - 1, so ratios past 21 // a_lo are never tried
+    calls.clear()
+    assert find_geo(sparse, 2, 2, 0, 20, 10**12) is None and len(calls) == 1
+    # n = 1 windows are empty: the first query ends each search
+    calls.clear()
+    assert find_geo(FULL, 3, 1, 0, 0, 10**12) is None
+    assert find_power_ap(FULL, 2, 3, 1, 0, 0, 10**12) is None and len(calls) == 2
 
 
 def test_search_scan_range_capped():
-    # blocks never materialize, but the scanned a or root-start range does
+    # the scanned a or root-start range is bounded by the largest allowed
+    # term, not by a size cap: these requests answer at 1e12 without
+    # materializing anything, and each witness re-validates
     spec = IntegerSetSpec.interval_union(IntervalSet(((1, 10**12),)))
     for s in (FULL, spec):
-        with pytest.raises(CapacityError):
-            find_geo(s, 3, 2, 1, 1, 10**12)
-        with pytest.raises(CapacityError):
-            find_power_ap(s, 1, 3, 2, 0, 0, 10**12)
+        w = find_geo(s, 3, 2, 1, 1, 10**12)
+        assert (w.progression.a, w.progression.r) == (2, 2)
+        assert approx_subset(w.progression.terms, s, 2, 10**12).matches == w.matches
+        w = find_power_ap(s, 1, 3, 2, 0, 0, 10**12)
+        assert (w.progression.a, w.progression.d) == (1, 1)
+        assert approx_subset(w.progression.terms, s, 2, 10**12).matches == w.matches
 
 
 def test_find_power_ap_least_pair(rng):

@@ -1,8 +1,8 @@
 """The benchmark's span tracer (perfbench/trace.py) wraps densitylab
 functions by name, among them ``density.power_sum_range`` and
 ``progressions._allowed``.  A refactor that renames or stops calling one
-of them leaves the tracer blind without failing anything else; this test
-runs a traced and an untraced density request and checks both."""
+of them leaves the tracer blind without failing anything else; these tests
+run a traced and an untraced density and search request and check both."""
 
 import json
 import os
@@ -12,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ARGS = ["density", "--set", "squarefree", "--horizon", "1e4", "--m", "2"]
+SEARCH_ARGS = ["search-gp", "--set", "example2:j=2,depth=4", "--l", "3", "--n", "2", "--min", "16", "--horizon", "1e8"]
 
 
 def _run(argv):
@@ -29,3 +30,13 @@ def test_traced_report_equals_untraced_and_spans_cover_layers(tmp_path):
     assert plain.stdout and traced.stdout == plain.stdout
     layers = {json.loads(line).get("layer") for line in spans.read_text().splitlines()}
     assert {"density", "numerics"} <= layers
+
+
+def test_traced_search_equals_untraced_and_counts_point_queries(tmp_path):
+    spans = tmp_path / "spans.jsonl"
+    traced = _run([str(ROOT / "perfbench" / "trace.py"), str(spans), "req", "cli", *SEARCH_ARGS])
+    plain = _run(["-m", "densitylab.cli", *SEARCH_ARGS])
+    assert plain.returncode == traced.returncode == 3, traced.stderr.decode()  # search exhausted
+    assert plain.stdout and traced.stdout == plain.stdout
+    counts = [json.loads(line)["counts"] for line in spans.read_text().splitlines() if '"counts"' in line]
+    assert counts and counts[-1].get("progressions.approx_calls", 0) > 0
