@@ -116,35 +116,54 @@ def _brute_allowed(spec, x, n, horizon, steps):
     return next((y for y in range(x, x + steps) if meets(y)), None), meets
 
 
-def test_allowed_point_query_vs_brute_scan(rng):
-    # random unions and their explicit twins, and example2 at depth 5, whose
-    # block ends past the horizon exceed int64; x on block edges, in gaps
-    # and past the last block
-    cases = []
+def _check_allowed(spec, horizon, rng, ns=(1, 2, 3, 10), steps=800):
+    """_allowed(view, x, n) against a brute scan, x on block edges, in gaps,
+    past the last block and at random."""
+    view = spec.view(horizon)
+    starts, ends = view[0].tolist(), view[1].tolist()
+    for n in ns:
+        edges = {v + e for s, t in zip(starts, ends) for v in (s * n, t * n, s // n, t // n) for e in (-2, -1, 0, 1)}
+        xs = sorted({x for x in edges if x >= 1} | set(rng.randint(1, horizon // n + 1, size=40).tolist()))
+        for x in xs:
+            got = _allowed(view, x, n)
+            want, meets = _brute_allowed(spec, x, n, horizon, steps)
+            assert (got == x) == meets(x), (x, n)
+            if want is not None:
+                assert got == want, (x, n)
+            else:  # beyond the stepped range: check the answer itself
+                assert got is None or (got >= x + steps and meets(got) and not meets(got - 1)), (x, n)
+        assert _allowed(view, ends[-1] * max(n, 2), n) is None  # past the last block
+    assert all(_allowed(view, x, 1) is None for x in starts + ends)  # n = 1 windows are empty
+
+
+def test_allowed_blocks_equal_elements(rng):
+    # a union's block view and its explicit twin's element view answer alike
     for _ in range(25):
         horizon = int(rng.randint(50, 5000))
         spec = _random_intervals(rng, horizon, int(rng.randint(1, 8)))
-        cases += [(spec, horizon), (IntegerSetSpec.explicit(spec.members(1, horizon).tolist()), horizon)]
-    cases += [(IntegerSetSpec.example2(2, 5), 10**9), (FULL, 10**9)]
-    assert [v.tolist() for v in FULL.view(10**9)] == [[1], [10**9]]
-    steps = 800
-    for spec, horizon in cases:
-        view = spec.view(horizon)
-        starts, ends = view[0].tolist(), view[1].tolist()
-        if spec.kind == "interval_union":
-            assert len(starts) <= len(spec.intervals)  # endpoints, not elements
-        for n in (2, 3, 10):
-            edges = {v + e for s, t in zip(starts, ends) for v in (s * n, t * n, s // n, t // n) for e in (-2, -1, 0, 1)}
-            xs = sorted({x for x in edges if x >= 1} | set(rng.randint(1, horizon // n + 1, size=40).tolist()))
-            for x in xs:
-                got = _allowed(view, x, n)
-                want, meets = _brute_allowed(spec, x, n, horizon, steps)
-                if want is not None:
-                    assert got == want, (x, n)
-                else:  # beyond the stepped range: check the answer itself
-                    assert got is None or (got >= x + steps and meets(got) and not meets(got - 1)), (x, n)
-        assert _allowed(view, ends[-1] * 10, 10) is None  # past the last block
-        assert all(_allowed(view, x, 1) is None for x in starts + ends)  # n = 1 windows are empty
+        twin = IntegerSetSpec.explicit(spec.members(1, horizon).tolist())
+        blocks, elems = spec.view(horizon), twin.view(horizon)
+        assert len(blocks[0]) <= len(spec.intervals)  # endpoints, not elements
+        for n in (1, 2, 3, 10):
+            xs = rng.randint(1, horizon // n + 1, size=100).tolist()
+            assert [_allowed(blocks, x, n) for x in xs] == [_allowed(elems, x, n) for x in xs], n
+        _check_allowed(spec, horizon, rng)
+
+
+def test_allowed_full_is_one_block(rng):
+    starts, ends = FULL.view(10**9)
+    assert starts.tolist() == [1] and ends.tolist() == [10**9]
+    assert all(_allowed((starts, ends), x, 2) == x for x in range(1, 1000))
+    assert all(_allowed((starts, ends), x, 1) is None for x in range(1, 1000))  # n = 1 windows are empty
+    _check_allowed(FULL, 10**9, rng)
+
+
+def test_allowed_example2_blocks_beyond_int64(rng):
+    # block ends of depth 5 exceed int64; the view clips them at the horizon
+    spec = IntegerSetSpec.example2(2, 5)
+    view = spec.view(10**9)
+    assert view[0].tolist() == [2, 65, 2197001] and view[1].tolist() == [4, 130, 4394002]
+    _check_allowed(spec, 10**9, rng)
 
 
 # ---------------------------------------------------------------------------
