@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError
 from .intset import _SIEVE_KINDS, IntegerSetSpec
-from .numerics import ceil_nth_root, floor_nth_root
+from .numerics import ceil_nth_root
 
 __all__ = [
     "GeoProgression",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 GP_CERTIFY_HORIZON = 10**6
+SEARCH_STEP_LIMIT = 2**18  # outer steps of each search order
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,6 @@ def approx_subset(x_terms, spec: IntegerSetSpec, n: int, horizon: int) -> Approx
     return ApproxWitness(None, n, tuple(matches))
 
 
-# ---------------------------------------------------------------------------
-# Point queries "does (x/n, x*n) meet A" on the set view; both searches
-# leapfrog over them.
-# ---------------------------------------------------------------------------
-
-
 def _allowed(view: tuple[np.ndarray, np.ndarray], x: int, n: int) -> int | None:
     """Least x' >= x whose open window (x'/n, x'*n) meets A, or None.
 
@@ -190,24 +185,50 @@ def _least_start(view, n: int, a: int, a_cap: int, l: int, term, least) -> int |
     return None
 
 
-def _least_pair(view, n: int, a_lo: int, k: int, l: int, cap, term, least) -> tuple[int, int] | None:
-    """Least (start, k'), lexicographically, over k' = k, k+1, ... (only k
-    when l = 1) with start >= a_lo, start <= cap(k') and every term
-    term(start, i, k') allowed.  cap falls with k', and the loop stops once
-    cap(k') < a_lo or the best start is a_lo: no later k' beats it."""
-    best = None
-    while (a_cap := cap(k)) >= a_lo:
-        if best is not None:
-            if best[0] == a_lo:
-                break
-            a_cap = min(a_cap, best[0] - 1)  # only strictly smaller starts help
-        a = _least_start(view, n, a_lo, a_cap, l, lambda a, i: term(a, i, k), lambda y, i: least(y, i, k))
-        if a is not None:
-            best = (a, k)
-        if l == 1:
-            break
-        k += 1
-    return best
+def _least_pair(view, n: int, horizon: int, a: int, k0: int, l: int, term, least, k_least) -> tuple[int, int] | None:
+    """Least (start, k), lexicographically, with start >= a and k >= k0
+    whose terms term(start, i, k), i < l, are allowed and at most x_top, the
+    largest x with x*n <= horizon whose window can meet A; or None.
+
+    Terms grow with the start and with k; least(y, i, k) and k_least(y, i,
+    start) are the least start and the least k whose i-th term reaches y.
+    Two exact orders run in lockstep and the first to end answers: by start,
+    the least k of each allowed start, and by k, the least start of each k
+    while one fits under x_top.  Past SEARCH_STEP_LIMIT steps, CapacityError.
+    """
+    x_top = min(horizon // n, int(view[1][-1]) * n - 1) if len(view[1]) else 0  # 0: no term fits
+
+    def first(a):  # least start >= a whose first term is allowed
+        return _least_start(view, n, a, least(x_top + 1, l - 1, k0) - 1, 1, lambda a, i: term(a, 0, k0),
+                            lambda y, i: least(y, 0, k0))
+
+    def by_start(a):
+        while a is not None:
+            k = _least_start(view, n, k0, k_least(x_top + 1, l - 1, a) - 1, l, lambda k, i: term(a, i, k),
+                             lambda y, i: k_least(y, i, a))
+            if k is not None:
+                return a, k
+            yield
+            a = first(a + 1)
+
+    def by_k(k, best=None):
+        while (a_cap := least(x_top + 1, l - 1, k) - 1) >= a_lo:
+            a_cap = min(a_cap, best[0] - 1) if best else a_cap  # only smaller starts help
+            a = _least_start(view, n, a_lo, a_cap, l, lambda a, i: term(a, i, k), lambda y, i: least(y, i, k))
+            best, k = (a, k) if a is not None else best, k + 1
+            yield
+        return best
+
+    if (a_lo := first(a)) is None or l == 1:
+        return a_lo and (a_lo, k0)
+    orders = by_start(a_lo), by_k(k0)
+    for _ in range(SEARCH_STEP_LIMIT):
+        for order in orders:
+            try:
+                next(order)
+            except StopIteration as end:
+                return end.value
+    raise CapacityError(f"no answer within {SEARCH_STEP_LIMIT} starts and as many ratios or steps")
 
 
 def _witness(prog, spec: IntegerSetSpec, n: int, horizon: int) -> ApproxWitness:
@@ -219,25 +240,16 @@ def find_geo(spec: IntegerSetSpec, l: int, n: int, min_a: int, min_r: int, horiz
     a * r**(l-1) * n <= horizon whose geometric progression is an
     n-approximate subset of A; None when the whole truncated space fails.
 
-    For each ratio r the least working a is found by leapfrogging exact
-    point queries on the set view; minimizing (least a, r) over r then
-    yields the global lexicographic minimum.  Every a starts at a_lo, the
-    least allowed first term, and every term is at most x_top, the largest
-    allowed x with x*n <= horizon, so the ratios end once a_lo * r**(l-1)
-    exceeds x_top.  Ratios are restricted to integers; rational ratios only
-    enter the exact 3-term check in find_gp3.
+    The search is _least_pair's over starts a and ratios r.  Ratios are
+    restricted to integers; rational ratios only enter the exact 3-term
+    check in find_gp3.
     """
     if l < 1 or n < 1 or min_a < 0 or min_r < 0:
         raise DomainError("bad search parameters")
     if (min_a + 1) * (min_r + 1) ** (l - 1) * n > horizon:
         raise DomainError("horizon admits no candidate progression")
-    view = spec.view(horizon)
-    a_lo = _allowed(view, min_a + 1, n)
-    if a_lo is None:
-        return None
-    x_top = min(horizon // n, int(view[1][-1]) * n - 1)
-    best = _least_pair(view, n, a_lo, min_r + 1, l, lambda r: x_top // r ** (l - 1),
-                       lambda a, i, r: a * r**i, lambda y, i, r: -(-y // r**i))
+    best = _least_pair(spec.view(horizon), n, horizon, min_a + 1, min_r + 1, l, lambda a, i, r: a * r**i,
+                       lambda y, i, r: -(-y // r**i), lambda y, i, a: ceil_nth_root(-(-y // a), i))
     return best and _witness(GeoProgression(*best, l), spec, n, horizon)
 
 
@@ -317,23 +329,14 @@ def find_power_ap(spec: IntegerSetSpec, m: int, l: int, n: int, min_a: int, min_
 
     The pattern depends on a only through t0 = ceil(a^(1/m)), so for each
     (d, t0) the least admissible a = max(min_a + 1, (t0-1)^m + 1) represents
-    its whole root segment, and a grows with t0.  The least root start per
-    step d is found as in find_geo, from the least root whose m-th power is
-    allowed up to t_top = floor(x_top^(1/m)).
+    its whole root segment, and a grows with t0: the search is _least_pair's
+    over root starts t0 and steps d.
     """
     if m < 1 or l < 1 or n < 1 or min_a < 0 or min_d < 0:
         raise DomainError("bad search parameters")
     t_floor = ceil_nth_root(min_a + 1, m)
     if (t_floor + (l - 1) * (min_d + 1)) ** m * n > horizon:
         raise DomainError("horizon admits no candidate pattern")
-    view = spec.view(horizon)
-    if not len(view[1]):
-        return None
-    t_top = floor_nth_root(min(horizon // n, int(view[1][-1]) * n - 1), m)
-    t_lo = _least_start(view, n, t_floor, t_top, 1, lambda t, i: t**m, lambda y, i: ceil_nth_root(y, m))
-    best = t_lo and _least_pair(view, n, t_lo, min_d + 1, l, lambda d: t_top - (l - 1) * d,
-                                lambda t, i, d: (t + i * d) ** m, lambda y, i, d: ceil_nth_root(y, m) - i * d)
-    if not best:
-        return None
-    prog = PowerProgression(max(min_a + 1, (best[0] - 1) ** m + 1), best[1], l, m)
-    return _witness(prog, spec, n, horizon)
+    best = _least_pair(spec.view(horizon), n, horizon, t_floor, min_d + 1, l, lambda t, i, d: (t + i * d) ** m,
+                       lambda y, i, d: ceil_nth_root(y, m) - i * d, lambda y, i, t: -(-(ceil_nth_root(y, m) - t) // i))
+    return best and _witness(PowerProgression(max(min_a + 1, (best[0] - 1) ** m + 1), best[1], l, m), spec, n, horizon)

@@ -1,11 +1,16 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from densitylab import cli
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.numerics import geometric_grid
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args, tmp_path, name):
@@ -188,6 +193,20 @@ def test_search_capacity_exit_code(capsys):
         assert cli.main(["search-gp", "--set", spec, "--l", "3", "--n", "2", "--horizon", "1e19"]) == 4
     assert cli.main(["certify", "gp-free", "--set", "squarefree", "--horizon", "0"]) == 2
     capsys.readouterr()
+
+
+def test_sparse_search_at_large_horizon_answers():
+    # {1, 1e12} at 1e13 with min ratio (step) 10: a = 1 has one far ratio,
+    # which a walk over the ratios would reach only after 5e11 of them; run
+    # as a subprocess so that a hang fails on the time limit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    for op, k, want in (("search-gp", "--min-r", (1, 5 * 10**11 + 1)), ("search-pap", "--min-d", (1, 5 * 10**11))):
+        args = [op, "--set", "explicit:1,1000000000000", "--l", "2", "--n", "2", k, "10", "--horizon", "1e13",
+                "--format", "json"] + (["--m", "1"] if op == "search-pap" else [])
+        done = subprocess.run([sys.executable, "-m", "densitylab.cli", *args], env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        w = json.loads(done.stdout)["report"]["witness"]
+        assert (w["a"], w["r" if op == "search-gp" else "d"]) == want
 
 
 def test_horizon_beyond_int64_exit_code(capsys):

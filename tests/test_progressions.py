@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitylab.errors import DomainError
+from densitylab.errors import CapacityError, DomainError
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.numerics import ceil_nth_root, floor_nth_root
 from densitylab import progressions
@@ -228,8 +228,8 @@ def test_least_start_vs_brute(rng):
 
 
 # (elements, op, m, l, n, min_a, min_r or min_d, horizon): the first witness
-# found is beaten by a later ratio or step, or the least start is reached
-# only by a leap
+# found is beaten by a later ratio or step, the least start is reached only
+# by a leap, or the search by ratio answers first
 GAPPED_SEARCHES = [
     ([269, 1711, 12633, 27075, 158110, 529159], "geo", 0, 4, 2, 1, 2, 53663),
     ([40, 143, 400, 2970, 11174, 26993, 131701, 260841], "geo", 0, 4, 2, 293, 1, 26816),
@@ -237,6 +237,9 @@ GAPPED_SEARCHES = [
     ([97, 714, 4710, 34124, 147116, 914678], "pap", 2, 4, 2, 253, 18, 16823),
     ([314, 2698, 24053, 72265, 612523], "pap", 2, 4, 2, 8, 15, 39792),
     ([202, 1503, 5046, 39452, 220384], "pap", 2, 4, 2, 281, 8, 4392),
+    # the search by ratio answers first: over a thousand starts fail
+    ([2172, 4344, 93614, 246189, 273917, 966960], "geo", 0, 3, 2, 27, 8, 1933920),
+    ([1985, 3970, 377742, 7255146], "geo", 0, 3, 2, 21, 8, 14510292),
 ]
 
 
@@ -410,9 +413,9 @@ def _count_allowed(monkeypatch):
 
 
 def test_searches_stop_at_least_admissible_a(monkeypatch):
-    # once the best a is the least allowed first term a_lo no later ratio or
-    # step can beat it, so a full set at H = 1e12 is answered by the first
-    # ratio or step alone (the ratio loop would otherwise run on to r = 5e11):
+    # the least allowed first term a_lo is tried first: when it has a
+    # witness the search ends there, so a full set at H = 1e12 is answered
+    # without walking the ratios (they would otherwise run on to r = 5e11):
     # one query for a_lo, then one per term
     calls = _count_allowed(monkeypatch)
     w = find_geo(FULL, 2, 2, 0, 10**5, 10**12)
@@ -420,11 +423,14 @@ def test_searches_stop_at_least_admissible_a(monkeypatch):
     calls.clear()
     w = find_power_ap(FULL, 2, 3, 2, 0, 0, 10**12)
     assert (w.progression.a, w.progression.d) == (1, 1) and len(calls) == 4
-    # a_lo = 2 > min_a + 1 stops the ratio loop at the first ratio
+    # a_lo = 2 > min_a + 1 (a leap from 1, then its check) ends the search
     sparse = IntegerSetSpec.explicit([3, 5, 11])
     calls.clear()
     w = find_geo(sparse, 2, 2, 0, 0, 10**12)
-    assert (w.progression.a, w.progression.r) == (2, 1) and len(calls) == 3
+    assert (w.progression.a, w.progression.r) == (2, 1) and len(calls) == 4
+    # with l = 1 only the first term counts: (a_lo, min_r + 1)
+    w = find_geo(sparse, 1, 2, 0, 5, 10**12)
+    assert (w.progression.a, w.progression.r) == (2, 6)
     # every term is at most 11*2 - 1, so ratios past 21 // a_lo are never tried
     calls.clear()
     assert find_geo(sparse, 2, 2, 0, 20, 10**12) is None and len(calls) == 1
@@ -432,6 +438,32 @@ def test_searches_stop_at_least_admissible_a(monkeypatch):
     calls.clear()
     assert find_geo(FULL, 3, 1, 0, 0, 10**12) is None
     assert find_power_ap(FULL, 2, 3, 1, 0, 0, 10**12) is None and len(calls) == 2
+
+
+def test_search_orders_in_lockstep(monkeypatch):
+    # {1, 1e12}: the only second terms are near 1e12, so walking the ratios
+    # (steps) from 11 would take 5e11 of them; the order by start finds the
+    # least ratio of a = 1 in one leap
+    calls = _count_allowed(monkeypatch)
+    spec = IntegerSetSpec.explicit([1, 10**12])
+    w = find_geo(spec, 2, 2, 0, 10, 10**13)
+    assert (w.progression.a, w.progression.r) == (1, 5 * 10**11 + 1)
+    w = find_power_ap(spec, 1, 2, 2, 0, 10, 10**13)
+    assert (w.progression.a, w.progression.d) == (1, 5 * 10**11)
+    assert len(calls) < 20
+    monkeypatch.setattr(progressions, "SEARCH_STEP_LIMIT", 100)
+    # [X, 2X] and 1e6 with X = 1e4: no start up to 1e6 // 11**2 has a ratio,
+    # thousands of starts, while the order by ratio ends after four
+    calls.clear()
+    assert find_geo(IntegerSetSpec.explicit([10**4, 2 * 10**4, 10**6]), 3, 2, 0, 10, 2 * 10**6) is None
+    # adding {1} lets the ratios of a = 1 run to about 2e9 as well: both
+    # orders walk millions of steps, and the search exits on the cap
+    calls.clear()
+    with pytest.raises(CapacityError):
+        find_geo(IntegerSetSpec.explicit([1, 10**6, 2 * 10**6, 4 * 10**18]), 3, 2, 0, 10, 9 * 10**18)
+    # with X = 20 the starts run out first
+    calls.clear()
+    assert find_geo(IntegerSetSpec.explicit([1, 20, 40, 4 * 10**18]), 3, 2, 0, 10, 9 * 10**18) is None
 
 
 def test_search_scan_range_capped():
