@@ -130,7 +130,11 @@ def power_sum_range(lo: int, hi: int, beta: float) -> float:
 
     Exact vectorized summation for ranges up to EXACT_RANGE_LIMIT terms;
     longer ranges use an exact head below EM_START plus an Euler-Maclaurin
-    tail whose truncation error is far below 1e-15.
+    tail whose truncation error is far below 1e-15.  That tail is the
+    difference of two ``_em_tail`` values of size log(hi) (or
+    hi^(1-beta)/(1-beta)), so it also carries their rounding, a few ulps of
+    that size, which cancels into the result: the relative error grows far
+    from 1 (8.3e-7 at lo = 1e15, 2^22 + 5 terms, beta = 1).
     """
     if hi < lo:
         return 0.0

@@ -11,7 +11,11 @@ start does not exceed the last product meets A*B.
 window with m = 2 is on record only singleton windows (m = 1) can improve
 the report, so later candidates are probed with a capped distinct-product
 count instead of a full enumeration; the result is identical to evaluating
-every candidate in full.
+every candidate in full.  The probe asks the set specs for members by
+point queries (``next_member``/``prev_member``), so a sieve kind answers by
+trial division near each window and is not sieved to the horizon; only
+when _PROBE_STEPS factors do not decide a window are the factor sets
+materialized, once, for the remaining windows.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ PRODUCT_HORIZON = 10**9
 _CHUNK = 1 << 23
 # explicit-by-explicit pairs get an exact window scan up to this many products
 EXACT_SCAN_MAX_PRODUCTS = 4096
+# factors a the point-query probe walks before gap_witness materializes
+_PROBE_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -90,29 +96,27 @@ def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int
     a_elems, b_elems = factors
     b_lo = np.searchsorted(b_elems, -(-lo // a_elems), side="left")
     b_hi = np.searchsorted(b_elems, hi // a_elems, side="right")
-    lens = b_hi - b_lo
-    nz = np.flatnonzero(lens > 0)
-    pieces = []
-    start = 0
-    while start < len(nz):
-        stop = start
-        total = 0
-        while stop < len(nz) and total + lens[nz[stop]] <= _CHUNK:
-            total += lens[nz[stop]]
-            stop += 1
-        if stop == start:  # single oversized range
-            stop = start + 1
-            total = int(lens[nz[start]])
-        sel = nz[start:stop]
-        reps = lens[sel]
-        offsets = np.concatenate(([0], np.cumsum(reps)[:-1]))
-        pos = np.arange(int(np.sum(reps)), dtype=np.int64)
-        pos += np.repeat(b_lo[sel] - offsets, reps)
-        pieces.append(np.repeat(a_elems[sel], reps) * b_elems[pos])
-        start = stop
-    if not pieces:
+    nz = np.flatnonzero(b_hi > b_lo)
+    if len(nz) == 0:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(pieces))
+    lens = b_hi[nz] - b_lo[nz]
+    ends = np.cumsum(lens)
+    # a chunk closes at the range whose running end first reaches a multiple
+    # of _CHUNK, so it holds under _CHUNK products plus that one range
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, int(ends[-1]), _CHUNK)) + 1
+    bounds = [0, *cuts.tolist(), len(nz)]
+    pieces = []
+    for start, stop in zip(bounds, bounds[1:]):
+        if start == stop:  # a range spanning several multiples
+            continue
+        sel, reps = nz[start:stop], lens[start:stop]
+        first = ends[start:stop] - reps  # running start of each range
+        pos = np.arange(first[0], ends[stop - 1], dtype=np.int64) + np.repeat(b_lo[sel] - first, reps)
+        pieces.append(np.repeat(a_elems[sel], reps) * b_elems[pos])
+    prods = np.concatenate(pieces)
+    prods.sort()
+    # distinct by neighbour inequality; np.unique takes a far slower hash path
+    return prods[np.concatenate(([True], prods[1:] != prods[:-1]))]
 
 
 def max_gap_ratio(products) -> int:
@@ -158,6 +162,33 @@ def _distinct_upto2(a_elems: np.ndarray, b_elems: np.ndarray, lo: int, hi: int):
     return (0, None) if seen is None else (1, seen)
 
 
+def _probe_upto2(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int):
+    """``_distinct_upto2``'s answer by point queries, or None when
+    _PROBE_STEPS factors a do not decide it.
+
+    Walks a over A cap [ceil(lo / max b), hi // min(B)] with ``next_member``
+    and asks B for its first two members in [ceil(lo/a), hi // a]; a second
+    b or a second distinct product decides 2.  Nothing is materialized, so a
+    sieve kind answers by trial division near the window.
+    """
+    a_min, b_min = a_spec.next_member(1, hi), b_spec.next_member(1, hi)
+    if a_min is None or b_min is None or a_min * b_min > hi:
+        return 0, None
+    a_top = hi // b_min
+    a = a_spec.next_member(-(-lo // b_spec.prev_member(hi // a_min)), a_top)
+    seen: int | None = None
+    for _ in range(_PROBE_STEPS):
+        if a is None:
+            return (0, None) if seen is None else (1, seen)
+        b = b_spec.next_member(-(-lo // a), hi // a)
+        if b is not None:
+            if b_spec.next_member(b + 1, hi // a) is not None or seen not in (None, a * b):
+                return 2, None
+            seen = a * b
+        a = a_spec.next_member(a + 1, a_top)
+    return None
+
+
 def _exact_candidates(a_spec, b_spec, n: int, x_max: int, horizon: int) -> list[int] | None:
     """All window starts where the gap statistic can change, for small
     explicit productsets; None when the exact scan does not apply."""
@@ -183,7 +214,11 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
     Candidate starts lie on a geometric grid (exact change-point scan for
     small explicit productsets).  Full enumeration runs until a window with
     the multi-product floor m = 2 is found; afterwards candidates are probed
-    for singleton windows only, which is equivalent and far cheaper.
+    for singleton windows only, which is equivalent and far cheaper: by
+    point queries (``_probe_upto2``), and over factor arrays materialized to
+    the horizon (``_distinct_upto2``) from the first window the point
+    queries leave undecided.  Windows enumerated in full cap at
+    PRODUCT_HORIZON; probed windows on sieve kinds at MEMBERSHIP_HORIZON.
     """
     n = int(n)
     if n < 2:
@@ -203,14 +238,15 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
         if best is not None and best.m == 2:
             # multi-product windows cannot beat m = 2; only a singleton
             # window whose product equals x (m = 1) improves the report
-            if factors is None:
-                factors = _factor_members(a_spec, b_spec, horizon)
-            count, prod = _distinct_upto2(*factors, lo, hi)
-            if count == 1:
-                g = _window_gap(np.asarray([prod]), x)
-                if g < best.m:
-                    best = GapReport(n, x, g, 1, (lo, hi))
-                    break
+            probe = _probe_upto2(a_spec, b_spec, lo, hi) if factors is None else None
+            if probe is None:
+                if factors is None:
+                    factors = _factor_members(a_spec, b_spec, horizon)
+                probe = _distinct_upto2(*factors, lo, hi)
+            count, prod = probe
+            if count == 1 and prod == x:
+                best = GapReport(n, x, 1, 1, (lo, hi))
+                break
             continue
         prods = products_in(a_spec, b_spec, lo, hi)
         if len(prods) == 0:

@@ -146,33 +146,34 @@ def approx_subset(x_terms, spec: IntegerSetSpec, n: int, horizon: int) -> Approx
     return ApproxWitness(None, n, tuple(matches))
 
 
-def _allowed(view: tuple[np.ndarray, np.ndarray], x: int, n: int) -> int | None:
-    """Least x' >= x whose open window (x'/n, x'*n) meets A, or None.
+def _allowed(spec: IntegerSetSpec, x: int, n: int, horizon: int) -> int | None:
+    """Least x' >= x whose open window (x'/n, x'*n) meets A cap [1, horizon],
+    or None.
 
-    ``view`` is the (starts, ends) pair of ``IntegerSetSpec.view``.  For
-    n >= 2 the window of x' meets a block [s, e] exactly when
-    s//n + 1 <= x' <= e*n - 1, so the answer lies in the first block with
-    e*n > x, that is e > x//n.  For n = 1 every window is empty.
+    For n >= 2 the window of x' holds a member s exactly when
+    s//n + 1 <= x' <= s*n - 1, so the answer comes from the least member
+    s > x//n: it is max(x, s//n + 1).  One ``next_member`` point query
+    answers it, so no kind is materialized.  For n = 1 every window is empty.
     """
-    starts, ends = view
-    i = int(np.searchsorted(ends, x // n, side="right"))
-    return max(x, int(starts[i]) // n + 1) if i < len(ends) and n > 1 else None
+    s = spec.next_member(x // n + 1, horizon) if n > 1 else None
+    return None if s is None else max(x, s // n + 1)
 
 
-def _least_start(view, n: int, a: int, a_cap: int, l: int, term, least) -> int | None:
+def _least_start(spec, n: int, horizon: int, a: int, a_cap: int, l: int, term, least) -> int | None:
     """Least start in [a, a_cap] whose terms term(start, i), i < l, all have
     windows meeting A, or None.
 
     Each term is nondecreasing in the start, and least(y, i) is the least
     start whose i-th term is at least y.  When a term's window misses A the
     start leaps to the least one whose term reaches the next allowed value,
-    so the term passes a gap of the n-neighbourhood of A: there are at most
-    about l * len(view[0]) leaps.
+    so the term passes a gap of the n-neighbourhood of A cap [1, horizon]:
+    there are at most about l times as many leaps as that neighbourhood has
+    gaps.
     """
     i = passed = 0
     while a <= a_cap:
         x = term(a, i)
-        y = _allowed(view, x, n)
+        y = _allowed(spec, x, n, horizon)
         if y is None:
             return None
         if y > x:
@@ -185,7 +186,7 @@ def _least_start(view, n: int, a: int, a_cap: int, l: int, term, least) -> int |
     return None
 
 
-def _least_pair(view, n: int, horizon: int, a: int, k0: int, l: int, term, least, k_least) -> tuple[int, int] | None:
+def _least_pair(spec, n: int, horizon: int, a: int, k0: int, l: int, term, least, k_least) -> tuple[int, int] | None:
     """Least (start, k), lexicographically, with start >= a and k >= k0
     whose terms term(start, i, k), i < l, are allowed and at most x_top, the
     largest x with x*n <= horizon whose window can meet A; or None.
@@ -194,17 +195,22 @@ def _least_pair(view, n: int, horizon: int, a: int, k0: int, l: int, term, least
     start) are the least start and the least k whose i-th term reaches y.
     Two exact orders run in lockstep and the first to end answers: by start,
     the least k of each allowed start, and by k, the least start of each k
-    while one fits under x_top.  Past SEARCH_STEP_LIMIT steps, CapacityError.
+    while one fits under x_top.  Past SEARCH_STEP_LIMIT steps, and for
+    horizons above 2^63 - 1 (sieve kinds: above MEMBERSHIP_HORIZON),
+    CapacityError.
     """
-    x_top = min(horizon // n, int(view[1][-1]) * n - 1) if len(view[1]) else 0  # 0: no term fits
+    if horizon >= 2**63:
+        raise CapacityError("horizon exceeds 2^63 - 1")
+    top = spec.prev_member(horizon)
+    x_top = min(horizon // n, top * n - 1) if top is not None else 0  # 0: no term fits
 
     def first(a):  # least start >= a whose first term is allowed
-        return _least_start(view, n, a, least(x_top + 1, l - 1, k0) - 1, 1, lambda a, i: term(a, 0, k0),
+        return _least_start(spec, n, horizon, a, least(x_top + 1, l - 1, k0) - 1, 1, lambda a, i: term(a, 0, k0),
                             lambda y, i: least(y, 0, k0))
 
     def by_start(a):
         while a is not None:
-            k = _least_start(view, n, k0, k_least(x_top + 1, l - 1, a) - 1, l, lambda k, i: term(a, i, k),
+            k = _least_start(spec, n, horizon, k0, k_least(x_top + 1, l - 1, a) - 1, l, lambda k, i: term(a, i, k),
                              lambda y, i: k_least(y, i, a))
             if k is not None:
                 return a, k
@@ -214,7 +220,7 @@ def _least_pair(view, n: int, horizon: int, a: int, k0: int, l: int, term, least
     def by_k(k, best=None):
         while (a_cap := least(x_top + 1, l - 1, k) - 1) >= a_lo:
             a_cap = min(a_cap, best[0] - 1) if best else a_cap  # only smaller starts help
-            a = _least_start(view, n, a_lo, a_cap, l, lambda a, i: term(a, i, k), lambda y, i: least(y, i, k))
+            a = _least_start(spec, n, horizon, a_lo, a_cap, l, lambda a, i: term(a, i, k), lambda y, i: least(y, i, k))
             best, k = (a, k) if a is not None else best, k + 1
             yield
         return best
@@ -248,7 +254,7 @@ def find_geo(spec: IntegerSetSpec, l: int, n: int, min_a: int, min_r: int, horiz
         raise DomainError("bad search parameters")
     if (min_a + 1) * (min_r + 1) ** (l - 1) * n > horizon:
         raise DomainError("horizon admits no candidate progression")
-    best = _least_pair(spec.view(horizon), n, horizon, min_a + 1, min_r + 1, l, lambda a, i, r: a * r**i,
+    best = _least_pair(spec, n, horizon, min_a + 1, min_r + 1, l, lambda a, i, r: a * r**i,
                        lambda y, i, r: -(-y // r**i), lambda y, i, a: ceil_nth_root(-(-y // a), i))
     return best and _witness(GeoProgression(*best, l), spec, n, horizon)
 
@@ -337,6 +343,6 @@ def find_power_ap(spec: IntegerSetSpec, m: int, l: int, n: int, min_a: int, min_
     t_floor = ceil_nth_root(min_a + 1, m)
     if (t_floor + (l - 1) * (min_d + 1)) ** m * n > horizon:
         raise DomainError("horizon admits no candidate pattern")
-    best = _least_pair(spec.view(horizon), n, horizon, t_floor, min_d + 1, l, lambda t, i, d: (t + i * d) ** m,
+    best = _least_pair(spec, n, horizon, t_floor, min_d + 1, l, lambda t, i, d: (t + i * d) ** m,
                        lambda y, i, d: ceil_nth_root(y, m) - i * d, lambda y, i, t: -(-(ceil_nth_root(y, m) - t) // i))
     return best and _witness(PowerProgression(max(min_a + 1, (best[0] - 1) ** m + 1), best[1], l, m), spec, n, horizon)

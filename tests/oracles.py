@@ -146,6 +146,22 @@ def brute_products(a_elements, b_elements, lo, hi):
     return sorted(out)
 
 
+def brute_gap_witness(a_elements, b_elements, n, cands):
+    """(x, m, product count) of the window [x, n*x], x in cands, with the
+    least gap statistic m, ties to the smallest x; None when every window is
+    empty.  Every window is enumerated in full, its leading gap from x
+    included."""
+    best = None
+    for x in sorted(cands):
+        a_in, b_in = [a for a in a_elements if a <= n * x], [b for b in b_elements if b <= n * x]
+        prods = brute_products(a_in, b_in, x, n * x)
+        if prods:
+            m = max(-(-prods[0] // x), brute_max_gap_ratio(prods))
+            if best is None or m < best[1]:
+                best = (x, m, len(prods))
+    return best
+
+
 def brute_max_gap_ratio(products):
     if len(products) < 2:
         return 1

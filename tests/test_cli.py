@@ -195,6 +195,17 @@ def test_search_capacity_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_search_sieve_kinds_up_to_membership_horizon(capsys):
+    # sieve kinds answer searches by trial-division point queries up to
+    # MEMBERSHIP_HORIZON (1e12) without sieving, and exit 4 above it
+    args = ["search-gp", "--set", "primes", "--l", "2", "--n", "2", "--min-a", "1", "--min-r", "30000", "--horizon"]
+    assert cli.main(args + ["1e12", "--format", "json"]) == 0
+    w = json.loads(capsys.readouterr().out)["report"]["witness"]
+    assert (w["a"], w["r"], w["matches"]) == (2, 30001, [[2, 2], [60002, 59999]])
+    assert cli.main(args + ["1e13"]) == 4
+    assert "sieve membership" in capsys.readouterr().err
+
+
 def test_sparse_search_at_large_horizon_answers():
     # {1, 1e12} at 1e13 with min ratio (step) 10: a = 1 has one far ratio,
     # which a walk over the ratios would reach only after 5e11 of them; run
@@ -210,7 +221,7 @@ def test_sparse_search_at_large_horizon_answers():
 
 
 def test_horizon_beyond_int64_exit_code(capsys):
-    # IntegerSetSpec.view is where every functional and search turns the
+    # IntegerSetSpec.view is where every density functional turns the
     # horizon into int64; past 2^63 - 1 it raises CapacityError
     for spec in ("full", "explicit:3,5,11", "example2:j=2,depth=4"):
         assert cli.main(["density", "--set", spec, "--horizon", "1e19"]) == 4

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from densitylab import intset, productset
 from densitylab.errors import CapacityError, DomainError
-from densitylab.intset import IntegerSetSpec
+from densitylab.intset import IntegerSetSpec, IntervalSet
+from densitylab.numerics import geometric_grid
 from densitylab.productset import GapReport, gap_witness, max_gap_ratio, products_in
 
-from oracles import brute_max_gap_ratio, brute_primes, brute_products
+from oracles import brute_gap_witness, brute_max_gap_ratio, brute_primes, brute_products, brute_squarefree
 
 FULL = IntegerSetSpec.full()
 SQUAREFREE = IntegerSetSpec.squarefree()
@@ -34,6 +36,21 @@ def test_products_in_matches_brute(rng):
         hi = lo + int(rng.randint(0, 20000))
         got = products_in(EXPL(a), EXPL(b), lo, hi).tolist()
         assert got == brute_products(a, b, lo, hi)
+    # full x full: long b-ranges for small a and many repeated products
+    got = products_in(FULL, FULL, 60000, 100000).tolist()
+    assert got == brute_products(range(1, 100001), [1], 60000, 100000)
+    assert products_in(FULL, FULL, 1, 400).tolist() == brute_products(range(1, 401), range(1, 401), 1, 400)
+
+
+def test_products_in_chunks_match_one_chunk(monkeypatch, rng):
+    # ranges cut into chunks, one range spanning several chunk sizes
+    a = sorted(rng.choice(np.arange(1, 300), size=40, replace=False).tolist())
+    b = sorted(rng.choice(np.arange(1, 3000), size=400, replace=False).tolist())
+    want = products_in(EXPL(a), EXPL(b), 1, 100000).tolist()
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(productset, "_CHUNK", chunk)
+        assert products_in(EXPL(a), EXPL(b), 1, 100000).tolist() == want
+    assert want == brute_products(a, b, 1, 100000)
 
 
 def test_products_in_bounded_factors_match_brute(rng, monkeypatch):
@@ -154,3 +171,79 @@ def test_gap_monotone_in_n(rng):
 def test_gap_report_json():
     r = gap_witness(EXPL([10]), EXPL([10]), 4, 10**4)
     assert r.to_json() == {"n": 4, "x": 100, "m": 1, "products": 1, "lo": 100, "hi": 400}
+
+
+def _oracle_elements(spec, horizon):
+    if spec.kind == "squarefree":
+        return brute_squarefree(horizon)
+    if spec.kind == "primes":
+        return brute_primes(horizon)
+    return spec.members(1, horizon).tolist()
+
+
+def _random_spec(rng, horizon):
+    kind = rng.choice(["explicit", "explicit", "interval_union", "example2", "full", "even", "squarefree", "primes"])
+    if kind == "explicit":
+        size = int(rng.randint(1, 12))
+        return EXPL(rng.choice(np.arange(1, horizon + 1), size=size, replace=False).tolist())
+    if kind == "interval_union":
+        comps = []
+        for _ in range(int(rng.randint(1, 5))):
+            a = int(rng.randint(1, horizon + 1))
+            comps.append((a, a + int(rng.randint(0, horizon // 20 + 1))))
+        return IntegerSetSpec.interval_union(IntervalSet(tuple(comps)))
+    if kind == "example2":
+        return IntegerSetSpec.example2(int(rng.randint(2, 4)), 2)
+    return getattr(IntegerSetSpec, kind)()
+
+
+# (A, B, n, horizon): singleton windows (m = 1) reached after a window with
+# m = 2, when the probe answers; in the last, the window at x = 12 holds 18
+# and 12 from different factors a, each with one b
+PROBE_CASES = [
+    (EXPL([10]), EXPL([10]), 4, 10**4),
+    (EXPL([1, 2, 3, 100]), EXPL([1]), 2, 400),
+    (EXPL([2, 3, 7, 200]), IntegerSetSpec.example2(2, 0), 3, 2000),
+    (IntegerSetSpec.example2(2, 1), EXPL([1, 50]), 2, 2000),
+    (EXPL([1, 3, 30, 31]), EXPL([1, 2, 1000]), 2, 4000),
+    (EXPL([2, 3]), EXPL([4, 9]), 2, 100),
+]
+
+
+@pytest.mark.parametrize("steps", [None, 1], ids=["probe", "array-fallback"])
+def test_gap_witness_vs_full_enumeration_oracle(rng, monkeypatch, steps):
+    # every candidate window enumerated in full gives the same report as the
+    # m = 2 probe; a step budget of 1 sends undecided windows to the arrays
+    fallbacks = []
+    if steps is not None:
+        monkeypatch.setattr(productset, "_PROBE_STEPS", steps)
+        distinct = productset._distinct_upto2
+        monkeypatch.setattr(productset, "_distinct_upto2", lambda *args: fallbacks.append(1) or distinct(*args))
+    cases = list(PROBE_CASES)
+    for _ in range(40):
+        horizon = int(rng.choice([300, 600, 2000]))
+        a, b = _random_spec(rng, horizon), _random_spec(rng, horizon)
+        cases.append((a, b, int(rng.choice([2, 3, 4, 16])), horizon))
+    singletons = 0
+    for a, b, n, horizon in cases:
+        cands = productset._exact_candidates(a, b, n, horizon // n, horizon) or geometric_grid(1, horizon // n, 1.1)
+        want = brute_gap_witness(_oracle_elements(a, horizon), _oracle_elements(b, horizon), n, cands)
+        got = gap_witness(a, b, n, horizon)
+        assert (got and (got.x, got.m, got.products_examined)) == want, (a, b, n, horizon)
+        singletons += bool(want and want[1] == 1)
+    assert singletons >= len(PROBE_CASES)
+    assert fallbacks or steps is None  # the budget of 1 reached the arrays
+
+
+def test_gap_witness_sieves_only_before_m2(monkeypatch):
+    # after the first window with m = 2 the probe asks sieve kinds for
+    # members by point queries; only the full enumerations before it sieve
+    calls = []
+    sieve = intset._sieve_members
+    monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi: calls.append(hi) or sieve(kind, hi))
+    primes, ex2 = IntegerSetSpec.primes(), IntegerSetSpec.example2(2, 4)
+    r = gap_witness(primes, primes, 4, 10**8)
+    assert (r.x, r.m, r.products_examined) == (2, 2, 2)
+    r = gap_witness(ex2, SQUAREFREE, 2, 10**8)
+    assert (r.x, r.m, r.products_examined) == (1, 2, 1)
+    assert calls and max(calls) <= 10**3

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from densitylab.errors import CapacityError, DomainError
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.numerics import ceil_nth_root, floor_nth_root
-from densitylab import progressions
+from densitylab import intset, progressions
 from densitylab.progressions import (
     _allowed,
     ApproxWitness,
@@ -117,23 +117,26 @@ def _brute_allowed(spec, x, n, horizon, steps):
 
 
 def _check_allowed(spec, horizon, rng, ns=(1, 2, 3, 10), steps=800):
-    """_allowed(view, x, n) against a brute scan, x on block edges, in gaps,
-    past the last block and at random."""
-    view = spec.view(horizon)
-    starts, ends = view[0].tolist(), view[1].tolist()
+    """_allowed(spec, x, n, horizon) against a brute scan, x on block edges
+    (of at most 300 blocks, sampled for element views), in gaps, past the
+    last block and at random."""
+    starts, ends = (v.tolist() for v in spec.view(horizon))
+    if len(starts) > 300:
+        keep = sorted(rng.choice(len(starts), size=300, replace=False).tolist()) + [len(starts) - 1]
+        starts, ends = [starts[i] for i in keep], [ends[i] for i in keep]
     for n in ns:
         edges = {v + e for s, t in zip(starts, ends) for v in (s * n, t * n, s // n, t // n) for e in (-2, -1, 0, 1)}
         xs = sorted({x for x in edges if x >= 1} | set(rng.randint(1, horizon // n + 1, size=40).tolist()))
         for x in xs:
-            got = _allowed(view, x, n)
+            got = _allowed(spec, x, n, horizon)
             want, meets = _brute_allowed(spec, x, n, horizon, steps)
             assert (got == x) == meets(x), (x, n)
             if want is not None:
                 assert got == want, (x, n)
             else:  # beyond the stepped range: check the answer itself
                 assert got is None or (got >= x + steps and meets(got) and not meets(got - 1)), (x, n)
-        assert _allowed(view, ends[-1] * max(n, 2), n) is None  # past the last block
-    assert all(_allowed(view, x, 1) is None for x in starts + ends)  # n = 1 windows are empty
+        assert _allowed(spec, ends[-1] * max(n, 2), n, horizon) is None  # past the last block
+    assert all(_allowed(spec, x, 1, horizon) is None for x in starts + ends)  # n = 1 windows are empty
 
 
 def test_allowed_blocks_equal_elements(rng):
@@ -142,19 +145,18 @@ def test_allowed_blocks_equal_elements(rng):
         horizon = int(rng.randint(50, 5000))
         spec = _random_intervals(rng, horizon, int(rng.randint(1, 8)))
         twin = IntegerSetSpec.explicit(spec.members(1, horizon).tolist())
-        blocks, elems = spec.view(horizon), twin.view(horizon)
-        assert len(blocks[0]) <= len(spec.intervals)  # endpoints, not elements
+        assert len(spec.view(horizon)[0]) <= len(spec.intervals)  # endpoints, not elements
         for n in (1, 2, 3, 10):
             xs = rng.randint(1, horizon // n + 1, size=100).tolist()
-            assert [_allowed(blocks, x, n) for x in xs] == [_allowed(elems, x, n) for x in xs], n
+            assert [_allowed(spec, x, n, horizon) for x in xs] == [_allowed(twin, x, n, horizon) for x in xs], n
         _check_allowed(spec, horizon, rng)
 
 
 def test_allowed_full_is_one_block(rng):
     starts, ends = FULL.view(10**9)
     assert starts.tolist() == [1] and ends.tolist() == [10**9]
-    assert all(_allowed((starts, ends), x, 2) == x for x in range(1, 1000))
-    assert all(_allowed((starts, ends), x, 1) is None for x in range(1, 1000))  # n = 1 windows are empty
+    assert all(_allowed(FULL, x, 2, 10**9) == x for x in range(1, 1000))
+    assert all(_allowed(FULL, x, 1, 10**9) is None for x in range(1, 1000))  # n = 1 windows are empty
     _check_allowed(FULL, 10**9, rng)
 
 
@@ -164,6 +166,16 @@ def test_allowed_example2_blocks_beyond_int64(rng):
     view = spec.view(10**9)
     assert view[0].tolist() == [2, 65, 2197001] and view[1].tolist() == [4, 130, 4394002]
     _check_allowed(spec, 10**9, rng)
+
+
+@pytest.mark.parametrize("spec", [SQUAREFREE, IntegerSetSpec.primes()], ids=["squarefree", "primes"])
+def test_allowed_sieve_kinds_by_point_queries(spec, rng, monkeypatch):
+    # the oracle's edges come from the sieved view; _allowed itself sieves nothing
+    _check_allowed(spec, 10**6, rng)
+    sieve = []
+    monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi: sieve.append(hi))
+    assert _allowed(spec, 10**6 // 3, 3, 10**6) == 10**6 // 3
+    assert sieve == []
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +227,7 @@ def test_least_start_vs_brute(rng):
     # a leap must re-check every term at the new start
     for _ in range(150):
         els = _gapped(rng, 10**6)
-        view = IntegerSetSpec.explicit(els).view(10**6)
+        spec = IntegerSetSpec.explicit(els)
         n, l, k, m = int(rng.randint(2, 4)), int(rng.randint(1, 5)), int(rng.randint(1, 9)), int(rng.randint(1, 4))
         a0 = int(rng.randint(1, 60))
         geo = (lambda a, i: a * k**i, lambda y, i: -(-y // k**i), 10**6 // n // k ** (l - 1))
@@ -224,7 +236,7 @@ def test_least_start_vs_brute(rng):
         for term, least, cap in (geo, power):
             want = next((a for a in range(a0, cap + 1)
                          if all(has_n_approx(els, term(a, i), n) for i in range(l))), None)
-            assert progressions._least_start(view, n, a0, cap, l, term, least) == want
+            assert progressions._least_start(spec, n, 10**6, a0, cap, l, term, least) == want
 
 
 # (elements, op, m, l, n, min_a, min_r or min_d, horizon): the first witness
@@ -403,10 +415,10 @@ def _count_allowed(monkeypatch):
     calls = []
     allowed = progressions._allowed
 
-    def counting(view, x, n):
+    def counting(spec, x, n, horizon):
         calls.append(x)
         assert len(calls) < 1000, "unbounded search"  # fail fast instead of hanging
-        return allowed(view, x, n)
+        return allowed(spec, x, n, horizon)
 
     monkeypatch.setattr(progressions, "_allowed", counting)
     return calls

@@ -1,8 +1,9 @@
 """The benchmark's span tracer (perfbench/trace.py) wraps densitylab
-functions by name, among them ``density.power_sum_range`` and
-``progressions._allowed``.  A refactor that renames or stops calling one
-of them leaves the tracer blind without failing anything else; these tests
-run a traced and an untraced density and search request and check both."""
+functions by name, among them ``density.power_sum_range``,
+``progressions._allowed`` and the set walks ``next_member``/``prev_member``.
+A refactor that renames or stops calling one of them leaves the tracer blind
+without failing anything else; these tests run a traced and an untraced
+density, search and productset request and check both."""
 
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ARGS = ["density", "--set", "squarefree", "--horizon", "1e4", "--m", "2"]
+PRODUCTSET_ARGS = ["productset", "--set-a", "primes", "--set-b", "primes", "--n", "4,16", "--horizon", "1e6"]
 SEARCH_ARGS = ["search-gp", "--set", "example2:j=2,depth=4", "--l", "3", "--n", "2", "--min", "16", "--horizon", "1e8"]
 
 
@@ -40,3 +42,15 @@ def test_traced_search_equals_untraced_and_counts_point_queries(tmp_path):
     assert plain.stdout and traced.stdout == plain.stdout
     counts = [json.loads(line)["counts"] for line in spans.read_text().splitlines() if '"counts"' in line]
     assert counts and counts[-1].get("progressions.approx_calls", 0) > 0
+
+
+def test_traced_productset_equals_untraced_and_spans_cover_walks(tmp_path):
+    # after its first window with m = 2, gap_witness asks the sieve kinds
+    # for members by next_member/prev_member walks
+    spans = tmp_path / "spans.jsonl"
+    traced = _run([str(ROOT / "perfbench" / "trace.py"), str(spans), "req", "cli", *PRODUCTSET_ARGS])
+    plain = _run(["-m", "densitylab.cli", *PRODUCTSET_ARGS])
+    assert plain.returncode == traced.returncode == 0, traced.stderr.decode()
+    assert plain.stdout and traced.stdout == plain.stdout
+    groups = {(s.get("layer"), s.get("group")) for s in map(json.loads, spans.read_text().splitlines())}
+    assert {("productset", "gap"), ("intset", "walk")} <= groups
