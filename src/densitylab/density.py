@@ -12,11 +12,16 @@ density window maximum, and the weighted family
 
 All window maxima are exact over the truncated k-range, so no candidate
 maximum is sampled away.  The Banach windows and the count windows (bd, and
-bd_m at m = 1) share one scan, ``_window_max``: their values never fall while
-k steps over a non-member and never rise while it steps over a member, so
-only the set's block starts (its elements, for an element view) and the last
-k are evaluated.  The m-th root windows evaluate the left endpoint of each
-segment of constant ceil(k^(1/m)), where the value is non-increasing.
+bd_m at m = 1) never fall while k steps over a non-member and never rise
+while it steps over a member, so the maximum sits at a member or at the last
+k.  The Banach windows, and the count windows on a block view, scan the
+set's block starts (its elements, for an element view) and the last k in
+``_window_max``.  The count windows on an element view a read spans of
+consecutive members instead (``_count_max``): the member a[i] counts c
+members exactly when a[i + c - 1] - a[i] <= n, so the best count is found
+by bisection on c, each probe one chunked pass over those differences that
+stops at its first hit.  The m-th root windows evaluate the left endpoint of
+each segment of constant ceil(k^(1/m)), where the value is non-increasing.
 Every window sum of x^(-beta) comes from ``_power_sums``: block views
 (``full``, ``interval_union``, ``example2``) in closed form, never
 materialized, so also above the materialization cap; element views from
@@ -233,7 +238,8 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 
 def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=None):
     """The best window [k, tops(k)] over 1 <= k <= kmax on a set view, as
-    (value, k): the value is the count of members in the window, or, given
+    (value, k): the value is the count of members in the window (block views
+    only; ``_count_max`` answers element views), or, given
     ``weights = (spec, horizon, beta)``, their x**(-beta) sum, maximized by
     ``_power_sum_max``.
 
@@ -259,6 +265,59 @@ def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=No
     else:
         value, i = _power_sum_max(*weights, view, lambda: (cands, tops(cands)), counts)
     return value, int(cands[i])  # cands are sorted: the first maximizer
+
+
+# Members per chunk of a span probe: its temporaries are one chunk long.
+_SPAN_CHUNK = 1 << 16
+
+
+def _first_span(a: np.ndarray, j: int, c: int, n: int) -> int:
+    """The least i < j with a[i + c - 1] - a[i] <= n (i + c - 1 < |a|), or
+    -1: one pass over the differences, chunk by chunk, that returns at the
+    first chunk holding a hit."""
+    d = c - 1
+    m = min(j, len(a) - d)
+    for lo in range(0, m, _SPAN_CHUNK):
+        hi = min(lo + _SPAN_CHUNK, m)
+        hits = a[lo + d : hi + d] - a[lo:hi] <= n
+        i = int(np.argmax(hits))
+        if hits[i]:
+            return lo + i
+    return -1
+
+
+def _count_max(view: tuple[np.ndarray, np.ndarray], kmax: int, n: int) -> tuple[int, int]:
+    """The largest count of members in a window [k, k + n], 1 <= k <= kmax,
+    as (count, k*): k* is the smallest member k <= kmax whose window reaches
+    it, else kmax.
+
+    A block view scans its block starts with ``_window_max``.  On an element
+    view a = view[0] the member a[i] (i < j, the j members <= kmax) counts c
+    members exactly when a[i + c - 1] - a[i] <= n, which holds for every
+    smaller c too; so the best member count is found by bisection on c in
+    [1, min(n + 1, |a|)], each probe one ``_first_span`` pass, and k* is the
+    first member of the first span at that count.  kmax's own window, two
+    scalar counts, wins only when it holds more (a member wins a tie).
+    """
+    a = view[0]
+    if a is not view[1]:
+        value, k = _window_max(view, kmax, lambda k: k + n)
+        return int(value), k
+    j = int(np.searchsorted(a, kmax, side="right"))
+    best, first = 0, 0
+    if j:
+        best, hi = 1, min(n + 1, len(a))  # a[0] spans one member
+        while best < hi:
+            c = (best + hi + 1) // 2
+            i = _first_span(a, j, c, n)
+            if i < 0:
+                hi = c - 1
+            else:
+                best, first = c, i
+    top = int(count_le(view, kmax + n) - count_le(view, kmax - 1))
+    if top > best or not j:
+        return top, kmax
+    return best, int(a[first])
 
 
 def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
@@ -313,17 +372,18 @@ def lbd_estimate(spec: IntegerSetSpec, n_max: int, horizon: int, grid=None) -> f
 def bd_estimate_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
     """(max over k <= H-n of |A cap [k, k+n]|/(n+1), k*).
 
-    ``_window_max`` scans the block starts and H-n, so k* is the smallest
-    member k reaching the maximum, or H-n when none does.  That is not
-    always the smallest maximizing k: a window starting below the first
-    member of its best window reaches the same count (primes, n = 2,
-    H = 1000: k* = 2, and k = 1 counts the same two primes).
+    ``_count_max`` evaluates the members (on an element view, by spans of
+    consecutive members; on a block view, at the block starts) and H-n, so
+    k* is the smallest member k reaching the maximum, or H-n when none
+    does.  That is not always the smallest maximizing k: a window starting
+    below the first member of its best window reaches the same count
+    (primes, n = 2, H = 1000: k* = 2, and k = 1 counts the same two primes).
     """
     n = int(n)
     if not 1 <= n < horizon:
         raise DomainError("need 1 <= n < horizon")
-    best, k_star = _window_max(spec.view(horizon), horizon - n, lambda k: k + n)
-    return int(best) / (n + 1), k_star
+    best, k_star = _count_max(spec.view(horizon), horizon - n, n)
+    return best / (n + 1), k_star
 
 
 def bd_estimate(spec: IntegerSetSpec, n: int, horizon: int) -> float:
@@ -359,8 +419,8 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
         kmax = horizon - n
         if kmax < 1:
             return 0.0, 0
-        best, k_star = _window_max(spec.view(horizon), kmax, lambda k: k + n)
-        return int(best) / n, k_star
+        best, k_star = _count_max(spec.view(horizon), kmax, n)
+        return best / n, k_star
 
     tmax = floor_nth_root(horizon, m) - n
     if tmax < 1:

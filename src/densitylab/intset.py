@@ -459,11 +459,6 @@ _SEGMENT = 1 << 22
 
 
 @lru_cache(maxsize=1)
-def _small_prime_list() -> list:
-    return _small_primes().tolist()
-
-
-@lru_cache(maxsize=1)
 def _small_primes() -> np.ndarray:
     # big enough for segmented sieving to SIEVE_HORIZON and for trial
     # division membership up to MEMBERSHIP_HORIZON
@@ -536,27 +531,47 @@ def _sieve_members(kind: str, hi: int) -> np.ndarray:
     return arr
 
 
+# Trial division membership tries the first primes one by one in Python:
+# they end most non-members, and below 131**2 the loop alone answers, where
+# a vector operation would cost more than the loop does.  The further
+# divisors up to sqrt(x) go in one vectorized remainder, exact in int64 up
+# to MEMBERSHIP_HORIZON.
+_TRIAL_PREFIX = 32
+
+
+@lru_cache(maxsize=1)
+def _prefix_primes() -> list:
+    return _small_primes()[:_TRIAL_PREFIX].tolist()
+
+
+@lru_cache(maxsize=1)
+def _small_prime_squares() -> np.ndarray:
+    return _small_primes() ** 2
+
+
 def _is_squarefree(x: int) -> bool:
     if x < 4:
         return True
-    for p in _small_prime_list():
+    for p in _prefix_primes():
         q = p * p
         if q > x:
             return True
         if x % q == 0:
             return False
-    return True
+    k = int(np.searchsorted(_small_primes(), math.isqrt(x), side="right"))  # the primes with p * p <= x
+    return bool((x % _small_prime_squares()[_TRIAL_PREFIX:k]).all())
 
 
 def _is_prime(x: int) -> bool:
     if x < 2:
         return False
-    for p in _small_prime_list():
+    for p in _prefix_primes():
         if p * p > x:
             return True
         if x % p == 0:
             return x == p
-    return True
+    k = int(np.searchsorted(_small_primes(), math.isqrt(x), side="right"))
+    return bool((x % _small_primes()[_TRIAL_PREFIX:k]).all())
 
 
 # ---------------------------------------------------------------------------

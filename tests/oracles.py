@@ -56,6 +56,19 @@ def brute_bd(elements, n, horizon):
     return best / (n + 1)
 
 
+def brute_bd_at(elements, n, horizon):
+    """(best count, k*) of the windows [k, k+n], k <= horizon - n, by
+    scanning every k: k* is the smallest member k <= horizon - n whose
+    window reaches the best count, else horizon - n."""
+    kmax = horizon - n
+    counts = [bisect_right(elements, k + n) - bisect_left(elements, k) for k in range(1, kmax + 1)]
+    best = max(counts)
+    for x in elements:
+        if x <= kmax and counts[x - 1] == best:
+            return best, x
+    return best, kmax
+
+
 def _ceil_root(a, m):
     r = round(a ** (1.0 / m))
     while r**m < a:

@@ -25,6 +25,7 @@ from densitylab.density import (
 from oracles import (
     brute_banach_sup,
     brute_bd,
+    brute_bd_at,
     brute_bdm,
     brute_harmonic,
     brute_log_value,
@@ -266,6 +267,65 @@ def test_bd_vs_exhaustive_oracle(seed, n):
     els = sorted(rng.choice(np.arange(1, 2001), size=400, replace=False).tolist())
     got = bd_estimate(IntegerSetSpec.explicit(els), n, 2000)
     assert got == brute_bd(els, n, 2000)
+
+
+@pytest.fixture(params=[None, 3], ids=["chunk-default", "chunk-3"])
+def span_chunk(request, monkeypatch):
+    # chunks of 3 members split every probe: spans straddle chunk boundaries
+    # and a hit ends the pass early
+    if request.param is not None:
+        monkeypatch.setattr(density_module, "_SPAN_CHUNK", request.param)
+
+
+def _bd_cases(rng):
+    """(elements, n, horizon): seeded random explicit sets, then edge cases."""
+    cases = []
+    for _ in range(60):
+        H = int(rng.randint(2, 300))
+        els = (np.flatnonzero(rng.random_sample(H) < rng.choice([0.02, 0.2, 0.6, 0.95])) + 1).tolist()
+        cases += [(els, n, H) for n in sorted({1, 2, int(rng.randint(1, H)), H - 1})]
+    cases += [
+        ([], 5, 100),  # empty set
+        ([96, 97, 99], 10, 100),  # every member above kmax = 90
+        ([1, 95, 96, 97, 98, 99, 100], 10, 100),  # kmax's window is the best
+        ([2, 4, 96, 100], 10, 100),  # kmax ties member 2, which wins
+        ([3, 7, 20], 50, 100),  # n >= |A|
+        ([2, 3, 5, 7, 11, 13], 1, 20),  # n = 1
+        (list(range(10, 60)) + list(range(70, 140)), 30, 200),  # long dense runs
+        (list(range(1, 201)), 7, 200),  # every k is a member
+    ]
+    return cases
+
+
+def test_bd_at_vs_oracle(rng, span_chunk):
+    for els, n, H in _bd_cases(rng):
+        spec = IntegerSetSpec.explicit(els)
+        best, k_star = brute_bd_at(els, n, H)
+        assert bd_estimate_at(spec, n, H) == (best / (n + 1), k_star), (els, n, H)
+        assert bdm_window_sup_at(spec, 1, n, H) == (best / n, k_star), (els, n, H)
+
+
+def test_bd_element_view_sends_no_bulk_search(monkeypatch):
+    # an element view answers each window length by span probes and scalar
+    # counts: no search gets one query per member
+    spec = IntegerSetSpec.squarefree()
+    spec.view(10**6)
+    sizes = []
+    searchsorted, count_le = np.searchsorted, density_module.count_le
+
+    def spy_searchsorted(a, v, *args, **kwargs):
+        sizes.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    def spy_count_le(view, x):
+        sizes.append(np.size(x))
+        return count_le(view, x)
+
+    monkeypatch.setattr(np, "searchsorted", spy_searchsorted)
+    monkeypatch.setattr(density_module, "count_le", spy_count_le)
+    for n in (2, 33, 1000, 10**5):
+        bd_estimate_at(spec, n, 10**6)
+    assert sizes and max(sizes) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from densitylab.intset import (
     materialize,
 )
 
-from oracles import brute_primes, brute_squarefree
+from oracles import brute_primes, brute_squarefree, is_prime_td, is_squarefree_td
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +63,29 @@ def test_contains_examples():
     assert not contains(IntegerSetSpec.squarefree(), 12)
     assert not contains(IntegerSetSpec.even(), 7)
     assert contains(IntegerSetSpec.example2(2, 3), 130)
+
+
+def _prime_below_td(x):
+    while not is_prime_td(x):
+        x -= 1
+    return x
+
+
+def test_contains_large_x_vs_trial_division():
+    # past the Python prefix of small primes, the divisors are tried in one
+    # vectorized remainder; square factors and prime factors near 1e6 need it
+    rng = np.random.RandomState(12)
+    xs = [int(x) for base in (10**8, 10**11, 10**12 - 10**6) for x in base + rng.randint(0, 10**6, size=3)]
+    for q in (1, 2, 3):
+        p = _prime_below_td(math.isqrt(10**12 // q))
+        xs.append(p * p * q)  # no square factor below p
+    p = _prime_below_td(10**6)
+    xs += [p * _prime_below_td(p - 1), 137 * 137 * 1009, 139 * 1000003]
+    xs.append(next(x for x in range(10**12 - 10**6, 10**12) if is_prime_td(x)))
+    sf, primes = IntegerSetSpec.squarefree(), IntegerSetSpec.primes()
+    for x in xs:
+        assert sf.contains(x) == is_squarefree_td(x), x
+        assert primes.contains(x) == is_prime_td(x), x
 
 
 def test_sieve_horizon_cap():
