@@ -23,14 +23,13 @@ by bisection on c, each probe one chunked pass over those differences that
 stops at its first hit.  The m-th root windows evaluate the left endpoint of
 each segment of constant ceil(k^(1/m)), where the value is non-increasing.
 Every window sum of x^(-beta) comes from ``_power_sums``: block views
-(``full``, ``interval_union``, ``example2``) in closed form, never
-materialized, so also above the materialization cap; element views from
-compensated prefix sums (``even`` too: its own closed form had no caller).
-The Banach scan and bd_m at m >= 2 only need the largest window, so on a
-block view they ask ``BlockSums.window_max`` (``_power_sum_max``): it
-estimates every window in O(1), sums exactly only those within the relative
-bound ``numerics.WINDOW_MAX_DELTA`` of the best estimate, and so reports the
-exact path's float and first maximizing k, bit for bit as a full scan would.
+(``full``, ``interval_union``, ``example2``) in closed form by
+``BlockSums``, never materialized, so also above the materialization cap;
+element views from compensated prefix sums (``even`` too: its own closed
+form had no caller).  The closed form is one O(1) kernel,
+``numerics.power_sums``, within 1e-14 relative of each range, so every
+window is summed and the largest is the ``np.argmax`` of all of them
+(``_power_sum_max``), the first maximizing k on ties.
 """
 
 from __future__ import annotations
@@ -159,12 +158,7 @@ def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, bounds, c
 
 def _power_sum_max(spec: IntegerSetSpec, horizon: int, beta: float, view, bounds, counts=None) -> tuple[float, int]:
     """(value, index) of the largest ``_power_sums`` window, the first one on
-    ties.  A block view asks ``BlockSums.window_max``, which sums exactly only
-    the windows whose O(1) estimate can reach the maximum and returns the
-    same float and index as the full scan; an element view takes the argmax
-    of its prefix-sum differences."""
-    if view[0] is not view[1]:
-        return _table(spec, horizon, beta, view).window_max(*bounds())
+    ties."""
     sums = _power_sums(spec, horizon, beta, view, bounds, counts)
     i = int(np.argmax(sums))
     return sums[i], i

@@ -122,9 +122,9 @@ def nu(window: Window, s) -> WindowMeasureReport:
     """Harmonic window measure sum_{a in S} 1/(a ln N) of an IntervalSet or
     element list inside [k, N*k].
 
-    Interval components are summed by the exact/Euler-Maclaurin hybrid of
-    ``power_sum_range`` (error under 1e-12 per component); element lists are
-    summed pairwise.  The error bound reported covers summation error only.
+    Interval components are summed in O(1) each by ``power_sum_range``
+    (within 1e-14 relative per component); element lists are summed
+    pairwise.  The error bound reported covers summation error only.
     """
     comps = _as_components(window, s)
     log_n = window.log_span

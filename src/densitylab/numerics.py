@@ -6,16 +6,11 @@ Everything downstream reduces to sums of the form
     sum_{x in S, lo <= x <= hi} x**(-beta),   0 <= beta <= 1,
 
 either over explicit element arrays (compensated prefix sums, queried by
-difference) or over full integer ranges (exact vectorized summation below a
-cutoff, Euler-Maclaurin tail expansion above it).  ``BlockSums`` answers
-windows over a union of integer blocks from the range sums: each whole block
-once, then only the parts of the blocks a window cuts.  Its largest window
-is found by bound-then-verify: an O(1) estimate of every cut part bounds each
-window within WINDOW_MAX_DELTA = 1e-12 relative (plus the rounding bound of
-an Euler-Maclaurin tail), and only the windows whose bound reaches the
-largest one are summed exactly.  Every window whose exact float is the
-maximum is among them, so the reported value and first maximizer are the
-exact path's, bit for bit; the estimates only decide what is summed.
+difference) or over full integer ranges, which one kernel, ``power_sums``,
+answers in O(1) per range: at most EXACT_TERMS terms term by term, a longer
+range as an exact head below EXACT_TERMS plus an Euler-Maclaurin tail.
+``BlockSums`` answers windows over a union of integer blocks from it: each
+whole block once, then only the parts of the blocks a window cuts.
 
 Accuracy notes
 --------------
@@ -26,14 +21,12 @@ Accuracy notes
   remains is the rounding of the correction accumulation itself, a
   second-order effect below 1e-12 even for 1e9 terms.  The documented
   worst-case error is < 1e-10 per 1e9 terms.
-* The Euler-Maclaurin tail is only used with endpoints >= EM_START, where the
-  first omitted term is below 1e-18; exact summation covers everything else.
-* The window-max estimate (``_estimate_range``) is within 5e-15 relative of
-  the true sum, and a cut part summed term by term within 4e-14, so
-  WINDOW_MAX_DELTA = 1e-12 holds both with a margin above 10.  A part longer
-  than EXACT_RANGE_LIMIT is summed as a difference of two EM tails of size
-  log(hi) or hi**(1-beta)/(1-beta), whose rounding is relatively larger on
-  short, far-out parts; its slack adds 16 ulps of that size.
+* ``power_sums`` is within 1e-14 relative of the true sum of every range,
+  at any distance from 1: its Euler-Maclaurin tail starts at
+  x >= EXACT_TERMS, where the truncation error is below 4e-15 relative, and
+  its integral is taken in difference form (log1p, expm1), so no two large
+  values cancel.  A range's float depends only on the range, not on the
+  other ranges of the call or its place among them.
 """
 
 from __future__ import annotations
@@ -45,6 +38,7 @@ import numpy as np
 __all__ = [
     "PrefixSums",
     "BlockSums",
+    "power_sums",
     "power_sum_range",
     "harmonic_range",
     "harmonic_number",
@@ -53,15 +47,12 @@ __all__ = [
     "geometric_grid",
 ]
 
-# Ranges at most this long are summed exactly (vectorized, pairwise).
-EXACT_RANGE_LIMIT = 1 << 22
-# Euler-Maclaurin endpoints must be at least this large.
-EM_START = 10**4
-# BlockSums.window_max: relative bound on the distance between a window's
-# O(1) estimate and its exact-path float (both well below 1e-13 relative).
-WINDOW_MAX_DELTA = 1e-12
-# ... and the estimate's exact head runs below this switch point.
-_EST_SWITCH = 256
+# Ranges of at most this many terms are summed term by term; a longer one
+# sums its terms below this term by term and the rest by Euler-Maclaurin.
+EXACT_TERMS = 256
+# Rows summed term by term at once: a chunk's terms are one
+# _ROWS x EXACT_TERMS matrix, so memory does not grow with the range count.
+_ROWS = 1 << 10
 
 
 class PrefixSums:
@@ -98,88 +89,79 @@ class PrefixSums:
         return float(self._s[-1] + self._c[-1])
 
 
-def _em_tail(n: float, beta: float) -> float:
-    # Asymptotic expansion of sum_{x<=n} x**(-beta) minus its constant term;
-    # only differences with both endpoints >= EM_START - 1 are ever taken, so
-    # the constant cancels.  First omitted term is O(n**(-beta-5)).
+def power_sums(lo, hi, beta: float) -> np.ndarray:
+    """sum_{x=lo}^{hi} x**(-beta) for each pair of integer arrays lo, hi
+    (int64, or object arrays of Python ints of any size), 1 <= lo,
+    0 <= beta <= 1; an empty range (hi < lo) sums to 0.
+
+    A range of at most EXACT_TERMS terms is summed term by term, as one
+    zero-padded row of EXACT_TERMS terms, in chunks of _ROWS rows.  A longer
+    range sums its terms below EXACT_TERMS the same way, and from
+    a = max(lo, EXACT_TERMS) to hi takes Euler-Maclaurin through the B4
+    term, with the integral in difference form so nothing cancels.
+    f = x**(-beta) is completely monotone, so that error is at most the first
+    omitted term, beta(beta+1)...(beta+4)/30240 * a**(-beta-5) <= 4e-3 a**(-5)
+    times the first term a**(-beta): below 4e-15 relative for a >= 256, and
+    rounding adds about 1e-15.  Every step is elementwise or one fixed-width
+    row, so a range's float does not depend on the other ranges of the call.
+    """
+    out = np.zeros(len(lo))
+    long = hi - lo >= EXACT_TERMS
+    top = np.where(long, EXACT_TERMS - 1, hi)  # the last term summed term by term
+    rows = np.flatnonzero(lo <= top)
+    for c in range(0, len(rows), _ROWS):
+        r = rows[c : c + _ROWS]
+        x = lo[r, None] + np.arange(EXACT_TERMS)
+        terms = _powers(x.astype(np.float64), beta)
+        terms[x > top[r, None]] = 0.0
+        out[r] = terms.sum(axis=1)
+    t = np.flatnonzero(long)
+    a_int = np.maximum(lo[t], EXACT_TERMS)
+    a, b = a_int.astype(np.float64), hi[t].astype(np.float64)
+    ratio = np.log1p((hi[t] - a_int).astype(np.float64) / a)  # log(b / a)
     if beta == 1.0:
-        inv = 1.0 / n
-        inv2 = inv * inv
-        return math.log(n) + inv * (0.5 - inv * (1.0 / 12.0 - inv2 / 120.0))
-    p = n ** (1.0 - beta)
-    inv = 1.0 / n
-    out = p / (1.0 - beta) + 0.5 * p * inv
-    out -= (beta / 12.0) * p * inv * inv
-    out += (beta * (beta + 1.0) * (beta + 2.0) / 720.0) * p * inv ** 4
+        integral = ratio
+    else:
+        integral = a ** (1.0 - beta) * np.expm1((1.0 - beta) * ratio) / (1.0 - beta)
+    fa, fb = _powers(a, beta), _powers(b, beta)
+    out[t] += (integral + 0.5 * (fa + fb) + (beta / 12.0) * (fa / a - fb / b)
+               - (beta * (beta + 1.0) * (beta + 2.0) / 720.0) * (fa / a**3 - fb / b**3))
     return out
 
 
-def _exact_range(lo: int, hi: int, beta: float) -> float:
-    if beta == 0.0:
-        return float(hi - lo + 1)
-    x = np.arange(lo, hi + 1, dtype=np.float64)
-    if beta == 1.0:
-        terms = np.reciprocal(x)
-    else:
-        terms = x ** (-beta)
-    return float(np.sum(terms))
+def _powers(x: np.ndarray, beta: float) -> np.ndarray:
+    return np.reciprocal(x) if beta == 1.0 else x ** (-beta)
 
 
 def power_sum_range(lo: int, hi: int, beta: float) -> float:
-    """sum_{x=lo}^{hi} x**(-beta) for integers 1 <= lo <= hi, 0 <= beta <= 1.
-
-    Exact vectorized summation for ranges up to EXACT_RANGE_LIMIT terms;
-    longer ranges use an exact head below EM_START plus an Euler-Maclaurin
-    tail whose truncation error is far below 1e-15.  That tail is the
-    difference of two ``_em_tail`` values of size log(hi) (or
-    hi^(1-beta)/(1-beta)), so it also carries their rounding, a few ulps of
-    that size, which cancels into the result: the relative error grows far
-    from 1 (8.3e-7 at lo = 1e15, 2^22 + 5 terms, beta = 1).
-    """
+    """sum_{x=lo}^{hi} x**(-beta) for integers 1 <= lo <= hi, 0 <= beta <= 1:
+    ``power_sums`` of the one range, within 1e-14 relative.  The endpoints
+    may be Python ints of any size (they are passed as object arrays);
+    beta = 0 counts the range exactly."""
     if hi < lo:
         return 0.0
     if lo < 1:
         raise ValueError("range must start at 1 or above")
     if beta == 0.0:
         return float(hi - lo + 1)
-    if hi - lo + 1 <= EXACT_RANGE_LIMIT:
-        return _exact_range(lo, hi, beta)
-    total = 0.0
-    start = lo
-    if start < EM_START:
-        total += _exact_range(start, EM_START - 1, beta)
-        start = EM_START
-    return total + (_em_tail(float(hi), beta) - _em_tail(float(start - 1), beta))
+    return float(power_sums(np.array([lo], dtype=object), np.array([hi], dtype=object), beta)[0])
 
 
 class BlockSums:
     """Window sums of x**(-beta) over a union of sorted disjoint integer
     blocks [starts[b], ends[b]], without materializing its members.
 
-    Each block is summed once with ``power_sum_range`` into ``PrefixSums``,
-    so a window takes the blocks it covers whole by difference; the parts of
-    the at most two blocks it cuts are summed with ``power_sum_range``.
-    Windows holding the same members give the same float.
-
-    ``window_max`` finds the largest window by bound-then-verify: every
-    cut part is first estimated in O(1) (``_estimate_range``), a window is
-    kept only when its estimate plus its slack reaches the largest estimate
-    minus slack, and only the kept windows' cut parts are summed exactly,
-    with the same float operations as ``window_sums``.  The slack is
-    ``WINDOW_MAX_DELTA`` times the estimate, plus, for a cut part that
-    ``power_sum_range`` sums by its Euler-Maclaurin tail, a bound on that
-    tail's rounding.  It bounds the distance between a window's estimate and
-    its exact-path float, so every window whose float is the maximum is
-    kept, and the reported value and first index are those of
-    ``window_sums`` bit for bit.
+    One ``power_sums`` call sums every block into ``PrefixSums``, so a window
+    takes the blocks it covers whole by difference; the parts of the at most
+    two blocks it cuts take one ``power_sums`` call per side.  Windows
+    holding the same members give the same float.
     """
 
     def __init__(self, starts, ends, beta: float):
         self._starts = np.asarray(starts, dtype=np.int64)
         self._ends = np.asarray(ends, dtype=np.int64)
         self._beta = beta
-        blocks = zip(self._starts.tolist(), self._ends.tolist())
-        self._whole = PrefixSums([power_sum_range(a, b, beta) for a, b in blocks])
+        self._whole = PrefixSums(power_sums(self._starts, self._ends, beta))
 
     def _parts(self, lo, hi):
         """The covered whole blocks' sum of each window [lo, hi], and its
@@ -198,82 +180,12 @@ class BlockSums:
         right = (w, starts[stop[w]], hi[w])
         return covered, (left, right)
 
-    def _add_exact(self, out, cuts):
-        # out[i] += each cut part of window i, left part first
-        for w, a, b in cuts:
-            for i, x, y in zip(w.tolist(), a.tolist(), b.tolist()):
-                out[i] += power_sum_range(x, y, self._beta)
-
     def window_sums(self, lo, hi) -> np.ndarray:
         """Sum over the members in each window [lo, hi] (int64 arrays, lo <= hi)."""
         out, cuts = self._parts(lo, hi)
-        self._add_exact(out, cuts)
+        for w, a, b in cuts:  # the left parts, then the right ones
+            out[w] += power_sums(a, b, self._beta)
         return out
-
-    def window_max(self, lo, hi) -> tuple[float, int]:
-        """(value, index) of the largest window sum over the windows [lo, hi]
-        (int64 arrays, lo <= hi, at least one window): ``np.argmax`` of
-        ``window_sums(lo, hi)`` and its float, bit for bit, but only the
-        windows that can win are summed exactly."""
-        covered, cuts = self._parts(lo, hi)
-        est = covered.copy()
-        tail_slack = np.zeros(len(est))
-        for w, a, b in cuts:
-            est[w] += _estimate_range(a, b, self._beta)
-            long = (b - a) >= EXACT_RANGE_LIMIT  # summed by power_sum_range's EM tail
-            tail_slack[w[long]] += _em_rounding(b[long], self._beta)
-        slack = WINDOW_MAX_DELTA * est + tail_slack
-        kept = est + slack >= np.max(est - slack)
-        values = np.where(kept, covered, -np.inf)  # a pruned window never wins
-        self._add_exact(values, [(w[kept[w]], a[kept[w]], b[kept[w]]) for w, a, b in cuts])
-        i = int(np.argmax(values))
-        return values[i], i
-
-
-def _estimate_range(lo, hi, beta: float) -> np.ndarray:
-    """O(1) estimate of sum_{x=lo}^{hi} x**(-beta) for each pair of int64
-    arrays lo <= hi, within 5e-15 relative of the true sum.
-
-    Terms below _EST_SWITCH are summed exactly (a head of at most
-    _EST_SWITCH - 1 terms, clipped at hi).  From a = max(lo, _EST_SWITCH) to
-    hi, Euler-Maclaurin through the B4 term, with the integral in difference
-    form so nothing cancels.  f = x**(-beta) is completely monotone, so the
-    error is at most the first omitted term, beta(beta+1)...(beta+4)/30240 *
-    a**(-beta-5) <= 4e-3 a**(-5) times the first term a**(-beta): below
-    4e-15 relative for a >= 256, and rounding adds about 1e-15.
-    """
-    out = np.zeros(len(lo))
-    h = np.flatnonzero(lo < _EST_SWITCH)
-    if len(h):
-        x = lo[h, None] + np.arange(_EST_SWITCH)
-        terms = _powers(x.astype(np.float64), beta)
-        terms[x > np.minimum(hi[h], _EST_SWITCH - 1)[:, None]] = 0.0
-        out[h] = terms.sum(axis=1)
-    a_int = np.maximum(lo, _EST_SWITCH)
-    t = np.flatnonzero(hi >= a_int)
-    a = a_int[t].astype(np.float64)
-    b = hi[t].astype(np.float64)
-    ratio = np.log1p((hi[t] - a_int[t]).astype(np.float64) / a)  # log(b / a)
-    if beta == 1.0:
-        integral = ratio
-    else:
-        integral = a ** (1.0 - beta) * np.expm1((1.0 - beta) * ratio) / (1.0 - beta)
-    fa, fb = _powers(a, beta), _powers(b, beta)
-    out[t] += (integral + 0.5 * (fa + fb) + (beta / 12.0) * (fa / a - fb / b)
-               - (beta * (beta + 1.0) * (beta + 2.0) / 720.0) * (fa / a**3 - fb / b**3))
-    return out
-
-
-def _powers(x: np.ndarray, beta: float) -> np.ndarray:
-    return np.reciprocal(x) if beta == 1.0 else x ** (-beta)
-
-
-def _em_rounding(hi, beta: float) -> np.ndarray:
-    # bound on the rounding of power_sum_range's EM tail difference over
-    # [lo, hi]: a few ulps of the tail's size at hi, _em_tail(hi) ~ T(hi)
-    x = hi.astype(np.float64)
-    size = np.log(x) if beta == 1.0 else x ** (1.0 - beta) / (1.0 - beta)
-    return 16.0 * np.finfo(np.float64).eps * size
 
 
 def harmonic_range(lo: int, hi: int) -> float:

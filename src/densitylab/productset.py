@@ -83,7 +83,8 @@ def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int
     Materializes only the factors that can take part: A up to
     hi // min(B) and B up to hi // min(A).  Iterates a over that part of A
     and range-scans B cap [ceil(lo/a), floor(hi/a)], in flat vectorized
-    chunks.
+    chunks of about _CHUNK products, each sorted and made distinct before
+    they are merged, so memory holds one chunk's raw products at a time.
     """
     lo, hi = int(lo), int(hi)
     if lo > hi or lo < 1:
@@ -112,8 +113,12 @@ def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int
         sel, reps = nz[start:stop], lens[start:stop]
         first = ends[start:stop] - reps  # running start of each range
         pos = np.arange(first[0], ends[stop - 1], dtype=np.int64) + np.repeat(b_lo[sel] - first, reps)
-        pieces.append(np.repeat(a_elems[sel], reps) * b_elems[pos])
-    prods = np.concatenate(pieces)
+        pieces.append(_distinct(np.repeat(a_elems[sel], reps) * b_elems[pos]))
+    return pieces[0] if len(pieces) == 1 else _distinct(np.concatenate(pieces))
+
+
+def _distinct(prods: np.ndarray) -> np.ndarray:
+    """prods sorted in place, without repeats."""
     prods.sort()
     # distinct by neighbour inequality; np.unique takes a far slower hash path
     return prods[np.concatenate(([True], prods[1:] != prods[:-1]))]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,6 +106,18 @@ def test_monad_csv_flatten(tmp_path):
     )
     assert code == 0
     assert any(line.startswith("nu.value,") for line in text.splitlines())
+
+
+def test_monad_endpoints_above_int64(tmp_path):
+    # interval endpoints past 2**63 are summed like any others
+    lo = 2**64
+    code, text = run_cli(
+        ["monad", "--k", "1", "--N", "1e20", "--intervals", f"[[{lo}, {lo + 10**4}]]", "--format", "json"],
+        tmp_path, "big.json",
+    )
+    assert code == 0
+    value = json.loads(text)["report"]["nu"]["value"]
+    assert value == pytest.approx(10001 / (lo + 5000) / math.log(10**20), rel=1e-9)
 
 
 def test_search_gp_found_and_witness_schema(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from densitylab import density as density_module
-from densitylab import numerics
 from densitylab.errors import DomainError
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.density import (
@@ -444,16 +443,18 @@ def test_weights_cache_slices_match_fresh_builds(spec, monkeypatch):
     assert all(entry[0] == 10**5 for entry in cache.values())
 
 
-def test_bdm_full_sums_only_the_windows_that_can_win(monkeypatch):
-    # 9,900 windows of up to 2e6 terms each; the estimates leave 4 of them
-    # to sum exactly, plus the one whole block [1, 1e8] at build
-    calls = []
-    real = numerics.power_sum_range
-    monkeypatch.setattr(numerics, "power_sum_range", lambda a, b, beta: calls.append(b - a + 1) or real(a, b, beta))
-    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", {})
+def test_bdm_full_value_and_k_star_pins():
+    # 9,900 windows of up to 2e6 terms each, every one summed in O(1).
+    # References: mpmath at 50 digits, the Hurwitz zeta difference over the
+    # k* window [k, (ceil(sqrt(k)) + n)^2], divided by 2n
     value, k_star = bdm_window_sup_at(FULL, 2, 100, 10**8)
-    assert (value, k_star) == (1.0099999974492373, 97990202)
-    assert len(calls) <= 5
+    assert (value, k_star) == (1.0099999974492375, 97990202)
+    assert abs(value - 1.00999999744923730314) <= 2 * math.ulp(value)
+    # far out the windows differ by an ulp or two, so k* follows the last
+    # bits: the true maximum, 1.015151514897175918745..., is at 995718026
+    value, k_star = bdm_window_sup_at(FULL, 2, 66, 10**9)
+    assert k_star == 995718026
+    assert abs(value - 1.015151514897175918745) <= 2 * math.ulp(value)
 
 
 @pytest.mark.parametrize("m,n,H", [(2, 3, 4000), (2, 7, 4000), (3, 2, 8000)])

@@ -71,77 +71,55 @@ def test_block_sums_vs_fsum_oracle(rng):
 
 
 def test_block_sums_cut_at_most_two_blocks_per_window(rng, monkeypatch):
-    # whole blocks are summed once at build; a window sums only the parts of
-    # the blocks it cuts, so its cost does not grow with the blocks it covers
+    # whole blocks are summed in one call at build; a window sums only the
+    # parts of the blocks it cuts, one call per side, so its cost does not
+    # grow with the blocks it covers
     starts, ends = _random_blocks(rng, 5000, 50, 50)
     calls = []
-    real = numerics.power_sum_range
-    monkeypatch.setattr(numerics, "power_sum_range", lambda a, b, beta: calls.append(b - a + 1) or real(a, b, beta))
+    real = numerics.power_sums
+    monkeypatch.setattr(numerics, "power_sums", lambda a, b, beta: calls.append(b - a + 1) or real(a, b, beta))
     sums = BlockSums(starts, ends, 1.0)
-    assert len(calls) == 5000
+    assert len(calls) == 1 and len(calls[0]) == 5000
     calls.clear()
     lo = np.asarray(starts[:2000], dtype=np.int64)
     sums.window_sums(lo, lo * 2 + 7)
-    assert len(calls) <= 2 * 2000 and max(calls) <= 50
+    parts = np.concatenate(calls)
+    assert len(calls) <= 2 and len(parts) and parts.max() <= 50
     # windows holding the same members give the same float
     a = sums.window_sums(np.array([starts[9] - 1, starts[9]]), np.array([ends[40], ends[40] + 1]))
     assert a[0] == a[1]
 
 
-def _window_cases(rng):
-    """(starts, ends, lo, hi) cases for window_max: random unions, cut parts
-    below, across and above the estimate's switch point, exact ties, windows
-    in gaps, windows that are all zero and an empty union."""
-    S = numerics._EST_SWITCH
-    cases = []
-    starts, ends = _random_blocks(rng, 60, 40, 30)
-    for span in (3, 40, 3000):
-        lo = rng.randint(1, ends[-1] + 20, size=300)
-        cases.append((starts, ends, lo, lo + rng.randint(0, span, size=300)))
-    starts, ends = [S - 60, S + 40, 4 * S, 10 * S], [S + 20, 3 * S, 8 * S, 10**6]
-    lo = np.arange(1, 12 * S, 7)
-    for span in (5, 300, 5000, 10**6):
-        cases.append((starts, ends, lo, lo + span))
-    # ties: the best members come first at windows 2 and 3 (the same window)
-    # and again at 5, whose lo lies in the gap below the block
-    lo = np.array([S + 40, S + 500, S - 60, S - 60, 5 * S, S - 61, S - 50])
-    hi = np.array([3 * S, 3 * S + 2, 3 * S, 3 * S, 8 * S, 3 * S + 1, 3 * S])
-    cases.append((starts, ends, lo, hi))
-    gaps = np.array([S + 21, S + 30, 3 * S + 1, 9 * S])
-    cases.append((starts, ends, gaps, gaps + np.array([0, 19, 100, S - 1])))  # all zero
-    cases.append(([], [], np.array([1, 5]), np.array([5, 9])))
-    # near ties in one large block: windows [lo, 2 lo] whose values differ
-    # by less than the rounding of power_sum_range's Euler-Maclaurin tail
-    lo = 10**15 + rng.randint(0, 10**9, size=100).astype(np.int64) * 10**6
-    cases.append(([1], [10**17], lo, 2 * lo))
-    # ... and windows just past EXACT_RANGE_LIMIT terms far out, whose tail
-    # rounding is far above WINDOW_MAX_DELTA relative
-    lo = 10**15 + rng.randint(0, 10**6, size=100).astype(np.int64)
-    cases.append(([1], [10**17], lo, lo + numerics.EXACT_RANGE_LIMIT + 4))
-    return cases
+@pytest.mark.parametrize("beta", [1.0, 0.5, 2 / 3, 0.75])
+def test_estimate_range_vs_fsum(beta):
+    # power_sums: term by term up to EXACT_TERMS terms; past that an exact
+    # head below EXACT_TERMS, Euler-Maclaurin above it, or both
+    S = numerics.EXACT_TERMS
+    for lo in (1, S - 1, S, S + 1, 10**9):
+        for length in (1, 2, 255, 256, 257, 10**4, 10**6):
+            x = np.arange(lo, lo + length, dtype=np.float64)
+            want = math.fsum((np.reciprocal(x) if beta == 1.0 else x ** -beta).tolist())
+            got = numerics.power_sums(np.array([lo]), np.array([lo + length - 1]), beta)[0]
+            assert abs(got - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5, 2 / 3])
-def test_block_sums_window_max_is_argmax_of_window_sums(rng, beta):
-    for starts, ends, lo, hi in _window_cases(rng):
-        lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
-        sums = BlockSums(starts, ends, beta)
-        full = sums.window_sums(lo, hi)
-        i = int(np.argmax(full))
-        value, j = sums.window_max(lo, hi)
-        assert (float(value).hex(), j) == (float(full[i]).hex(), i)
-
-
-@pytest.mark.parametrize("beta", [1.0, 0.5, 2 / 3, 0.75])
-def test_estimate_range_vs_fsum(beta):
-    # head below the switch point, Euler-Maclaurin above it, and both
-    S = numerics._EST_SWITCH
-    for lo in (1, S - 1, S, S + 1, 10**9):
-        for length in (1, 2, 255, 256, 10**4, 10**6):
-            x = np.arange(lo, lo + length, dtype=np.float64)
-            want = math.fsum((np.reciprocal(x) if beta == 1.0 else x ** -beta).tolist())
-            got = numerics._estimate_range(np.array([lo]), np.array([lo + length - 1]), beta)[0]
-            assert abs(got - want) <= 1e-2 * numerics.WINDOW_MAX_DELTA * want
+def test_power_sums_bits_do_not_depend_on_position(rng, monkeypatch, beta):
+    # a range's float is the same in one long call, in shifted slices of it
+    # and alone, also when the term-by-term rows run in chunks of 3: Banach's
+    # smallest-k rule and BlockSums' equal windows rely on it
+    S = numerics.EXACT_TERMS
+    count = 3001
+    lo = np.where(rng.rand(count) < 0.5, rng.randint(1, 2 * S, count), rng.randint(1, 10**12, count))
+    length = np.where(rng.rand(count) < 0.5, rng.randint(0, S + 40, count), rng.randint(1, 10**7, count))
+    lo, hi = lo.astype(np.int64), (lo + length - 1).astype(np.int64)  # a few empty ranges
+    whole = numerics.power_sums(lo, hi, beta)
+    for shift in (1, 3, 1000):
+        assert np.array_equal(numerics.power_sums(lo[shift:], hi[shift:], beta), whole[shift:])
+    alone = [numerics.power_sums(lo[i : i + 1], hi[i : i + 1], beta)[0] for i in range(0, count, 29)]
+    assert np.array_equal(alone, whole[::29])
+    monkeypatch.setattr(numerics, "_ROWS", 3)
+    assert np.array_equal(numerics.power_sums(lo, hi, beta), whole)
 
 
 @pytest.mark.parametrize("lo,hi,beta", [
@@ -164,10 +142,19 @@ def test_harmonic_vs_fsum():
 
 
 def test_power_sum_range_crosses_em_cutoff_consistently():
-    # values on either side of the exact/Euler-Maclaurin switch agree
-    a = power_sum_range(3, 2**22 + 2, 1.0)
-    b = power_sum_range(3, 2**22 + 1, 1.0) + 1.0 / (2**22 + 2)
-    assert a == pytest.approx(b, abs=1e-12)
+    # values on either side of the term-by-term/Euler-Maclaurin switch agree,
+    # at the switch and far past it
+    for length in (numerics.EXACT_TERMS, 2**22):
+        a = power_sum_range(3, length + 3, 1.0)
+        b = power_sum_range(3, length + 2, 1.0) + 1.0 / (length + 3)
+        assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_power_sum_range_far_from_one():
+    # reference: mpmath at 50 digits, digamma(hi + 1) - digamma(lo)
+    # = 4.1943089912038881280097378524962696e-09
+    want = 4.194308991203888e-09
+    assert abs(power_sum_range(10**15, 10**15 + 2**22 + 4, 1.0) - want) <= 1e-15 * want
 
 
 @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=7))

@@ -43,13 +43,16 @@ def test_products_in_matches_brute(rng):
 
 
 def test_products_in_chunks_match_one_chunk(monkeypatch, rng):
-    # ranges cut into chunks, one range spanning several chunk sizes
+    # ranges cut into chunks, one range spanning several chunk sizes; each
+    # chunk is made distinct before the chunks are merged
     a = sorted(rng.choice(np.arange(1, 300), size=40, replace=False).tolist())
     b = sorted(rng.choice(np.arange(1, 3000), size=400, replace=False).tolist())
     want = products_in(EXPL(a), EXPL(b), 1, 100000).tolist()
     for chunk in (1, 7, 64):
         monkeypatch.setattr(productset, "_CHUNK", chunk)
         assert products_in(EXPL(a), EXPL(b), 1, 100000).tolist() == want
+        # full x full: each chunk repeats products within itself and of others
+        assert products_in(FULL, FULL, 2000, 4000).tolist() == list(range(2000, 4001))
     assert want == brute_products(a, b, 1, 100000)
 
 
