@@ -9,13 +9,11 @@ start does not exceed the last product meets A*B.
 
 ``gap_witness`` scans window starts and reports the x minimizing m.  Once a
 window with m = 2 is on record only singleton windows (m = 1) can improve
-the report, so later candidates are probed with a capped distinct-product
-count instead of a full enumeration; the result is identical to evaluating
-every candidate in full.  The probe asks the set specs for members by
-point queries (``next_member``/``prev_member``), so a sieve kind answers by
-trial division near each window and is not sieved to the horizon; only
-when _PROBE_STEPS factors do not decide a window are the factor sets
-materialized, once, for the remaining windows.
+the report, so later candidates are probed for a second distinct product
+instead of enumerated in full; the result is identical to evaluating every
+candidate in full.  The probe is a leapfrog join of A and B by point queries
+(``next_member``/``prev_member``): nothing is materialized, so a sieve kind
+answers by trial division near each window and is never sieved for it.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ PRODUCT_HORIZON = 10**9
 _CHUNK = 1 << 23
 # explicit-by-explicit pairs get an exact window scan up to this many products
 EXACT_SCAN_MAX_PRODUCTS = 4096
-# factors a the point-query probe walks before gap_witness materializes
-_PROBE_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -85,12 +81,19 @@ def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int
     and range-scans B cap [ceil(lo/a), floor(hi/a)], in flat vectorized
     chunks of about _CHUNK products, each sorted and made distinct before
     they are merged, so memory holds one chunk's raw products at a time.
+    The cap applies to the window clipped to its largest possible product,
+    so a window above every product of two finite sets is empty.
     """
     lo, hi = int(lo), int(hi)
     if lo > hi or lo < 1:
         raise DomainError("need 1 <= lo <= hi")
     if hi > limit:
-        raise CapacityError(f"productset window capped at {limit}")
+        a_top, b_top = a_spec.prev_member(hi), b_spec.prev_member(hi)
+        hi = min(hi, (a_top or 0) * (b_top or 0))
+        if hi > limit:
+            raise CapacityError(f"productset window capped at {limit}")
+        if lo > hi:
+            return np.empty(0, dtype=np.int64)
     factors = _factor_members(a_spec, b_spec, hi)
     if factors is None:
         return np.empty(0, dtype=np.int64)
@@ -143,55 +146,38 @@ def _window_gap(products: np.ndarray, x: int) -> int:
     return max_gap_ratio(products)
 
 
-def _distinct_upto2(a_elems: np.ndarray, b_elems: np.ndarray, lo: int, hi: int):
-    """(count of distinct products in [lo, hi] capped at 2, one product).
-
-    Scans a in blocks with early exit; for dense sets the first block (small
-    divisors with long b-ranges) already decides.
-    """
-    seen: int | None = None
-    for start in range(0, len(a_elems), 1024):
-        chunk = a_elems[start : start + 1024]
-        b_lo = np.searchsorted(b_elems, -(-lo // chunk), side="left")
-        b_hi = np.searchsorted(b_elems, hi // chunk, side="right")
-        lens = b_hi - b_lo
-        nz = np.flatnonzero(lens > 0)
-        if len(nz) == 0:
-            continue
-        if np.any(lens[nz] > 1):
-            return 2, None
-        uniq = np.unique(chunk[nz] * b_elems[b_lo[nz]])
-        if len(uniq) > 1 or (seen is not None and seen != int(uniq[0])):
-            return 2, None
-        seen = int(uniq[0])
-    return (0, None) if seen is None else (1, seen)
-
-
 def _probe_upto2(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int):
-    """``_distinct_upto2``'s answer by point queries, or None when
-    _PROBE_STEPS factors a do not decide it.
+    """(count of distinct products in [lo, hi] capped at 2, the product
+    when there is one), by a leapfrog join over point queries.
 
-    Walks a over A cap [ceil(lo / max b), hi // min(B)] with ``next_member``
-    and asks B for its first two members in [ceil(lo/a), hi // a]; a second
-    b or a second distinct product decides 2.  Nothing is materialized, so a
-    sieve kind answers by trial division near the window.
+    Walks a upward over A cap [1, hi // min(B)] and asks B for its first two
+    members in [ceil(lo/a), hi // a]; a second b or a second distinct
+    product decides 2.  When a has no partner, a leaps to the least member
+    of A at or above ceil(lo / bp), bp the greatest member of B at most
+    hi // a: every a'' below that has a''*bp < lo, and no b above bp pairs
+    with a'' >= a, so the leap skips no pair.  The bp of successive leaps
+    strictly decrease, so the walk takes at most min(|A'|, |B'| + P + 1)
+    steps over the factors A', B' that can pair and the P pairs in the window.
     """
-    a_min, b_min = a_spec.next_member(1, hi), b_spec.next_member(1, hi)
-    if a_min is None or b_min is None or a_min * b_min > hi:
+    b_min = b_spec.next_member(1, hi)
+    if b_min is None:
         return 0, None
     a_top = hi // b_min
-    a = a_spec.next_member(-(-lo // b_spec.prev_member(hi // a_min)), a_top)
+    a = a_spec.next_member(1, a_top)
     seen: int | None = None
-    for _ in range(_PROBE_STEPS):
-        if a is None:
-            return (0, None) if seen is None else (1, seen)
+    while a is not None:
         b = b_spec.next_member(-(-lo // a), hi // a)
-        if b is not None:
-            if b_spec.next_member(b + 1, hi // a) is not None or seen not in (None, a * b):
-                return 2, None
-            seen = a * b
+        if b is None:
+            bp = b_spec.prev_member(hi // a)
+            if bp is None:
+                break
+            a = a_spec.next_member(max(a + 1, -(-lo // bp)), a_top)
+            continue
+        if b_spec.next_member(b + 1, hi // a) is not None or seen not in (None, a * b):
+            return 2, None
+        seen = a * b
         a = a_spec.next_member(a + 1, a_top)
-    return None
+    return (0, None) if seen is None else (1, seen)
 
 
 def _exact_candidates(a_spec, b_spec, n: int, x_max: int, horizon: int) -> list[int] | None:
@@ -219,11 +205,10 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
     Candidate starts lie on a geometric grid (exact change-point scan for
     small explicit productsets).  Full enumeration runs until a window with
     the multi-product floor m = 2 is found; afterwards candidates are probed
-    for singleton windows only, which is equivalent and far cheaper: by
-    point queries (``_probe_upto2``), and over factor arrays materialized to
-    the horizon (``_distinct_upto2``) from the first window the point
-    queries leave undecided.  Windows enumerated in full cap at
-    PRODUCT_HORIZON; probed windows on sieve kinds at MEMBERSHIP_HORIZON.
+    for singleton windows only, which is equivalent and far cheaper: the
+    leapfrog ``_probe_upto2`` decides each by point queries.  Windows
+    enumerated in full cap their products at PRODUCT_HORIZON; probed windows
+    on sieve kinds cap at MEMBERSHIP_HORIZON.
     """
     n = int(n)
     if n < 2:
@@ -234,7 +219,6 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
     cands = _exact_candidates(a_spec, b_spec, n, x_max, horizon)
     if cands is None:
         cands = geometric_grid(1, x_max, grid_ratio)
-    factors = None
     best: GapReport | None = None
     for x in cands:
         lo, hi = x, n * x
@@ -243,12 +227,7 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
         if best is not None and best.m == 2:
             # multi-product windows cannot beat m = 2; only a singleton
             # window whose product equals x (m = 1) improves the report
-            probe = _probe_upto2(a_spec, b_spec, lo, hi) if factors is None else None
-            if probe is None:
-                if factors is None:
-                    factors = _factor_members(a_spec, b_spec, horizon)
-                probe = _distinct_upto2(*factors, lo, hi)
-            count, prod = probe
+            count, prod = _probe_upto2(a_spec, b_spec, lo, hi)
             if count == 1 and prod == x:
                 best = GapReport(n, x, 1, 1, (lo, hi))
                 break

@@ -166,6 +166,30 @@ def test_productset_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_productset_explicit_window_above_every_product(tmp_path):
+    # the 1e9 window cap applies to the products, and every product here is
+    # at most 55, so a horizon past the cap gives the same rows
+    rows = {}
+    for horizon in ("1e9", "2e9"):
+        code, text = run_cli(
+            ["productset", "--set-a", "explicit:3,5", "--set-b", "explicit:7,11", "--n", "2,3",
+             "--horizon", horizon],
+            tmp_path, f"prod-{horizon}.csv",
+        )
+        assert code == 0
+        rows[horizon] = text.splitlines()[1:]
+    assert rows["1e9"] == rows["2e9"] == ["n,x,m,products,lo,hi", "2,55,1,1,55,110", "3,55,1,1,55,165"]
+
+
+def test_productset_sparse_sieve_pair_past_sieve_horizon(tmp_path):
+    # singleton windows are probed by point queries, so primes are never
+    # sieved to the horizon and 1e10 answers like 1e9
+    args = ["productset", "--set-a", "primes", "--set-b", "explicit:3,1000003,7000000019", "--n", "2"]
+    code, text = run_cli([*args, "--horizon", "1e10"], tmp_path, "prod.csv")
+    assert code == 0
+    assert text.splitlines()[1:] == ["n,x,m,products,lo,hi", "2,3,2,1,3,6"]
+
+
 def test_certify_exit_codes(tmp_path):
     code, text = run_cli(["certify", "gp-free", "--set", "squarefree", "--horizon", "1e4"],
                          tmp_path, "c1.json")

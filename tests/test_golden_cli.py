@@ -147,6 +147,12 @@ GOLDEN_SEARCH = {
         ["productset", "--set-a", EX2, "--set-b", "squarefree", "--n", "2,4,16,64", "--horizon", "1e6"],
         0, "940ad38f551f009881aca08b084b239524fb03436938d42a62e02ef31eee199d",
     ),
+    # captured while its singleton windows sieved the primes to 1e9
+    "productset-primes-sparse-explicit": (
+        ["productset", "--set-a", "primes", "--set-b", "explicit:3,1000003,7000000019", "--n", "2",
+         "--horizon", "1e9"],
+        0, "5116aa67f33aa37667843d9cd9635b66b6edf99e7fd64550dc4b091204cdebf1",
+    ),
 }
 
 

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -114,8 +116,6 @@ def _soundness(report: GapReport, a_spec, b_spec):
     for p, q in zip(prods, prods[1:]):
         assert q <= m * p  # consecutive-pair certificate
     # direct spot checks at the worst breakpoints u = p + 1
-    import bisect
-
     for p in prods[:-1]:
         u = p + 1
         if u * m <= report.window[1]:
@@ -213,15 +213,9 @@ PROBE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("steps", [None, 1], ids=["probe", "array-fallback"])
-def test_gap_witness_vs_full_enumeration_oracle(rng, monkeypatch, steps):
+def test_gap_witness_vs_full_enumeration_oracle(rng):
     # every candidate window enumerated in full gives the same report as the
-    # m = 2 probe; a step budget of 1 sends undecided windows to the arrays
-    fallbacks = []
-    if steps is not None:
-        monkeypatch.setattr(productset, "_PROBE_STEPS", steps)
-        distinct = productset._distinct_upto2
-        monkeypatch.setattr(productset, "_distinct_upto2", lambda *args: fallbacks.append(1) or distinct(*args))
+    # m = 2 probe
     cases = list(PROBE_CASES)
     for _ in range(40):
         horizon = int(rng.choice([300, 600, 2000]))
@@ -235,18 +229,99 @@ def test_gap_witness_vs_full_enumeration_oracle(rng, monkeypatch, steps):
         assert (got and (got.x, got.m, got.products_examined)) == want, (a, b, n, horizon)
         singletons += bool(want and want[1] == 1)
     assert singletons >= len(PROBE_CASES)
-    assert fallbacks or steps is None  # the budget of 1 reached the arrays
+
+
+def _walk(monkeypatch, a_spec, b_spec, lo, hi):
+    """(the probe's answer, the factors a its walk visited)."""
+    visited = []
+    next_member = IntegerSetSpec.next_member
+
+    def spy(self, x, limit):
+        got = next_member(self, x, limit)
+        if self is a_spec and got is not None:
+            visited.append(got)
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IntegerSetSpec, "next_member", spy)
+        return productset._probe_upto2(a_spec, b_spec, lo, hi), visited
+
+
+def _random_explicit_pair(rng, size_max=400, top=3000):
+    """Two random explicit sets as element lists and specs (distinct objects,
+    so a spy can tell the factor sets apart)."""
+    a, b = (sorted(rng.choice(np.arange(1, top + 1), size=int(rng.randint(1, size_max + 1)),
+                              replace=False).tolist()) for _ in range(2))
+    return a, b, EXPL(a), EXPL(b)
+
+
+def _window_products(all_products, lo, hi):
+    return all_products[bisect.bisect_left(all_products, lo) : bisect.bisect_right(all_products, hi)]
+
+
+def test_probe_stress_vs_brute_oracle(rng, monkeypatch):
+    # the leapfrog walk has no step cap: long walks over narrow windows, where
+    # most factors a have no partner, answer like the brute product list
+    longest = 0
+    for _ in range(12):
+        a, b, a_spec, b_spec = _random_explicit_pair(rng)
+        every = brute_products(a, b, 1, a[-1] * b[-1])
+        for _ in range(25):
+            lo = int(rng.randint(1, a[-1] * b[-1] + 2))
+            hi = lo + int(rng.choice([0, 1, 5, 50, lo // 100, lo]))
+            (count, prod), visited = _walk(monkeypatch, a_spec, b_spec, lo, hi)
+            prods = _window_products(every, lo, hi)
+            assert (count, prod) == (min(len(prods), 2), prods[0] if len(prods) == 1 else None), (lo, hi)
+            longest = max(longest, len(visited))
+    assert longest > 64
+    # whole reports, singleton windows probed after an m = 2 window included
+    for size_max, n in ((400, 2), (60, 3), (30, 2), (30, 16)):
+        a, b, a_spec, b_spec = _random_explicit_pair(rng, size_max)
+        horizon = 4 * a[-1] * b[-1]
+        cands = productset._exact_candidates(a_spec, b_spec, n, horizon // n, horizon) or geometric_grid(
+            1, horizon // n, 1.1)
+        got = gap_witness(a_spec, b_spec, n, horizon)
+        assert (got.x, got.m, got.products_examined) == brute_gap_witness(a, b, n, cands)
+
+
+def test_probe_step_bound(rng, monkeypatch):
+    # every leap passes a member bp of B' that no later step sees again, so
+    # the walk takes at most min(|A'|, |B'| + P + 1) steps: A', B' the factors
+    # that can pair (a * min(B) <= hi, min(A) * b <= hi), P the pairs whose
+    # product lies in [lo, hi]; a walk stepping a by one over B's gaps does not
+    for size_max, top in ((400, 3000), (40, 3000), (400, 400)):
+        for _ in range(8):
+            a, b, a_spec, b_spec = _random_explicit_pair(rng, size_max, top)
+            for _ in range(20):
+                lo = int(rng.randint(1, a[-1] * b[-1] + 2))
+                hi = lo + int(rng.choice([0, 3, 40, lo // 50, lo]))
+                _, visited = _walk(monkeypatch, a_spec, b_spec, lo, hi)
+                a_can = [x for x in a if x * b[0] <= hi]
+                b_can = [y for y in b if a[0] * y <= hi]
+                pairs = sum(lo <= x * y <= hi for x in a_can for y in b_can)
+                assert len(visited) == len(set(visited))
+                assert len(visited) <= min(len(a_can), len(b_can) + pairs + 1), (lo, hi)
 
 
 def test_gap_witness_sieves_only_before_m2(monkeypatch):
-    # after the first window with m = 2 the probe asks sieve kinds for
+    # after the first window with m = 2 the probe asks every kind for
     # members by point queries; only the full enumerations before it sieve
-    calls = []
+    # or materialize factor sets
+    calls, events = [], []
     sieve = intset._sieve_members
     monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi: calls.append(hi) or sieve(kind, hi))
+    members = IntegerSetSpec.members
+    monkeypatch.setattr(IntegerSetSpec, "members", lambda self, lo, hi: events.append("members") or members(self, lo, hi))
+    probe = productset._probe_upto2
+    monkeypatch.setattr(productset, "_probe_upto2", lambda *args: events.append("probe") or probe(*args))
     primes, ex2 = IntegerSetSpec.primes(), IntegerSetSpec.example2(2, 4)
-    r = gap_witness(primes, primes, 4, 10**8)
-    assert (r.x, r.m, r.products_examined) == (2, 2, 2)
-    r = gap_witness(ex2, SQUAREFREE, 2, 10**8)
-    assert (r.x, r.m, r.products_examined) == (1, 2, 1)
+    sparse = EXPL([3, 1000003, 7000000019])
+    for a, b, n, horizon, want in ((primes, primes, 4, 10**8, (2, 2, 2)),
+                                   (ex2, SQUAREFREE, 2, 10**8, (1, 2, 1)),
+                                   (primes, sparse, 2, 10**9, (3, 2, 1)),
+                                   (sparse, primes, 2, 10**10, (3, 2, 1))):
+        events.clear()
+        r = gap_witness(a, b, n, horizon)
+        assert (r.x, r.m, r.products_examined) == want
+        assert "probe" in events and "members" not in events[events.index("probe"):]
     assert calls and max(calls) <= 10**3
