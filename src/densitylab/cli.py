@@ -2,7 +2,8 @@
 
 Commands: density, monad, search-gp, search-pap, productset, certify.
 Exit codes: 0 success, 2 validation error, 3 search exhausted (or a failed
-certification), 4 capacity exceeded.
+certification), 4 capacity exceeded (a request that runs out of memory
+too).
 
 Set specifications accept three forms:
   - shorthand:      full | even | squarefree | primes | example2:j=2,depth=4
@@ -445,6 +446,9 @@ def main(argv=None) -> int:
     except DensityLabError as exc:
         print(f"densitylab: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError:
+        print("densitylab: capacity: out of memory", file=sys.stderr)
+        return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

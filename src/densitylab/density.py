@@ -15,7 +15,8 @@ maximum is sampled away.  The Banach windows and the count windows (bd, and
 bd_m at m = 1) never fall while k steps over a non-member and never rise
 while it steps over a member, so the maximum sits at a member or at the last
 k.  The Banach windows, and the count windows on a block view, scan the
-set's block starts (its elements, for an element view) and the last k in
+set's block starts (its elements, for an element view, in chunks of 2^16
+members, so no temporary grows with |A|) and the last k in
 ``_window_max``.  The count windows on an element view a read spans of
 consecutive members instead (``_count_max``): the member a[i] counts c
 members exactly when a[i + c - 1] - a[i] <= n, so the best count is found
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError
 from .intset import IntegerSetSpec, block_offsets, count_le
-from .numerics import BlockSums, PrefixSums, floor_nth_root, geometric_grid
+from .numerics import BlockSums, PrefixSums, _powers, floor_nth_root, geometric_grid
 
 __all__ = [
     "DensityProfile",
@@ -133,33 +134,28 @@ def _table(spec: IntegerSetSpec, horizon: int, beta: float, view):
         if len(_WEIGHTS_CACHE) >= _WEIGHTS_CACHE_ENTRIES:
             _WEIGHTS_CACHE.clear()
         if starts is ends:
-            x = starts.astype(np.float64)
-            table = PrefixSums(np.reciprocal(x) if beta == 1.0 else x ** (-beta))
+            table = PrefixSums(starts, lambda lo, hi: _powers(starts[lo:hi].astype(np.float64), beta))
         else:
             table = BlockSums(starts, ends, beta)
         hit = _WEIGHTS_CACHE[key] = (horizon, table)
     return hit[1]
 
 
-def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, bounds, counts=None) -> np.ndarray:
+def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, lo, hi) -> np.ndarray:
     """Sum of x**(-beta) over the members of ``view = spec.view(horizon)`` in
-    each window [lo, hi] of (lo, hi) = bounds(): in closed form over a block
-    view (``BlockSums``), from prefix sums over an element view, read at the
-    member counts |A cap [1, lo - 1]| and |A cap [1, hi]| that ``counts()``
-    gives (Banach's block offsets; no window tops are held) or else counted."""
+    each window [lo, hi] (int64 arrays): in closed form over a block view
+    (``BlockSums``), from prefix sums over an element view, read at the
+    member counts |A cap [1, lo - 1]| and |A cap [1, hi]|."""
     table = _table(spec, horizon, beta, view)
     if view[0] is not view[1]:
-        return table.window_sums(*bounds())
-    if counts is None:
-        lo, hi = bounds()
-        return table.range_sum(count_le(view, lo - 1), count_le(view, hi))
-    return table.range_sum(*counts())
+        return table.window_sums(lo, hi)
+    return table.range_sum(count_le(view, lo - 1), count_le(view, hi))
 
 
-def _power_sum_max(spec: IntegerSetSpec, horizon: int, beta: float, view, bounds, counts=None) -> tuple[float, int]:
+def _power_sum_max(spec: IntegerSetSpec, horizon: int, beta: float, view, lo, hi) -> tuple[float, int]:
     """(value, index) of the largest ``_power_sums`` window, the first one on
     ties."""
-    sums = _power_sums(spec, horizon, beta, view, bounds, counts)
+    sums = _power_sums(spec, horizon, beta, view, lo, hi)
     i = int(np.argmax(sums))
     return sums[i], i
 
@@ -200,7 +196,7 @@ def log_profile(spec: IntegerSetSpec, horizon: int, checkpoints=None, kind: str 
         raise ValidationError("kind must be 'upper' or 'lower'")
     pts = _validate_checkpoints(checkpoints or default_checkpoints(horizon), horizon, minimum=2)
     tops = np.asarray(pts, dtype=np.int64)
-    sums = _power_sums(spec, horizon, 1.0, spec.view(horizon), lambda: (np.ones_like(tops), tops))
+    sums = _power_sums(spec, horizon, 1.0, spec.view(horizon), np.ones_like(tops), tops)
     values = [(n, float(s) / math.log(n)) for n, s in zip(pts, sums)]
     return DensityProfile(f"{kind}_log", horizon, tuple(values))
 
@@ -230,39 +226,58 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+# Members per chunk of a span probe or of a Banach scan on an element view:
+# their temporaries are one chunk long.
+_CHUNK = 1 << 16
+
+
 def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=None):
     """The best window [k, tops(k)] over 1 <= k <= kmax on a set view, as
     (value, k): the value is the count of members in the window (block views
     only; ``_count_max`` answers element views), or, given
-    ``weights = (spec, horizon, beta)``, their x**(-beta) sum, maximized by
-    ``_power_sum_max``.
+    ``weights = (spec, horizon, beta)``, their x**(-beta) sum.
 
     The window functionals here never fall while k steps over a non-member
     and never rise while it steps over a member, so the maximum is attained
     at a block start at or below kmax (for an element view, at an element) or
     at kmax; only those candidates are scanned.  The members below a block
     start are its block offset, so only kmax's left count and the window tops
-    need a search.  k is the first maximizing candidate.
+    need a search.  k is the first maximizing candidate.  An element view
+    is scanned in chunks of _CHUNK members (``_element_window_max``).
     """
     starts = view[0]
     j = int(np.searchsorted(starts, kmax, side="right"))
+    if weights is not None and starts is view[1]:
+        return _element_window_max(_table(*weights, view), view, j, kmax, tops)
     cands = np.append(starts[:j], kmax)
-
-    def counts():
-        return np.append(block_offsets(view)[:j], count_le(view, kmax - 1)), count_le(view, tops(cands))
-
     if weights is None:
-        below, upto = counts()
-        values = upto - below
+        values = count_le(view, tops(cands)) - np.append(block_offsets(view)[:j], count_le(view, kmax - 1))
         i = int(np.argmax(values))
         value = values[i]
     else:
-        value, i = _power_sum_max(*weights, view, lambda: (cands, tops(cands)), counts)
+        value, i = _power_sum_max(*weights, view, cands, tops(cands))
     return value, int(cands[i])  # cands are sorted: the first maximizer
 
 
-# Members per chunk of a span probe: its temporaries are one chunk long.
-_SPAN_CHUNK = 1 << 16
+def _element_window_max(table: PrefixSums, view, j: int, kmax: int, tops):
+    """``_window_max`` with weights on an element view a = view[0], whose
+    first j members are at most kmax: the member a[i] has i members below
+    it, so each chunk of members reads its sums from ``table`` at its
+    indices and its window tops' counts, and keeps its first maximum.  A
+    later chunk, and then kmax's window, replaces the best only when it is
+    strictly larger, which gives the first maximizer of one scan."""
+    a = view[0]
+    best, k = None, kmax
+    for lo in range(0, j, _CHUNK):
+        hi = min(lo + _CHUNK, j)
+        sums = table.range_sum(np.arange(lo, hi), count_le(view, tops(a[lo:hi])))
+        i = int(np.argmax(sums))
+        if best is None or sums[i] > best:
+            best, k = sums[i], int(a[lo + i])
+    top = table.range_sum(count_le(view, kmax - 1), count_le(view, tops(kmax)))
+    if best is None or top > best:
+        best, k = top, kmax
+    return best, k
 
 
 def _first_span(a: np.ndarray, j: int, c: int, n: int) -> int:
@@ -271,8 +286,8 @@ def _first_span(a: np.ndarray, j: int, c: int, n: int) -> int:
     first chunk holding a hit."""
     d = c - 1
     m = min(j, len(a) - d)
-    for lo in range(0, m, _SPAN_CHUNK):
-        hi = min(lo + _SPAN_CHUNK, m)
+    for lo in range(0, m, _CHUNK):
+        hi = min(lo + _CHUNK, m)
         hits = a[lo + d : hi + d] - a[lo:hi] <= n
         i = int(np.argmax(hits))
         if hits[i]:
@@ -422,7 +437,7 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     ts = range(1, tmax + 1)
     ks = np.asarray([1 if t == 1 else (t - 1) ** m + 1 for t in ts], dtype=np.int64)
     tops = np.asarray([(t + n) ** m for t in ts], dtype=np.int64)
-    best, i = _power_sum_max(spec, horizon, (m - 1) / m, spec.view(horizon), lambda: (ks, tops))
+    best, i = _power_sum_max(spec, horizon, (m - 1) / m, spec.view(horizon), ks, tops)
     return float(best) / (m * n), int(ks[i])  # ks are sorted: the first maximizer has the smallest k
 
 

@@ -590,11 +590,9 @@ def contains(spec: IntegerSetSpec, x: int) -> bool:
 
 
 def block_offsets(view: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Members before each block of a view, then |A|: entry i is
-    |A cap [1, starts[i] - 1]|, so an element view gives 0, 1, ..., |A|."""
+    """Members before each block of a block view, then |A|: entry i is
+    |A cap [1, starts[i] - 1]|."""
     starts, ends = view
-    if starts is ends:
-        return np.arange(len(starts) + 1)
     out = np.zeros(len(starts) + 1, dtype=np.int64)
     np.cumsum(ends - starts + 1, out=out[1:])
     return out

@@ -20,7 +20,10 @@ Accuracy notes
   non-increasing positive terms it is the error Fast2Sum would give); what
   remains is the rounding of the correction accumulation itself, a
   second-order effect below 1e-12 even for 1e9 terms.  The documented
-  worst-case error is < 1e-10 per 1e9 terms.
+  worst-case error is < 1e-10 per 1e9 terms.  The build runs in chunks of
+  _CHUNK weights, each carrying the running sums on from the last, so its
+  temporaries are one chunk long and both tables are bit-identical to one
+  sequential cumulative sum.
 * ``power_sums`` is within 1e-14 relative of the true sum of every range,
   at any distance from 1: its Euler-Maclaurin tail starts at
   x >= EXACT_TERMS, where the truncation error is below 4e-15 relative, and
@@ -53,31 +56,43 @@ EXACT_TERMS = 256
 # Rows summed term by term at once: a chunk's terms are one
 # _ROWS x EXACT_TERMS matrix, so memory does not grow with the range count.
 _ROWS = 1 << 10
+# Weights per chunk of a ``PrefixSums`` build: its temporaries are one chunk
+# long.
+_CHUNK = 1 << 16
 
 
 class PrefixSums:
-    """Compensated prefix sums of ``weights`` (positive).
+    """Compensated prefix sums of positive weights, one per entry of
+    ``entries`` (only its length is read): ``weights_of(lo, hi)`` returns the
+    weights of entries lo to hi - 1.
 
     ``range_sum(i, j)`` returns ``sum(weights[i:j])`` with the first-order
     rounding of the cumulative sum corrected for, so differences of far-apart
     prefixes stay accurate to ~1e-13 relative even over 1e7+ terms.
+
+    The build asks for _CHUNK weights at a time and writes each chunk's
+    running sums straight into the tables: a chunk's cumulative sum starts
+    from the carried running value, so both tables hold the bits of one
+    sequential cumulative sum over all the weights, and the temporaries are
+    one chunk long.
     """
 
-    def __init__(self, weights: np.ndarray):
-        w = np.ascontiguousarray(weights, dtype=np.float64)
-        s = np.zeros(len(w) + 1)
-        np.cumsum(w, out=s[1:])
-        # TwoSum error of each step s[i + 1] = s[i] + w[i], in place
-        e = s[1:] - s[:-1]
-        t = s[1:] - e
-        np.subtract(s[:-1], t, out=t)
-        np.subtract(w, e, out=e)
-        e += t
-        del t
-        c = np.zeros(len(w) + 1)
-        np.cumsum(e, out=c[1:])
-        self._s = s
-        self._c = c
+    def __init__(self, entries, weights_of):
+        n = len(entries)
+        s = self._s = np.zeros(n + 1)
+        c = self._c = np.zeros(n + 1)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            w = weights_of(lo, hi)
+            _carry_cumsum(s[lo : hi + 1], w)
+            # TwoSum error of each step s[i + 1] = s[i] + w[i]
+            s0, s1 = s[lo:hi], s[lo + 1 : hi + 1]
+            e = s1 - s0
+            t = s1 - e
+            np.subtract(s0, t, out=t)
+            np.subtract(w, e, out=e)
+            e += t
+            _carry_cumsum(c[lo : hi + 1], e)
 
     def range_sum(self, i, j):
         """Sum of weights[i:j]; i, j may be scalars or index arrays."""
@@ -87,6 +102,14 @@ class PrefixSums:
     @property
     def total(self) -> float:
         return float(self._s[-1] + self._c[-1])
+
+
+def _carry_cumsum(seg: np.ndarray, terms: np.ndarray) -> None:
+    """seg[1:] = seg[0] + cumsum(terms), in place, with the bits of one
+    sequential cumulative sum carried on from seg[0]."""
+    seg[1:] = terms
+    seg[1] += seg[0]
+    np.cumsum(seg[1:], out=seg[1:])
 
 
 def power_sums(lo, hi, beta: float) -> np.ndarray:
@@ -158,10 +181,10 @@ class BlockSums:
     """
 
     def __init__(self, starts, ends, beta: float):
-        self._starts = np.asarray(starts, dtype=np.int64)
-        self._ends = np.asarray(ends, dtype=np.int64)
+        starts = self._starts = np.asarray(starts, dtype=np.int64)
+        ends = self._ends = np.asarray(ends, dtype=np.int64)
         self._beta = beta
-        self._whole = PrefixSums(power_sums(self._starts, self._ends, beta))
+        self._whole = PrefixSums(starts, lambda lo, hi: power_sums(starts[lo:hi], ends[lo:hi], beta))
 
     def _parts(self, lo, hi):
         """The covered whole blocks' sum of each window [lo, hi], and its

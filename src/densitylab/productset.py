@@ -87,14 +87,8 @@ def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int
     lo, hi = int(lo), int(hi)
     if lo > hi or lo < 1:
         raise DomainError("need 1 <= lo <= hi")
-    if hi > limit:
-        a_top, b_top = a_spec.prev_member(hi), b_spec.prev_member(hi)
-        hi = min(hi, (a_top or 0) * (b_top or 0))
-        if hi > limit:
-            raise CapacityError(f"productset window capped at {limit}")
-        if lo > hi:
-            return np.empty(0, dtype=np.int64)
-    factors = _factor_members(a_spec, b_spec, hi)
+    hi = _capped_top(a_spec, b_spec, hi, limit)
+    factors = _factor_members(a_spec, b_spec, hi) if lo <= hi else None
     if factors is None:
         return np.empty(0, dtype=np.int64)
     a_elems, b_elems = factors
@@ -118,6 +112,18 @@ def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int
         pos = np.arange(first[0], ends[stop - 1], dtype=np.int64) + np.repeat(b_lo[sel] - first, reps)
         pieces.append(_distinct(np.repeat(a_elems[sel], reps) * b_elems[pos]))
     return pieces[0] if len(pieces) == 1 else _distinct(np.concatenate(pieces))
+
+
+def _capped_top(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, hi: int, limit: int) -> int:
+    """hi, or when hi is past ``limit`` the largest product a*b of members
+    a, b <= hi (0 when A or B has none); CapacityError when that is still
+    past ``limit``."""
+    if hi > limit:
+        a_top, b_top = a_spec.prev_member(hi), b_spec.prev_member(hi)
+        hi = min(hi, (a_top or 0) * (b_top or 0))
+        if hi > limit:
+            raise CapacityError(f"productset window capped at {limit}")
+    return hi
 
 
 def _distinct(prods: np.ndarray) -> np.ndarray:
@@ -182,14 +188,30 @@ def _probe_upto2(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: in
 
 def _exact_candidates(a_spec, b_spec, n: int, x_max: int, horizon: int) -> list[int] | None:
     """All window starts where the gap statistic can change, for small
-    explicit productsets; None when the exact scan does not apply."""
+    explicit productsets; None when the exact scan does not apply (more than
+    EXACT_SCAN_MAX_PRODUCTS distinct products up to the horizon).
+
+    The products a*min(B) are distinct, so more factors a than that decide
+    None at once; otherwise the distinct products are gathered row by row of
+    a, each row cut at that many plus one (its products are distinct too),
+    and the gathering stops as soon as there are more.  The horizon is capped
+    as ``products_in`` caps it."""
     if a_spec.kind != "explicit" or b_spec.kind != "explicit":
         return None
-    prods = products_in(a_spec, b_spec, 1, horizon)
-    if len(prods) > EXACT_SCAN_MAX_PRODUCTS:
-        return None
+    hi = _capped_top(a_spec, b_spec, horizon, PRODUCT_HORIZON)
+    factors = _factor_members(a_spec, b_spec, hi)
+    prods: set[int] = set()
+    if factors is not None:
+        a_elems, b_elems = factors
+        if len(a_elems) > EXACT_SCAN_MAX_PRODUCTS:
+            return None
+        for a in a_elems.tolist():
+            row = b_elems[: np.searchsorted(b_elems, hi // a, side="right")][: EXACT_SCAN_MAX_PRODUCTS + 1]
+            prods.update((row * a).tolist())
+            if len(prods) > EXACT_SCAN_MAX_PRODUCTS:
+                return None
     cands = {1, x_max}
-    for p in prods.tolist():
+    for p in prods:
         for c in (p - 1, p, p + 1, -(-p // n), -(-p // n) - 1):
             if 1 <= c <= x_max:
                 cands.add(c)

@@ -212,6 +212,15 @@ def test_capacity_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.density, "log_profile", exhausted)
+    assert cli.main(["density", "--set", "squarefree", "--horizon", "1e4"]) == 4
+    assert capsys.readouterr().err == "densitylab: capacity: out of memory\n"
+
+
 def test_search_capacity_exit_code(capsys):
     # full and interval sets are searched as blocks by point queries, so the
     # requests that once hit the 2^27 scan-range cap now answer; a horizon

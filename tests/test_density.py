@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,41 @@ def test_banach_smallest_maximizer_vs_exhaustive_oracle(rng):
     assert banach_window_sup_at(specs[-1], 2, H)[1] == 451
 
 
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, chunk):
+    # the element scan keeps each chunk's first maximum and lets a later
+    # chunk, then kmax's window, replace it only when strictly larger: the
+    # same (value, k*) as one scan, bit for bit
+    cases = []
+    for _ in range(40):
+        H = int(rng.randint(4, 400))
+        els = (np.flatnonzero(rng.random_sample(H) < rng.choice([0.05, 0.3, 0.8])) + 1).tolist()
+        cases += [(els, n, H) for n in sorted({2, 3, int(rng.randint(2, H + 1))})]
+    cases += [
+        # 1/4 = 1/10 + 1/12 + 1/15: members 4 and 10 tie, in two chunks of 1
+        ([4, 10, 12, 15], 2, 40),
+        ([32, 80, 96, 120], 2, 320),
+        # kmax = 8 is no member and its window [8, 16) ties member 4's
+        ([4, 10, 12, 15], 2, 15),
+        # kmax = 16 is a member: its own window ties its candidate
+        ([8, 16], 2, 32),
+        # kmax = 500's window [500, 999] wins over every member
+        ([3] + list(range(600, 901)), 2, 1000),
+        # every member is above kmax: only kmax's window is scanned
+        ([96, 97, 99], 2, 100),
+    ]
+    want = [banach_window_sup_at(IntegerSetSpec.explicit(els), n, H) for els, n, H in cases]
+    monkeypatch.setattr(density_module, "_CHUNK", chunk)
+    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", {})
+    for (els, n, H), one_scan in zip(cases, want):
+        got = banach_window_sup_at(IntegerSetSpec.explicit(els), n, H)
+        assert got == one_scan, (els, n, H)
+        value, k_star = brute_banach_sup(els, n, H)
+        assert got[1] == k_star and got[0] == pytest.approx(value, abs=1e-12), (els, n, H)
+    assert banach_window_sup_at(IntegerSetSpec.explicit([4, 10, 12, 15]), 2, 40) == (0.25, 3)
+    assert banach_window_sup_at(IntegerSetSpec.explicit([4, 10, 12, 15]), 2, 15) == (0.25, 3)
+
+
 def test_banach_subadditivity_exact(canonical_specs):
     # g(n^j) <= j*g(n), both sides from the same summation scheme
     H = 10**5
@@ -273,7 +309,7 @@ def span_chunk(request, monkeypatch):
     # chunks of 3 members split every probe: spans straddle chunk boundaries
     # and a hit ends the pass early
     if request.param is not None:
-        monkeypatch.setattr(density_module, "_SPAN_CHUNK", request.param)
+        monkeypatch.setattr(density_module, "_CHUNK", request.param)
 
 
 def _bd_cases(rng):
@@ -523,3 +559,24 @@ def test_monotone_in_subset(rng):
     assert bd_estimate(a, 20, H) <= bd_estimate(b, 20, H)
     assert bdm_window_sup(a, 2, 5, H) <= bdm_window_sup(b, 2, 5, H)
     assert lbd_estimate(a, 100, H) <= lbd_estimate(b, 100, H)
+
+
+def test_element_view_temporaries_are_bounded(monkeypatch):
+    # the prefix-sum build and the Banach scan run in chunks, so on an
+    # element view neither holds |A|-long temporaries: squarefree at 1e6 has
+    # 607,926 members, 4.9 MB per float64 array
+    spec, H, slack = IntegerSetSpec.squarefree(), 10**6, 4 * 2**20
+    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", {})
+    spec.view(H)  # the elements are held before tracing starts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        log_profile(spec, H)
+        held, peak = tracemalloc.get_traced_memory()
+        table = density_module._WEIGHTS_CACHE[(spec, 1.0)][1]
+        assert peak - base <= table._s.nbytes + table._c.nbytes + slack
+        tracemalloc.reset_peak()
+        lbd_profile(spec, 1000, H)
+        assert tracemalloc.get_traced_memory()[1] - held <= slack
+    finally:
+        tracemalloc.stop()

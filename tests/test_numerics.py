@@ -20,9 +20,13 @@ from densitylab.numerics import (
 from oracles import brute_harmonic
 
 
+def _prefix(w):
+    return PrefixSums(w, lambda lo, hi: w[lo:hi])
+
+
 def test_prefix_sums_match_fsum():
     w = 1.0 / np.arange(1, 200001, dtype=np.float64)
-    ps = PrefixSums(w)
+    ps = _prefix(w)
     assert ps.total == pytest.approx(math.fsum(w.tolist()), abs=1e-14)
     assert ps.range_sum(50000, 150000) == pytest.approx(
         math.fsum(w[50000:150000].tolist()), abs=1e-13
@@ -34,16 +38,34 @@ def test_prefix_sums_head_is_a_build_over_the_head():
     x = np.cumsum(rng.randint(1, 9, size=50000)).astype(np.float64)
     for beta in (1.0, 0.5, 2 / 3):
         w = np.reciprocal(x) if beta == 1.0 else x ** (-beta)
-        whole = PrefixSums(w)
+        whole = _prefix(w)
         # a cached build answers a smaller horizon's queries as they are
         for n in (0, 1, 2, 777, 49999, 50000):
-            built = PrefixSums(w[:n])
+            built = _prefix(w[:n])
             assert np.array_equal(whole._s[: n + 1], built._s) and np.array_equal(whole._c[: n + 1], built._c)
 
 
 def test_prefix_sums_empty_and_singleton():
-    assert PrefixSums(np.empty(0)).total == 0.0
-    assert PrefixSums(np.asarray([0.25])).total == 0.25
+    assert _prefix(np.empty(0)).total == 0.0
+    assert _prefix(np.asarray([0.25])).total == 0.25
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+def test_prefix_sums_chunked_build_matches_one_cumsum(rng, monkeypatch, chunk):
+    # the chunked build carries its running sums from chunk to chunk, so
+    # both tables keep the bits of one sequential cumulative sum
+    monkeypatch.setattr(numerics, "_CHUNK", chunk)
+    x = np.cumsum(rng.randint(1, 9, size=2000)).astype(np.float64)
+    for w in (np.reciprocal(x), x**-0.5, rng.random_sample(7), np.empty(0)):
+        s = np.zeros(len(w) + 1)
+        np.cumsum(w, out=s[1:])
+        e = (w - (s[1:] - s[:-1])) + (s[:-1] - (s[1:] - (s[1:] - s[:-1])))  # TwoSum error of each step
+        c = np.zeros(len(w) + 1)
+        np.cumsum(e, out=c[1:])
+        asked = []
+        built = PrefixSums(w, lambda lo, hi: asked.append(hi - lo) or w[lo:hi])
+        assert np.array_equal(built._s, s) and np.array_equal(built._c, c)
+        assert all(0 < k <= chunk for k in asked) and sum(asked) == len(w)
 
 
 def _random_blocks(rng, count, gap, length):

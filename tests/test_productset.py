@@ -231,6 +231,47 @@ def test_gap_witness_vs_full_enumeration_oracle(rng):
     assert singletons >= len(PROBE_CASES)
 
 
+def _brute_candidates(a, b, n, horizon, cap):
+    prods = brute_products(a, b, 1, horizon)
+    if len(prods) > cap:
+        return None
+    x_max = horizon // n
+    cands = {1, x_max}
+    for p in prods:
+        cands |= {c for c in (p - 1, p, p + 1, -(-p // n), -(-p // n) - 1) if 1 <= c <= x_max}
+    return sorted(cands)
+
+
+def test_exact_candidates_vs_brute(rng, monkeypatch):
+    # the product count is decided row by row of a, and past the cap without
+    # gathering every product; pairs fall on both sides of the cap
+    seen = set()
+    for cap, size_max in ((productset.EXACT_SCAN_MAX_PRODUCTS, 150), (40, 12)):
+        monkeypatch.setattr(productset, "EXACT_SCAN_MAX_PRODUCTS", cap)
+        for _ in range(40):
+            a, b, a_spec, b_spec = _random_explicit_pair(rng, size_max=size_max, top=int(rng.choice([300, 3000])))
+            n, horizon = int(rng.choice([2, 3, 16])), int(rng.choice([1000, 10**5, 2 * 10**9]))
+            got = productset._exact_candidates(a_spec, b_spec, n, horizon // n, horizon)
+            assert got == _brute_candidates(a, b, n, horizon, cap), (a, b, n, horizon)
+            seen.add((cap, got is None))
+    assert len(seen) == 4
+    assert productset._exact_candidates(EXPL([2]), IntegerSetSpec.primes(), 2, 50, 100) is None
+    assert productset._exact_candidates(EXPL([200]), EXPL([300]), 2, 50, 100) == [1, 50]
+    # a product past the cap raises as products_in does
+    with pytest.raises(CapacityError):
+        productset._exact_candidates(EXPL([3, 10**6]), EXPL([7, 10**4]), 2, 10**10, 2 * 10**10)
+
+
+def test_exact_candidates_many_factors_decide_at_once(monkeypatch):
+    # 5,000 factors a each give a distinct product a*min(B) up to the horizon
+    rng = np.random.RandomState(17)
+    a, b = (EXPL(rng.choice(np.arange(1, 10**5), size=5000, replace=False).tolist()) for _ in range(2))
+    calls = []
+    monkeypatch.setattr(productset, "products_in", lambda *args: calls.append(args))
+    assert productset._exact_candidates(a, b, 2, 10**9 // 2, 10**9) is None
+    assert calls == []
+
+
 def _walk(monkeypatch, a_spec, b_spec, lo, hi):
     """(the probe's answer, the factors a its walk visited)."""
     visited = []
