@@ -23,14 +23,18 @@ members exactly when a[i + c - 1] - a[i] <= n, so the best count is found
 by bisection on c, each probe one chunked pass over those differences that
 stops at its first hit.  The m-th root windows evaluate the left endpoint of
 each segment of constant ceil(k^(1/m)), where the value is non-increasing.
-Every window sum of x^(-beta) comes from ``_power_sums``: block views
-(``full``, ``interval_union``, ``example2``) in closed form by
-``BlockSums``, never materialized, so also above the materialization cap;
-element views from compensated prefix sums (``even`` too: its own closed
-form had no caller).  The closed form is one O(1) kernel,
+Every window sum of x^(-beta) comes from a cached table.  Block views
+(``full``, ``interval_union``, ``example2``) are summed in closed form by
+``BlockSums`` (``_power_sums``), never materialized, so also above the
+materialization cap.  The closed form is one O(1) kernel,
 ``numerics.power_sums``, within 1e-14 relative of each range, so every
-window is summed and the largest is the ``np.argmax`` of all of them
-(``_power_sum_max``), the first maximizing k on ties.
+window is summed and the largest is the ``np.argmax`` of all of them, the
+first maximizing k on ties.  Element views (``even`` too: its own closed form
+had no caller) read compensated prefix sums: the reciprocal sums of the log
+profile and Banach from one table per member (``_power_sums``), and bd_m at
+m >= 2 from sums kept only at the member counts of the perfect m-th powers,
+since its windows [(t-1)^m + 1, (t+n)^m] start and end there
+(``_root_sums``): one chunked pass, with no second per-member table.
 """
 
 from __future__ import annotations
@@ -113,51 +117,71 @@ def default_checkpoints(horizon: int, start: int = 2) -> list[int]:
 # Power sums: cached prefix sums of an element view, block sums of a block view
 # ---------------------------------------------------------------------------
 
-# One entry per (spec, beta): the largest horizon built so far and its table,
-# ``PrefixSums`` of the weights x**(-beta) of an element view's members or
-# the ``BlockSums`` of a block view.  Both answer a smaller horizon's windows
-# as they are (prefix sums are built front to back); a larger horizon
-# rebuilds the entry, as intset's sieve cache does.  The entry count is
-# bounded so a long-lived process that sees many specs does not keep all.
+# One entry per key, each a size and its table, rebuilt only for a larger
+# size (as intset's sieve cache is), so a smaller request reads it as it is:
+# * (spec, beta): the largest horizon so far and its ``BlockSums`` of a block
+#   view, or its ``PrefixSums`` of x**(-beta) over an element view's members,
+#   built for beta = 1 only (the log profile and Banach; prefix sums are
+#   built front to back);
+# * (spec, m), m >= 2 (never a beta in [0, 1]): the largest root so far and
+#   bd_m's sums over an element view, kept at the perfect m-th powers
+#   (``_root_sums``).
+# The entry count is bounded so a long-lived process that sees many specs
+# does not keep all.
 _WEIGHTS_CACHE: dict = {}
 _WEIGHTS_CACHE_ENTRIES = 64
 
 
-def _table(spec: IntegerSetSpec, horizon: int, beta: float, view):
-    """The cached ``PrefixSums`` (element view) or ``BlockSums`` (block view)
-    of x**(-beta) over ``view = spec.view(horizon)``."""
-    starts, ends = view
-    key = (spec, beta)
+def _cached(key, size: int, build):
+    """The cached table of ``key`` if built at ``size`` or above, else
+    ``build()``, cached at ``size``."""
     hit = _WEIGHTS_CACHE.get(key)
-    if hit is None or hit[0] < horizon:
+    if hit is None or hit[0] < size:
         _WEIGHTS_CACHE.pop(key, None)  # the smaller entry is not held while the larger one builds
         if len(_WEIGHTS_CACHE) >= _WEIGHTS_CACHE_ENTRIES:
             _WEIGHTS_CACHE.clear()
-        if starts is ends:
-            table = PrefixSums(starts, lambda lo, hi: _powers(starts[lo:hi].astype(np.float64), beta))
-        else:
-            table = BlockSums(starts, ends, beta)
-        hit = _WEIGHTS_CACHE[key] = (horizon, table)
+        hit = _WEIGHTS_CACHE[key] = (size, build())
     return hit[1]
+
+
+def _member_weights(a: np.ndarray, beta: float):
+    """``weights_of`` for a ``PrefixSums`` pass over the members a."""
+    return lambda lo, hi: _powers(a[lo:hi].astype(np.float64), beta)
+
+
+def _table(spec: IntegerSetSpec, horizon: int, beta: float, view):
+    """The cached ``PrefixSums`` (element view, beta = 1) or ``BlockSums``
+    (block view) of x**(-beta) over ``view = spec.view(horizon)``."""
+    starts, ends = view
+    if starts is ends:
+        return _cached((spec, beta), horizon, lambda: PrefixSums(starts, _member_weights(starts, beta)))
+    return _cached((spec, beta), horizon, lambda: BlockSums(starts, ends, beta))
+
+
+def _root_sums(spec: IntegerSetSpec, root: int, m: int, view) -> PrefixSums:
+    """The cached sums of x**(-(m-1)/m) over the members of an element view
+    of horizon at least root**m, kept only at the member counts
+    |A cap [1, s**m]| for s = 0..root: ``range_sum(t - 1, t + n)`` is the
+    window [(t-1)**m + 1, (t+n)**m], bit for bit the full table's sum.  One
+    chunked pass over the members <= root**m builds it; rows 0..r of a larger
+    root's table are those of root r."""
+
+    def build():
+        counts = count_le(view, np.arange(root + 1, dtype=np.int64) ** m)
+        return PrefixSums.at_counts(counts, _member_weights(view[0], (m - 1) / m))
+
+    return _cached((spec, m), root, build)
 
 
 def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, lo, hi) -> np.ndarray:
     """Sum of x**(-beta) over the members of ``view = spec.view(horizon)`` in
     each window [lo, hi] (int64 arrays): in closed form over a block view
-    (``BlockSums``), from prefix sums over an element view, read at the
-    member counts |A cap [1, lo - 1]| and |A cap [1, hi]|."""
+    (``BlockSums``), from prefix sums over an element view (beta = 1), read
+    at the member counts |A cap [1, lo - 1]| and |A cap [1, hi]|."""
     table = _table(spec, horizon, beta, view)
     if view[0] is not view[1]:
         return table.window_sums(lo, hi)
     return table.range_sum(count_le(view, lo - 1), count_le(view, hi))
-
-
-def _power_sum_max(spec: IntegerSetSpec, horizon: int, beta: float, view, lo, hi) -> tuple[float, int]:
-    """(value, index) of the largest ``_power_sums`` window, the first one on
-    ties."""
-    sums = _power_sums(spec, horizon, beta, view, lo, hi)
-    i = int(np.argmax(sums))
-    return sums[i], i
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +276,10 @@ def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=No
     cands = np.append(starts[:j], kmax)
     if weights is None:
         values = count_le(view, tops(cands)) - np.append(block_offsets(view)[:j], count_le(view, kmax - 1))
-        i = int(np.argmax(values))
-        value = values[i]
     else:
-        value, i = _power_sum_max(*weights, view, cands, tops(cands))
-    return value, int(cands[i])  # cands are sorted: the first maximizer
+        values = _power_sums(*weights, view, cands, tops(cands))
+    i = int(np.argmax(values))
+    return values[i], int(cands[i])  # cands are sorted: the first maximizer
 
 
 def _element_window_max(table: PrefixSums, view, j: int, kmax: int, tops):
@@ -412,9 +435,10 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     by n.  For m >= 2, integer m-th roots are exact (binary search); the value
     is non-increasing while ceil(k^(1/m)) stays fixed, so only the left
     endpoint of each root segment (plus k = 1) needs evaluation, which makes
-    the scan exact at every horizon.  The best window comes from ``_power_sum_max``
-    (``even`` reads its elements like any element kind: no caller needed a
-    closed form for it); ties resolve to the smallest k.
+    the scan exact at every horizon.  Window t is [(t-1)^m + 1, (t+n)^m]:
+    its sum comes from ``_root_sums`` on an element view (``even`` too: no
+    caller needed a closed form for it) and from ``_power_sums`` on a block
+    view; ties resolve to the smallest k.
     """
     m, n = int(m), int(n)
     if m < 1:
@@ -431,14 +455,18 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
         best, k_star = _count_max(spec.view(horizon), kmax, n)
         return best / n, k_star
 
-    tmax = floor_nth_root(horizon, m) - n
+    root = floor_nth_root(horizon, m)
+    tmax = root - n
     if tmax < 1:
         return 0.0, 0
-    ts = range(1, tmax + 1)
-    ks = np.asarray([1 if t == 1 else (t - 1) ** m + 1 for t in ts], dtype=np.int64)
-    tops = np.asarray([(t + n) ** m for t in ts], dtype=np.int64)
-    best, i = _power_sum_max(spec, horizon, (m - 1) / m, spec.view(horizon), ks, tops)
-    return float(best) / (m * n), int(ks[i])  # ks are sorted: the first maximizer has the smallest k
+    view = spec.view(horizon)
+    if view[0] is view[1]:  # window t reads rows t - 1 and t + n
+        sums = _root_sums(spec, root, m, view).range_sum(slice(0, tmax), slice(n + 1, root + 1))
+    else:
+        ts = np.arange(1, tmax + 1, dtype=np.int64)  # exact: every (t + n)**m <= horizon < 2**63
+        sums = _power_sums(spec, horizon, (m - 1) / m, view, (ts - 1) ** m + 1, (ts + n) ** m)
+    i = int(np.argmax(sums))  # window i + 1, the first maximizer, has the smallest k
+    return float(sums[i]) / (m * n), i**m + 1
 
 
 def bdm_window_sup(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> float:

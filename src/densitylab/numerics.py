@@ -23,7 +23,8 @@ Accuracy notes
   worst-case error is < 1e-10 per 1e9 terms.  The build runs in chunks of
   _CHUNK weights, each carrying the running sums on from the last, so its
   temporaries are one chunk long and both tables are bit-identical to one
-  sequential cumulative sum.
+  sequential cumulative sum.  A table kept only at chosen entry counts
+  (``PrefixSums.at_counts``) is the same pass, keeping fewer rows.
 * ``power_sums`` is within 1e-14 relative of the true sum of every range,
   at any distance from 1: its Euler-Maclaurin tail starts at
   x >= EXACT_TERMS, where the truncation error is below 4e-15 relative, and
@@ -56,7 +57,7 @@ EXACT_TERMS = 256
 # Rows summed term by term at once: a chunk's terms are one
 # _ROWS x EXACT_TERMS matrix, so memory does not grow with the range count.
 _ROWS = 1 << 10
-# Weights per chunk of a ``PrefixSums`` build: its temporaries are one chunk
+# Weights per chunk of a ``PrefixSums`` pass: its temporaries are one chunk
 # long.
 _CHUNK = 1 << 16
 
@@ -70,32 +71,37 @@ class PrefixSums:
     rounding of the cumulative sum corrected for, so differences of far-apart
     prefixes stay accurate to ~1e-13 relative even over 1e7+ terms.
 
-    The build asks for _CHUNK weights at a time and writes each chunk's
-    running sums straight into the tables: a chunk's cumulative sum starts
-    from the carried running value, so both tables hold the bits of one
-    sequential cumulative sum over all the weights, and the temporaries are
-    one chunk long.
+    ``PrefixSums.at_counts(counts, weights_of)`` keeps the sums only after
+    the sorted entry counts ``counts``: its ``range_sum(i, j)`` is the sum of
+    weights[counts[i]:counts[j]], bit for bit the full table's
+    ``range_sum(counts[i], counts[j])``, and it holds one row per count, not
+    one per entry.  Both come from one chunked pass, ``_running_sums``.
     """
 
     def __init__(self, entries, weights_of):
         n = len(entries)
-        s = self._s = np.zeros(n + 1)
-        c = self._c = np.zeros(n + 1)
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            w = weights_of(lo, hi)
-            _carry_cumsum(s[lo : hi + 1], w)
-            # TwoSum error of each step s[i + 1] = s[i] + w[i]
-            s0, s1 = s[lo:hi], s[lo + 1 : hi + 1]
-            e = s1 - s0
-            t = s1 - e
-            np.subtract(s0, t, out=t)
-            np.subtract(w, e, out=e)
-            e += t
-            _carry_cumsum(c[lo : hi + 1], e)
+
+        def rows(lo, hi):  # every count in (lo, hi]: the whole chunk
+            return slice(lo + 1, hi + 1), slice(1, None)
+
+        self._s, self._c = _running_sums(weights_of, n, n + 1, rows)
+
+    @classmethod
+    def at_counts(cls, counts: np.ndarray, weights_of) -> PrefixSums:
+        """The table kept at the sorted entry counts ``counts`` (int64, at
+        least one); the pass reads the weights of the first counts[-1]
+        entries."""
+
+        def rows(lo, hi):  # the counts in (lo, hi], as offsets into the chunk
+            r0, r1 = np.searchsorted(counts, (lo, hi), side="right")
+            return slice(r0, r1), counts[r0:r1] - lo
+
+        table = cls.__new__(cls)
+        table._s, table._c = _running_sums(weights_of, int(counts[-1]), len(counts), rows)
+        return table
 
     def range_sum(self, i, j):
-        """Sum of weights[i:j]; i, j may be scalars or index arrays."""
+        """Sum of weights[i:j]; i, j may be scalars, index arrays or slices."""
         s, c = self._s, self._c
         return (s[j] - s[i]) + (c[j] - c[i])
 
@@ -104,10 +110,42 @@ class PrefixSums:
         return float(self._s[-1] + self._c[-1])
 
 
-def _carry_cumsum(seg: np.ndarray, terms: np.ndarray) -> None:
-    """seg[1:] = seg[0] + cumsum(terms), in place, with the bits of one
+def _running_sums(weights_of, n: int, size: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The compensated running sums (s, c) of n weights, kept in ``size``
+    rows (a row no chunk names keeps the sums of no weight, 0).
+
+    The pass asks for _CHUNK weights at a time.  A chunk of entries lo to
+    hi - 1 writes its running sums after lo to hi weights into one
+    chunk-long buffer whose first slot carries them on from the last chunk,
+    so every sum has the bits of one sequential cumulative sum over all the
+    weights; ``rows(lo, hi)`` gives the rows that keep the sums after lo + 1
+    to hi weights and their offsets into the buffer.
+    """
+    s, c = np.zeros(size), np.zeros(size)
+    buf_s, buf_c = np.zeros(min(n, _CHUNK) + 1), np.zeros(min(n, _CHUNK) + 1)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        w = weights_of(lo, hi)
+        seg_s, seg_c = buf_s[: hi - lo + 1], buf_c[: hi - lo + 1]
+        seg_s[1:] = w
+        _carry_cumsum(seg_s)
+        # TwoSum error of each step seg_s[i + 1] = seg_s[i] + w[i], in seg_c[1:]
+        s0, s1, e = seg_s[:-1], seg_s[1:], seg_c[1:]
+        np.subtract(s1, s0, out=e)
+        t = s1 - e
+        np.subtract(s0, t, out=t)
+        np.subtract(w, e, out=e)
+        e += t
+        _carry_cumsum(seg_c)
+        kept, at = rows(lo, hi)
+        s[kept], c[kept] = seg_s[at], seg_c[at]
+        buf_s[0], buf_c[0] = seg_s[-1], seg_c[-1]
+    return s, c
+
+
+def _carry_cumsum(seg: np.ndarray) -> None:
+    """seg[1:] = seg[0] + cumsum(seg[1:]), in place, with the bits of one
     sequential cumulative sum carried on from seg[0]."""
-    seg[1:] = terms
     seg[1] += seg[0]
     np.cumsum(seg[1:], out=seg[1:])
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from densitylab import density as density_module
+from densitylab import numerics
 from densitylab.errors import DomainError
-from densitylab.intset import IntegerSetSpec, IntervalSet
+from densitylab.intset import IntegerSetSpec, IntervalSet, count_le
 from densitylab.density import (
     banach_window_sup,
     banach_window_sup_at,
@@ -460,6 +461,47 @@ def test_window_count_full_huge_horizon_reads_no_members(monkeypatch):
     assert value == pytest.approx((small + big) / (3 * 9990), abs=1e-15)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
+    # bd_m keeps its sums only at the member counts of the perfect m-th
+    # powers, in one chunked pass. With 3 weights per chunk those counts fall
+    # at 0, on chunk edges and at the last member, and every row keeps the
+    # bits of a full table's, also when a smaller horizon follows a larger
+    # one and reads a prefix of the cached rows
+    monkeypatch.setattr(numerics, "_CHUNK", 3)
+    cache = {}
+    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", cache)
+    beta, hit = (m - 1) / m, {"edge": False, "last": False}
+    for _ in range(30):
+        H = int(rng.randint(2**m, 3000))
+        els = (np.flatnonzero(rng.random_sample(H) < rng.choice([0.02, 0.3, 0.9])) + 1).tolist()
+        spec = IntegerSetSpec.explicit(els)
+        a = spec.view(H)[0]
+        full = numerics.PrefixSums(a, lambda lo, hi: a[lo:hi].astype(np.float64) ** -beta)
+        big = numerics.floor_nth_root(H, m)
+        for h in (H, int(rng.randint(1, H + 1)), H):
+            root = numerics.floor_nth_root(h, m)
+            counts = count_le(spec.view(h), np.arange(root + 1) ** m)
+            table = density_module._root_sums(spec, root, m, spec.view(h))
+            assert cache[(spec, m)][0] == big  # grow-only by root
+            assert np.array_equal(table._s[: root + 1], full._s[counts])
+            assert np.array_equal(table._c[: root + 1], full._c[counts])
+            hit["edge"] |= bool(np.any((counts > 0) & (counts % 3 == 0) & (counts < len(a))))
+            hit["last"] |= bool(counts[-1] == len(a) > 0)
+            n = int(rng.randint(1, 4))
+            tmax = root - n
+            if tmax < 1:
+                continue
+            # bd_m's windows are the full table's, bit for bit
+            ts = np.arange(1, tmax + 1)
+            ks, tops = (ts - 1) ** m + 1, (ts + n) ** m
+            sums = full.range_sum(count_le(spec.view(h), ks - 1), count_le(spec.view(h), tops))
+            i = int(np.argmax(sums))
+            assert bdm_window_sup_at(spec, m, n, h) == (float(sums[i]) / (m * n), int(ks[i]))
+        cache.clear()
+    assert hit == {"edge": True, "last": True}
+
+
 @pytest.mark.parametrize("spec", [IntegerSetSpec.squarefree(),
                                   IntegerSetSpec.explicit(range(1, 10**5 + 1, 7))])
 def test_weights_cache_slices_match_fresh_builds(spec, monkeypatch):
@@ -475,8 +517,10 @@ def test_weights_cache_slices_match_fresh_builds(spec, monkeypatch):
     cache.clear()
     for H in (10**5, 2 * 10**4, 10**5):
         assert calls(H) == fresh[H]  # bit-identical
-    assert sorted(cache) == [(spec, 0.5), (spec, 1.0)]
-    assert all(entry[0] == 10**5 for entry in cache.values())
+    # the reciprocal sums per member, keyed by beta and sized by horizon;
+    # bd_m's sums at the perfect squares, keyed by m and sized by root
+    assert sorted(cache) == [(spec, 1.0), (spec, 2)]
+    assert cache[(spec, 1.0)][0] == 10**5 and cache[(spec, 2)][0] == math.isqrt(10**5)
 
 
 def test_bdm_full_value_and_k_star_pins():
@@ -562,9 +606,9 @@ def test_monotone_in_subset(rng):
 
 
 def test_element_view_temporaries_are_bounded(monkeypatch):
-    # the prefix-sum build and the Banach scan run in chunks, so on an
-    # element view neither holds |A|-long temporaries: squarefree at 1e6 has
-    # 607,926 members, 4.9 MB per float64 array
+    # the prefix-sum build, the Banach scan and bd_m's pass run in chunks, so
+    # on an element view none holds |A|-long temporaries: squarefree at 1e6
+    # has 607,926 members, 4.9 MB per float64 array
     spec, H, slack = IntegerSetSpec.squarefree(), 10**6, 4 * 2**20
     monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", {})
     spec.view(H)  # the elements are held before tracing starts
@@ -577,6 +621,10 @@ def test_element_view_temporaries_are_bounded(monkeypatch):
         assert peak - base <= table._s.nbytes + table._c.nbytes + slack
         tracemalloc.reset_peak()
         lbd_profile(spec, 1000, H)
+        assert tracemalloc.get_traced_memory()[1] - held <= slack
+        # bd_m keeps 1,001 sums at the perfect squares, not a second table
+        tracemalloc.reset_peak()
+        bdm_window_sup_at(spec, 2, 16, H)
         assert tracemalloc.get_traced_memory()[1] - held <= slack
     finally:
         tracemalloc.stop()

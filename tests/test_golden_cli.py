@@ -51,6 +51,16 @@ GOLDEN = {
         ["--set", "explicit:2,3,5,7,1000,1001,123456789,100000000000", "--horizon", "1e12"],
         "61cefee2e207e658f1e4760d4e38b24f224d04e0da23d29d5e068e44007cd523",
     ),
+    # more than 2^16 members each, so bd_m's pass over the members crosses
+    # chunks; captured while bd_m read a full table of prefix sums
+    "squarefree-m2": (
+        ["--set", "squarefree", "--horizon", "2e5", "--m", "2"],
+        "66ffe5eb50bb9f7c72f6cef5e97f6132c3491fd1155e658e2e31d5f29c711265",
+    ),
+    "primes-m3": (
+        ["--set", "primes", "--horizon", "2e6", "--m", "3"],
+        "b16efb29924f4fbaa372e3fb4de5146b385c671ecbcfbdf199e47f0d1449ac92",
+    ),
     "intervals-m2": (
         ["--set", INTERVALS, "--horizon", "1e5", "--nmax", "100", "--m", "2"],
         "3b8971d3e08c397e8e051bb87926cd1b3accb839882349b4925363c61a0637e6",
