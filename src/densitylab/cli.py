@@ -26,11 +26,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import density, monad, productset, progressions
 from .errors import CapacityError, DensityLabError, ValidationError
 from .intset import IntegerSetSpec, IntervalSet, Window, classify
-from .monad import RatioCut, round12
-from .numerics import geometric_grid
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -134,15 +131,21 @@ def _json_text(header: dict, payload) -> str:
 
 
 def _fmt_value(v: float):
+    from .monad import round12
+
     return round12(float(v))
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Command implementations.  Each imports the modules it runs, so a command
+# loads numpy only if they do: search-gp, search-pap and certify do not.
 # ---------------------------------------------------------------------------
 
 
 def _run_density(config: RunConfig) -> int:
+    from . import density
+    from .numerics import geometric_grid
+
     p = config.params
     spec, horizon = p["set"], p["horizon"]
     checkpoints = p["checkpoints"] or density.default_checkpoints(horizon)
@@ -180,6 +183,8 @@ def _run_density(config: RunConfig) -> int:
 
 
 def _run_monad(config: RunConfig) -> int:
+    from . import monad
+
     p = config.params
     window = Window(p["k"], p["N"])
     intervals: IntervalSet = p["intervals"]
@@ -222,6 +227,8 @@ def _flatten(obj, prefix="") -> list[tuple]:
 
 
 def _run_search(config: RunConfig) -> int:
+    from . import progressions
+
     p = config.params
     if config.command == "search-gp":
         witness = progressions.find_geo(p["set"], p["l"], p["n"], p["min_a"], p["min_r"], p["horizon"])
@@ -238,6 +245,8 @@ def _run_search(config: RunConfig) -> int:
 
 
 def _run_productset(config: RunConfig) -> int:
+    from . import productset
+
     p = config.params
     rows = []
     missing = False
@@ -257,6 +266,8 @@ def _run_productset(config: RunConfig) -> int:
 
 
 def _run_certify(config: RunConfig) -> int:
+    from . import progressions
+
     p = config.params
     triple = progressions.find_gp3(p["set"], p["horizon"])
     payload: dict = {"certified": triple is None}
@@ -375,6 +386,8 @@ def parse_args(argv) -> RunConfig:
         if not 2 <= params["nmax"] <= params["horizon"]:
             raise ValidationError("need 2 <= nmax <= horizon")
     elif cmd == "monad":
+        from .monad import RatioCut
+
         try:
             pairs = json.loads(ns.intervals)
         except json.JSONDecodeError as exc:

@@ -19,9 +19,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
-import numpy as np
-
+from ._np import np
 from .errors import CapacityError, DomainError, ValidationError
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 SIEVE_HORIZON = 10**9
-# Single-point sieve membership reaches further (trial division).
+# Single-point sieve membership reaches further: it builds no array.
 MEMBERSHIP_HORIZON = 10**12
 # Refuse to materialize element arrays beyond this many entries.
 MATERIALIZE_LIMIT = 1 << 27
@@ -280,9 +280,8 @@ class IntegerSetSpec:
         if kind == "even":
             return x % 2 == 0
         if kind == "explicit":
-            arr = self._explicit_array()
-            i = int(np.searchsorted(arr, x))
-            return i < len(arr) and int(arr[i]) == x
+            i = bisect_left(self.elements, x)
+            return i < len(self.elements) and self.elements[i] == x
         if kind in ("interval_union", "example2"):
             starts, ends = self._block_ends()
             i = bisect_right(starts, x)  # blocks starting at or below x
@@ -331,11 +330,8 @@ class IntegerSetSpec:
             nxt = x + (x % 2)
             return nxt if nxt <= limit else None
         if kind == "explicit":
-            arr = self._explicit_array()
-            i = int(np.searchsorted(arr, x, side="left"))
-            if i == len(arr) or int(arr[i]) > limit:
-                return None
-            return int(arr[i])
+            i = bisect_left(self.elements, x)
+            return self.elements[i] if i < len(self.elements) and self.elements[i] <= limit else None
         if kind in ("interval_union", "example2"):
             starts, ends = self._block_ends()
             i = bisect_left(ends, x)  # the first block ending at or above x
@@ -363,9 +359,8 @@ class IntegerSetSpec:
         if kind == "even":
             return x - (x % 2) if x >= 2 else None
         if kind == "explicit":
-            arr = self._explicit_array()
-            i = int(np.searchsorted(arr, x, side="right"))
-            return int(arr[i - 1]) if i else None
+            i = bisect_right(self.elements, x)
+            return self.elements[i - 1] if i else None
         if kind in ("interval_union", "example2"):
             starts, ends = self._block_ends()
             i = bisect_right(starts, x)  # blocks starting at or below x
@@ -459,16 +454,16 @@ _SEGMENT = 1 << 22
 
 
 @lru_cache(maxsize=1)
-def _small_primes() -> np.ndarray:
-    # big enough for segmented sieving to SIEVE_HORIZON and for trial
-    # division membership up to MEMBERSHIP_HORIZON
-    limit = math.isqrt(MEMBERSHIP_HORIZON) + 1
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
+def _small_primes() -> list[int]:
+    # the primes up to sqrt(SIEVE_HORIZON): they sieve every segment, and
+    # they pass the cube root of every x up to MEMBERSHIP_HORIZON
+    limit = math.isqrt(SIEVE_HORIZON)
+    mask = bytearray([1]) * (limit + 1)
+    mask[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+            mask[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), mask))
 
 
 def _sieve_segment(kind: str, lo: int, hi: int) -> np.ndarray:
@@ -477,11 +472,10 @@ def _sieve_segment(kind: str, lo: int, hi: int) -> np.ndarray:
     mask = np.ones(size, dtype=bool)
     if lo < 1:
         raise ValidationError("sieve range starts at 1")
-    root = math.isqrt(hi)
     primes = _small_primes()
-    primes = primes[primes <= root]
+    primes = primes[: bisect_right(primes, math.isqrt(hi))]
     if kind == "squarefree":
-        for p in primes.tolist():
+        for p in primes:
             q = p * p
             start = ((lo + q - 1) // q) * q
             if start <= hi:
@@ -489,13 +483,12 @@ def _sieve_segment(kind: str, lo: int, hi: int) -> np.ndarray:
     else:  # primes
         if lo == 1:
             mask[0] = False
-        for p in primes.tolist():
+        for p in primes:
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start <= hi:
                 mask[start - lo :: p] = False
-        # small primes themselves stay marked
-        inside = primes[(primes >= lo) & (primes <= hi)]
-        mask[inside - lo] = True
+        for p in primes[bisect_left(primes, lo) :]:  # small primes themselves stay marked
+            mask[p - lo] = True
     return mask
 
 
@@ -531,47 +524,51 @@ def _sieve_members(kind: str, hi: int) -> np.ndarray:
     return arr
 
 
-# Trial division membership tries the first primes one by one in Python:
-# they end most non-members, and below 131**2 the loop alone answers, where
-# a vector operation would cost more than the loop does.  The further
-# divisors up to sqrt(x) go in one vectorized remainder, exact in int64 up
-# to MEMBERSHIP_HORIZON.
+# Point membership is pure Python and builds no array.  A squarefree test
+# divides out the primes up to the cube root of what is left; a cofactor
+# with no prime factor that small has at most two, so it is squarefree
+# unless it is a perfect square.  A prime test tries the first primes, which
+# end most non-members and decide every x below 131**2, then runs
+# Miller-Rabin with the witnesses 2..17, exact below 3.4e14 (G. Jaeschke,
+# "On strong pseudoprimes to several bases", Math. Comp. 61, 1993).
 _TRIAL_PREFIX = 32
-
-
-@lru_cache(maxsize=1)
-def _prefix_primes() -> list:
-    return _small_primes()[:_TRIAL_PREFIX].tolist()
-
-
-@lru_cache(maxsize=1)
-def _small_prime_squares() -> np.ndarray:
-    return _small_primes() ** 2
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
 
 
 def _is_squarefree(x: int) -> bool:
-    if x < 4:
-        return True
-    for p in _prefix_primes():
-        q = p * p
-        if q > x:
-            return True
-        if x % q == 0:
-            return False
-    k = int(np.searchsorted(_small_primes(), math.isqrt(x), side="right"))  # the primes with p * p <= x
-    return bool((x % _small_prime_squares()[_TRIAL_PREFIX:k]).all())
+    for p in _small_primes():
+        if p * p * p > x:
+            break
+        if x % p == 0:
+            x //= p
+            if x % p == 0:
+                return False
+    r = math.isqrt(x)
+    return x == 1 or r * r != x
 
 
 def _is_prime(x: int) -> bool:
     if x < 2:
         return False
-    for p in _prefix_primes():
+    for p in _small_primes()[:_TRIAL_PREFIX]:
         if p * p > x:
             return True
         if x % p == 0:
             return x == p
-    k = int(np.searchsorted(_small_primes(), math.isqrt(x), side="right"))
-    return bool((x % _small_primes()[_TRIAL_PREFIX:k]).all())
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        y = pow(a, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

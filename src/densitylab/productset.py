@@ -13,7 +13,8 @@ the report, so later candidates are probed for a second distinct product
 instead of enumerated in full; the result is identical to evaluating every
 candidate in full.  The probe is a leapfrog join of A and B by point queries
 (``next_member``/``prev_member``): nothing is materialized, so a sieve kind
-answers by trial division near each window and is never sieved for it.
+answers by its pure-Python membership test near each window and is never
+sieved for it.
 """
 
 from __future__ import annotations

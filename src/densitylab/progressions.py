@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .errors import CapacityError, DomainError, ValidationError
 from .intset import _SIEVE_KINDS, IntegerSetSpec
 from .numerics import ceil_nth_root

@@ -1,7 +1,7 @@
 """Independent brute-force oracles.
 
 Everything here is written the dumb, obviously-correct way (math.fsum,
-full scans, trial division) and deliberately shares no code with the
+full scans, trial division, crossing off the multiples of every d) and deliberately shares no code with the
 library paths it checks.  Frozen expected values in the test modules were
 computed with these oracles.
 """
@@ -11,20 +11,23 @@ from bisect import bisect_left, bisect_right
 
 
 def brute_squarefree(hi):
-    """Trial-division squarefree list: x survives when no d*d divides it."""
-    out = []
-    for x in range(1, hi + 1):
-        if all(x % (d * d) for d in range(2, math.isqrt(x) + 1)):
-            out.append(x)
-    return out
+    """Squarefree list: every multiple of d*d is crossed off, for every
+    d >= 2 (prime or not), so x survives when no d*d divides it."""
+    keep = [True] * (hi + 1)
+    for d in range(2, math.isqrt(hi) + 1):
+        for x in range(d * d, hi + 1, d * d):
+            keep[x] = False
+    return [x for x in range(1, hi + 1) if keep[x]]
 
 
 def brute_primes(hi):
-    out = []
-    for x in range(2, hi + 1):
-        if all(x % d for d in range(2, math.isqrt(x) + 1)):
-            out.append(x)
-    return out
+    """Prime list: every multiple x >= d*d of d is crossed off, for every
+    d >= 2 (prime or not), so x >= 2 survives when no d <= sqrt(x) divides it."""
+    keep = [True] * (hi + 1)
+    for d in range(2, math.isqrt(hi) + 1):
+        for x in range(d * d, hi + 1, d):
+            keep[x] = False
+    return [x for x in range(2, hi + 1) if keep[x]]
 
 
 def brute_harmonic(lo, hi):

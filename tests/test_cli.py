@@ -216,7 +216,8 @@ def test_out_of_memory_exit_code(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli.density, "log_profile", exhausted)
+    # the density command imports its module when it runs
+    monkeypatch.setattr("densitylab.density.log_profile", exhausted)
     assert cli.main(["density", "--set", "squarefree", "--horizon", "1e4"]) == 4
     assert capsys.readouterr().err == "densitylab: capacity: out of memory\n"
 

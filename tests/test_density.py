@@ -346,22 +346,28 @@ def test_bd_element_view_sends_no_bulk_search(monkeypatch):
     # counts: no search gets one query per member
     spec = IntegerSetSpec.squarefree()
     spec.view(10**6)
-    sizes = []
+    searched, counted, missed = [], [], []
     searchsorted, count_le = np.searchsorted, density_module.count_le
 
     def spy_searchsorted(a, v, *args, **kwargs):
-        sizes.append(np.size(v))
+        searched.append(np.size(v))
         return searchsorted(a, v, *args, **kwargs)
 
     def spy_count_le(view, x):
-        sizes.append(np.size(x))
-        return count_le(view, x)
+        counted.append(np.size(x))
+        seen = len(searched)
+        result = count_le(view, x)
+        missed.append(len(searched) == seen)  # its search went past the spy
+        return result
 
     monkeypatch.setattr(np, "searchsorted", spy_searchsorted)
     monkeypatch.setattr(density_module, "count_le", spy_count_le)
     for n in (2, 33, 1000, 10**5):
         bd_estimate_at(spec, n, 10**6)
-    assert sizes and max(sizes) <= 4
+    # count_le searches through intset's numpy handle: one that kept the
+    # function it saw first would send its searches past the spy unchecked
+    assert searched and max(searched) <= 4
+    assert counted and max(counted) <= 4 and not any(missed)
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,9 @@ def _prime_below_td(x):
 
 
 def test_contains_large_x_vs_trial_division():
-    # past the Python prefix of small primes, the divisors are tried in one
-    # vectorized remainder; square factors and prime factors near 1e6 need it
+    # square factors and prime factors near 1e6 lie past the trial prefix of
+    # small primes: squarefree divides out the primes up to the cube root and
+    # tests the cofactor for a square, primes run Miller-Rabin
     rng = np.random.RandomState(12)
     xs = [int(x) for base in (10**8, 10**11, 10**12 - 10**6) for x in base + rng.randint(0, 10**6, size=3)]
     for q in (1, 2, 3):
@@ -86,6 +87,42 @@ def test_contains_large_x_vs_trial_division():
     for x in xs:
         assert sf.contains(x) == is_squarefree_td(x), x
         assert primes.contains(x) == is_prime_td(x), x
+
+
+@pytest.mark.parametrize("kind, brute", [("squarefree", brute_squarefree), ("primes", brute_primes)])
+def test_contains_exhaustive_vs_oracle(kind, brute):
+    spec, hi = IntegerSetSpec(kind), 2 * 10**6
+    assert [x for x in range(1, hi + 1) if spec.contains(x)] == brute(hi)
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # 561 and 41041 are Carmichael numbers, so every Fermat test passes them;
+    # the rest are strong pseudoprimes to the bases 2..5, 2..7, 2..7, 2..11
+    # and 2..13, so only the last witnesses reject them
+    for x in (561, 41041, 25326001, 3215031751, 118670087467, 2152302898747, 3474749660383):
+        assert not intset._is_prime(x), x
+
+
+def test_squarefree_square_factors_at_the_cube_root_cut():
+    # p**3, p*p*q and p*q*q with both primes near x**(1/3): a square factor
+    # is found by division below the cut or as a square cofactor above it
+    sf = IntegerSetSpec.squarefree()
+    for top in (10**3, 10**4 - 50, 10**4):
+        p = _prime_below_td(top)
+        q = _prime_below_td(p - 1)
+        r = _prime_below_td(q - 1)
+        for x in (p**3, q**3, p * p * q, q * q * p, p * p * r, r * r * p):
+            assert not sf.contains(x), x
+        assert sf.contains(p * q * r) and sf.contains(p * q)
+    p = _prime_below_td(10**6)  # the largest prime below 1e6
+    assert p == 999983 and not sf.contains(p * p) and sf.contains(p * p - 1) == is_squarefree_td(p * p - 1)
+
+
+def test_sieve_membership_cap():
+    for spec in (IntegerSetSpec.squarefree(), IntegerSetSpec.primes()):
+        assert spec.contains(10**12) is False
+        with pytest.raises(CapacityError):
+            spec.contains(10**12 + 1)
 
 
 def test_sieve_horizon_cap():
