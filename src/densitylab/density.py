@@ -11,30 +11,37 @@ density window maximum, and the weighted family
     bd_m window value at k:  (1/(m*n)) * sum_{x in A, k <= x <= (ceil(k^(1/m))+n)^m} x^(-(m-1)/m).
 
 All window maxima are exact over the truncated k-range, so no candidate
-maximum is sampled away.  The Banach windows and the count windows (bd, and
-bd_m at m = 1) never fall while k steps over a non-member and never rise
-while it steps over a member, so the maximum sits at a member or at the last
-k.  The Banach windows, and the count windows on a block view, scan the
-set's block starts (its elements, for an element view, in chunks of 2^16
-members, so no temporary grows with |A|) and the last k in
-``_window_max``.  The count windows on an element view a read spans of
-consecutive members instead (``_count_max``): the member a[i] counts c
-members exactly when a[i + c - 1] - a[i] <= n, so the best count is found
-by bisection on c, each probe one chunked pass over those differences that
-stops at its first hit.  The m-th root windows evaluate the left endpoint of
-each segment of constant ceil(k^(1/m)), where the value is non-increasing.
-Every window sum of x^(-beta) comes from a cached table.  Block views
-(``full``, ``interval_union``, ``example2``) are summed in closed form by
-``BlockSums`` (``_power_sums``), never materialized, so also above the
-materialization cap.  The closed form is one O(1) kernel,
-``numerics.power_sums``, within 1e-14 relative of each range, so every
-window is summed and the largest is the ``np.argmax`` of all of them, the
-first maximizing k on ties.  Element views (``even`` too: its own closed form
-had no caller) read compensated prefix sums: the reciprocal sums of the log
-profile and Banach from one table per member (``_power_sums``), and bd_m at
-m >= 2 from sums kept only at the member counts of the perfect m-th powers,
-since its windows [(t-1)^m + 1, (t+n)^m] start and end there
-(``_root_sums``): one chunked pass, with no second per-member table.
+maximum is sampled away.  Every functional reads the set through
+``IntegerSetSpec.view``: a ``BlockView`` of the blocks of ``full``,
+``interval_union`` and ``example2``, or an ``ElementView`` of the sorted
+members of the other kinds.  Both count the members up to x (``count_le``)
+and below each block start (``below``), so a type test remains only where an
+algorithm runs on one of them alone: the table of x^(-beta) sums
+(``_window_sums``), the span bisection (``_count_max``) and bd_m's sums at
+perfect powers (``_root_sums``).
+
+The Banach windows and the count windows (bd, and bd_m at m = 1) never fall
+while k steps over a non-member and never rise while it steps over a member,
+so the maximum sits at a block start (a member, on an element view) or at
+the last k.  ``_window_max`` scans those candidates in chunks of 2^16 block
+starts, so no temporary grows with |A|.  The count windows on an element
+view read spans of consecutive members instead (``_count_max``): the member
+a[i] counts c members exactly when a[i + c - 1] - a[i] <= n, so the best
+count is found by bisection on c, each probe one chunked pass over those
+differences that stops at its first hit.  The m-th root windows evaluate the
+left endpoint of each segment of constant ceil(k^(1/m)), where the value is
+non-increasing.
+
+Every window sum of x^(-beta) comes from a cached table.  A block view is
+summed in closed form by ``BlockSums``, never materialized, so also above
+the materialization cap.  The closed form is one O(1) kernel,
+``numerics.power_sums``, within 1e-14 relative of each range, and a window's
+float does not depend on the other windows of the call.  An element view
+(``even`` too: its own closed form had no caller) reads compensated prefix
+sums: the reciprocal sums of the log profile and Banach from one table per
+member, and bd_m at m >= 2 from sums kept only at the member counts of the
+perfect m-th powers, since its windows [(t-1)^m + 1, (t+n)^m] start and end
+there (``_root_sums``): one chunked pass, with no second per-member table.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError
-from .intset import IntegerSetSpec, block_offsets, count_le
+from .intset import BlockView, ElementView, IntegerSetSpec
 from .numerics import BlockSums, PrefixSums, _powers, floor_nth_root, geometric_grid
 
 __all__ = [
@@ -114,7 +121,7 @@ def default_checkpoints(horizon: int, start: int = 2) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Power sums: cached prefix sums of an element view, block sums of a block view
+# Window sums: counts, cached prefix sums of an element view, block sums of a block view
 # ---------------------------------------------------------------------------
 
 # One entry per key, each a size and its table, rebuilt only for a larger
@@ -149,16 +156,7 @@ def _member_weights(a: np.ndarray, beta: float):
     return lambda lo, hi: _powers(a[lo:hi].astype(np.float64), beta)
 
 
-def _table(spec: IntegerSetSpec, horizon: int, beta: float, view):
-    """The cached ``PrefixSums`` (element view, beta = 1) or ``BlockSums``
-    (block view) of x**(-beta) over ``view = spec.view(horizon)``."""
-    starts, ends = view
-    if starts is ends:
-        return _cached((spec, beta), horizon, lambda: PrefixSums(starts, _member_weights(starts, beta)))
-    return _cached((spec, beta), horizon, lambda: BlockSums(starts, ends, beta))
-
-
-def _root_sums(spec: IntegerSetSpec, root: int, m: int, view) -> PrefixSums:
+def _root_sums(spec: IntegerSetSpec, root: int, m: int, view: ElementView) -> PrefixSums:
     """The cached sums of x**(-(m-1)/m) over the members of an element view
     of horizon at least root**m, kept only at the member counts
     |A cap [1, s**m]| for s = 0..root: ``range_sum(t - 1, t + n)`` is the
@@ -167,21 +165,30 @@ def _root_sums(spec: IntegerSetSpec, root: int, m: int, view) -> PrefixSums:
     root's table are those of root r."""
 
     def build():
-        counts = count_le(view, np.arange(root + 1, dtype=np.int64) ** m)
-        return PrefixSums.at_counts(counts, _member_weights(view[0], (m - 1) / m))
+        counts = view.count_le(np.arange(root + 1, dtype=np.int64) ** m)
+        return PrefixSums.at_counts(counts, _member_weights(view.starts, (m - 1) / m))
 
     return _cached((spec, m), root, build)
 
 
-def _power_sums(spec: IntegerSetSpec, horizon: int, beta: float, view, lo, hi) -> np.ndarray:
-    """Sum of x**(-beta) over the members of ``view = spec.view(horizon)`` in
-    each window [lo, hi] (int64 arrays): in closed form over a block view
-    (``BlockSums``), from prefix sums over an element view (beta = 1), read
-    at the member counts |A cap [1, lo - 1]| and |A cap [1, hi]|."""
-    table = _table(spec, horizon, beta, view)
-    if view[0] is not view[1]:
-        return table.window_sums(lo, hi)
-    return table.range_sum(count_le(view, lo - 1), count_le(view, hi))
+def _window_sums(weights, view, lo, hi, below=None) -> np.ndarray:
+    """The members of ``view`` in each window [lo, hi] (int64 arrays): their
+    count when ``weights`` is None, else, for ``weights = (spec, horizon,
+    beta)`` and ``view = spec.view(horizon)``, their x**(-beta) sum from a
+    cached table: ``BlockSums`` in closed form at the window ends on a block
+    view, ``PrefixSums`` (beta = 1) read at the member counts on an element
+    view.  ``below``, when given, is |A cap [1, lo - 1]| of each window."""
+    if weights is not None:
+        spec, horizon, beta = weights
+        if isinstance(view, BlockView):
+            table = _cached((spec, beta), horizon, lambda: BlockSums(view.starts, view.ends, beta))
+            return table.window_sums(lo, hi)
+        a = view.starts
+        table = _cached((spec, beta), horizon, lambda: PrefixSums(a, _member_weights(a, beta)))
+    if below is None:
+        below = view.count_le(lo - 1)
+    top = view.count_le(hi)
+    return top - below if weights is None else table.range_sum(below, top)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +212,7 @@ def counting_profile(spec: IntegerSetSpec, kind: str, horizon: int, checkpoints=
     if kind not in ("upper", "lower"):
         raise ValidationError("kind must be 'upper' or 'lower'")
     pts = _validate_checkpoints(checkpoints or default_checkpoints(horizon), horizon)
-    counts = count_le(spec.view(horizon), np.asarray(pts, dtype=np.int64))
+    counts = spec.view(horizon).count_le(np.asarray(pts, dtype=np.int64))
     values = [(n, int(c) / n) for n, c in zip(pts, counts)]
     return DensityProfile(f"{kind}_count", horizon, tuple(values))
 
@@ -220,7 +227,7 @@ def log_profile(spec: IntegerSetSpec, horizon: int, checkpoints=None, kind: str 
         raise ValidationError("kind must be 'upper' or 'lower'")
     pts = _validate_checkpoints(checkpoints or default_checkpoints(horizon), horizon, minimum=2)
     tops = np.asarray(pts, dtype=np.int64)
-    sums = _power_sums(spec, horizon, 1.0, spec.view(horizon), np.ones_like(tops), tops)
+    sums = _window_sums((spec, horizon, 1.0), spec.view(horizon), np.ones_like(tops), tops)
     values = [(n, float(s) / math.log(n)) for n, s in zip(pts, sums)]
     return DensityProfile(f"{kind}_log", horizon, tuple(values))
 
@@ -250,12 +257,12 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-# Members per chunk of a span probe or of a Banach scan on an element view:
-# their temporaries are one chunk long.
+# Members per chunk of a window scan or of a span probe: their temporaries
+# are one chunk long.
 _CHUNK = 1 << 16
 
 
-def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=None):
+def _window_max(view, kmax: int, tops, weights=None):
     """The best window [k, tops(k)] over 1 <= k <= kmax on a set view, as
     (value, k): the value is the count of members in the window (block views
     only; ``_count_max`` answers element views), or, given
@@ -264,42 +271,25 @@ def _window_max(view: tuple[np.ndarray, np.ndarray], kmax: int, tops, weights=No
     The window functionals here never fall while k steps over a non-member
     and never rise while it steps over a member, so the maximum is attained
     at a block start at or below kmax (for an element view, at an element) or
-    at kmax; only those candidates are scanned.  The members below a block
-    start are its block offset, so only kmax's left count and the window tops
-    need a search.  k is the first maximizing candidate.  An element view
-    is scanned in chunks of _CHUNK members (``_element_window_max``).
+    at kmax; only those candidates are scanned, in chunks of _CHUNK block
+    starts, the last chunk ending with kmax.  The view counts the members
+    below each block start, so only the window tops and kmax's left count
+    need a search.  Each chunk keeps its first maximum and a later chunk
+    replaces the best only when strictly larger, so k is the first
+    maximizing candidate.  A window's value does not depend on its chunk.
     """
-    starts = view[0]
+    starts = view.starts
     j = int(np.searchsorted(starts, kmax, side="right"))
-    if weights is not None and starts is view[1]:
-        return _element_window_max(_table(*weights, view), view, j, kmax, tops)
-    cands = np.append(starts[:j], kmax)
-    if weights is None:
-        values = count_le(view, tops(cands)) - np.append(block_offsets(view)[:j], count_le(view, kmax - 1))
-    else:
-        values = _power_sums(*weights, view, cands, tops(cands))
-    i = int(np.argmax(values))
-    return values[i], int(cands[i])  # cands are sorted: the first maximizer
-
-
-def _element_window_max(table: PrefixSums, view, j: int, kmax: int, tops):
-    """``_window_max`` with weights on an element view a = view[0], whose
-    first j members are at most kmax: the member a[i] has i members below
-    it, so each chunk of members reads its sums from ``table`` at its
-    indices and its window tops' counts, and keeps its first maximum.  A
-    later chunk, and then kmax's window, replaces the best only when it is
-    strictly larger, which gives the first maximizer of one scan."""
-    a = view[0]
-    best, k = None, kmax
-    for lo in range(0, j, _CHUNK):
+    best = None
+    for lo in range(0, max(j, 1), _CHUNK):
         hi = min(lo + _CHUNK, j)
-        sums = table.range_sum(np.arange(lo, hi), count_le(view, tops(a[lo:hi])))
-        i = int(np.argmax(sums))
-        if best is None or sums[i] > best:
-            best, k = sums[i], int(a[lo + i])
-    top = table.range_sum(count_le(view, kmax - 1), count_le(view, tops(kmax)))
-    if best is None or top > best:
-        best, k = top, kmax
+        cands, below = starts[lo:hi], view.below(lo, hi)
+        if hi == j:  # the last chunk ends with kmax
+            cands, below = np.append(cands, kmax), np.append(below, view.count_le(kmax - 1))
+        values = _window_sums(weights, view, cands, tops(cands), below)
+        i = int(np.argmax(values))
+        if best is None or values[i] > best:
+            best, k = values[i], int(cands[i])
     return best, k
 
 
@@ -318,23 +308,23 @@ def _first_span(a: np.ndarray, j: int, c: int, n: int) -> int:
     return -1
 
 
-def _count_max(view: tuple[np.ndarray, np.ndarray], kmax: int, n: int) -> tuple[int, int]:
+def _count_max(view, kmax: int, n: int) -> tuple[int, int]:
     """The largest count of members in a window [k, k + n], 1 <= k <= kmax,
     as (count, k*): k* is the smallest member k <= kmax whose window reaches
     it, else kmax.
 
     A block view scans its block starts with ``_window_max``.  On an element
-    view a = view[0] the member a[i] (i < j, the j members <= kmax) counts c
+    view a = view.starts the member a[i] (i < j, the j members <= kmax) counts c
     members exactly when a[i + c - 1] - a[i] <= n, which holds for every
     smaller c too; so the best member count is found by bisection on c in
     [1, min(n + 1, |a|)], each probe one ``_first_span`` pass, and k* is the
     first member of the first span at that count.  kmax's own window, two
     scalar counts, wins only when it holds more (a member wins a tie).
     """
-    a = view[0]
-    if a is not view[1]:
+    if isinstance(view, BlockView):
         value, k = _window_max(view, kmax, lambda k: k + n)
         return int(value), k
+    a = view.starts
     j = int(np.searchsorted(a, kmax, side="right"))
     best, first = 0, 0
     if j:
@@ -346,7 +336,7 @@ def _count_max(view: tuple[np.ndarray, np.ndarray], kmax: int, n: int) -> tuple[
                 hi = c - 1
             else:
                 best, first = c, i
-    top = int(count_le(view, kmax + n) - count_le(view, kmax - 1))
+    top = int(view.count_le(kmax + n) - view.count_le(kmax - 1))
     if top > best or not j:
         return top, kmax
     return best, int(a[first])
@@ -372,8 +362,8 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
         raise DomainError("need n <= horizon")
     view = spec.view(horizon)
     value, k1 = _window_max(view, (horizon + 1) // n, lambda k: k * n - 1, (spec, horizon, 1.0))
-    i = int(np.searchsorted(view[0], k1 * n - 1, side="right"))
-    p = min(int(view[1][i - 1]), k1 * n - 1) if i else 0
+    i = int(np.searchsorted(view.starts, k1 * n - 1, side="right"))
+    p = min(int(view.ends[i - 1]), k1 * n - 1) if i else 0
     return float(value), p // n + 1
 
 
@@ -437,7 +427,7 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     endpoint of each root segment (plus k = 1) needs evaluation, which makes
     the scan exact at every horizon.  Window t is [(t-1)^m + 1, (t+n)^m]:
     its sum comes from ``_root_sums`` on an element view (``even`` too: no
-    caller needed a closed form for it) and from ``_power_sums`` on a block
+    caller needed a closed form for it) and from ``_window_sums`` on a block
     view; ties resolve to the smallest k.
     """
     m, n = int(m), int(n)
@@ -460,11 +450,11 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     if tmax < 1:
         return 0.0, 0
     view = spec.view(horizon)
-    if view[0] is view[1]:  # window t reads rows t - 1 and t + n
+    if isinstance(view, ElementView):  # window t reads rows t - 1 and t + n
         sums = _root_sums(spec, root, m, view).range_sum(slice(0, tmax), slice(n + 1, root + 1))
     else:
         ts = np.arange(1, tmax + 1, dtype=np.int64)  # exact: every (t + n)**m <= horizon < 2**63
-        sums = _power_sums(spec, horizon, (m - 1) / m, view, (ts - 1) ** m + 1, (ts + n) ** m)
+        sums = _window_sums((spec, horizon, (m - 1) / m), view, (ts - 1) ** m + 1, (ts + n) ** m)
     i = int(np.argmax(sums))  # window i + 1, the first maximizer, has the smallest k
     return float(sums[i]) / (m * n), i**m + 1
 

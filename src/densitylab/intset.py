@@ -31,8 +31,8 @@ __all__ = [
     "SIEVE_HORIZON",
     "materialize",
     "contains",
-    "block_offsets",
-    "count_le",
+    "ElementView",
+    "BlockView",
     "example2_set",
     "classify",
     "invert_intervals",
@@ -87,17 +87,8 @@ class IntervalSet:
         return sum(b - a + 1 for a, b in self.components)
 
     def contains(self, x: int) -> bool:
-        lo, hi = 0, len(self.components) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            a, b = self.components[mid]
-            if x < a:
-                hi = mid - 1
-            elif x > b:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        i = bisect_right(self.components, (x, math.inf))  # components starting at or below x
+        return i > 0 and x <= self.components[i - 1][1]
 
     def clip(self, lo: int, hi: int) -> "IntervalSet":
         """Intersection with [lo, hi]."""
@@ -157,6 +148,44 @@ class Window:
         return self.k <= x <= self.N * self.k
 
 
+class ElementView:
+    """The members of a set up to a horizon as a sorted int64 array, each a
+    block of its own: ``starts`` and ``ends`` are that array."""
+
+    def __init__(self, members: np.ndarray):
+        self.starts = self.ends = members
+
+    def count_le(self, x):
+        """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
+        horizon."""
+        return np.searchsorted(self.starts, x, side="right")
+
+    def below(self, i: int, j: int) -> np.ndarray:
+        """The members below starts[i], ..., starts[j - 1]."""
+        return np.arange(i, j, dtype=np.int64)
+
+
+class BlockView:
+    """A set up to a horizon as sorted disjoint blocks [starts[b], ends[b]]
+    (int64 arrays), with the members below each block counted once."""
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+        self.starts, self.ends = starts, ends
+        self._ends0 = np.concatenate(([0], ends))  # index 0: no block
+        self._below = np.zeros(len(starts) + 1, dtype=np.int64)  # then |A|
+        np.cumsum(ends - starts + 1, out=self._below[1:])
+
+    def count_le(self, x):
+        """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
+        horizon."""
+        i = np.searchsorted(self.starts, x, side="right")  # blocks starting at or below x
+        return self._below[i] - np.maximum(self._ends0[i] - x, 0)  # the last may run past x
+
+    def below(self, i: int, j: int) -> np.ndarray:
+        """The members below starts[i], ..., starts[j - 1]."""
+        return self._below[i:j]
+
+
 def _example2_blocks(j: int, depth: int) -> tuple[tuple[int, int], ...]:
     u = 2
     blocks = [(2, 2 * j)]
@@ -200,6 +229,16 @@ class IntegerSetSpec:
                 raise ValidationError("example2 requires depth >= 0")
         elif self.j or self.depth:
             raise ValidationError("j/depth only valid for kind 'example2'")
+        # Block starts and ends in Python ints, set once for every kind with
+        # blocks: full is the one block [1, inf), explicit its singletons.
+        if self.kind == "full":
+            blocks = ([1], [math.inf])
+        elif self.kind == "explicit":
+            blocks = (self.elements, self.elements)
+        else:
+            union = self.block_union()
+            blocks = union if union is None else ([a for a, _ in union.components], [b for _, b in union.components])
+        object.__setattr__(self, "_blocks", blocks)
 
     # -- constructors ------------------------------------------------------
 
@@ -241,32 +280,26 @@ class IntegerSetSpec:
             return IntervalSet(_example2_blocks(self.j, self.depth))
         return None
 
-    def view(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """A cap [1, horizon] as sorted disjoint blocks (starts, ends).
-
-        full is the single block [1, horizon]; interval_union and example2
-        clip their cached block endpoints to the horizon by bisection before
-        any int64 array is built (example2 block ends pass int64 at depth 4).
-        None of the three materializes; ``density`` sums their blocks in
-        closed form, also above the materialization cap.  Every other kind,
-        ``even`` included, gives its element array as both starts and ends,
-        so ``starts is ends``.  Horizons above 2^63 - 1 raise CapacityError.
+    def view(self, horizon: int) -> ElementView | BlockView:
+        """The set capped at [1, horizon]: a ``BlockView`` of its blocks for
+        ``full``, ``interval_union`` and ``example2``, an ``ElementView`` of
+        its sorted members for the other kinds, ``even`` and ``explicit``
+        included.  The blocks are the cached endpoints clipped to the horizon
+        by bisection before any int64 array is built (example2 block ends
+        pass int64 at depth 4), so a block view never materializes and
+        ``density`` sums it in closed form, also above the materialization
+        cap.  Horizons above 2^63 - 1 raise CapacityError.
         """
         horizon = int(horizon)
         if horizon >= 2**63:
             raise CapacityError("horizon exceeds 2^63 - 1")
-        if self.kind == "full":
-            starts, ends = [1], [horizon]
-        else:
-            blocks = self._block_ends()
-            if blocks is None:
-                elems = self.members(1, horizon)
-                return elems, elems
-            i = bisect_right(blocks[0], horizon)  # blocks starting at or below the horizon
-            starts, ends = blocks[0][:i], blocks[1][:i]
-            if i and ends[-1] > horizon:
-                ends[-1] = horizon
-        return np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+        if self._blocks is None or self.kind == "explicit":
+            return ElementView(self.members(1, horizon))
+        i = bisect_right(self._blocks[0], horizon)  # blocks starting at or below the horizon
+        starts, ends = self._blocks[0][:i], self._blocks[1][:i]
+        if i and ends[-1] > horizon:
+            ends[-1] = horizon
+        return BlockView(np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64))
 
     # -- membership and materialization -------------------------------------
 
@@ -274,21 +307,15 @@ class IntegerSetSpec:
         x = int(x)
         if x < 1:
             raise DomainError("membership defined for positive integers only")
-        kind = self.kind
-        if kind == "full":
-            return True
-        if kind == "even":
-            return x % 2 == 0
-        if kind == "explicit":
-            i = bisect_left(self.elements, x)
-            return i < len(self.elements) and self.elements[i] == x
-        if kind in ("interval_union", "example2"):
-            starts, ends = self._block_ends()
+        if self._blocks is not None:
+            starts, ends = self._blocks
             i = bisect_right(starts, x)  # blocks starting at or below x
             return i > 0 and x <= ends[i - 1]
+        if self.kind == "even":
+            return x % 2 == 0
         if x > MEMBERSHIP_HORIZON:
             raise CapacityError(f"sieve membership supported up to {MEMBERSHIP_HORIZON}")
-        if kind == "squarefree":
+        if self.kind == "squarefree":
             return _is_squarefree(x)
         return _is_prime(x)
 
@@ -323,22 +350,16 @@ class IntegerSetSpec:
         if x > limit:
             return None
         x = max(1, int(x))
-        kind = self.kind
-        if kind == "full":
-            return x
-        if kind == "even":
-            nxt = x + (x % 2)
-            return nxt if nxt <= limit else None
-        if kind == "explicit":
-            i = bisect_left(self.elements, x)
-            return self.elements[i] if i < len(self.elements) and self.elements[i] <= limit else None
-        if kind in ("interval_union", "example2"):
-            starts, ends = self._block_ends()
+        if self._blocks is not None:
+            starts, ends = self._blocks
             i = bisect_left(ends, x)  # the first block ending at or above x
             if i == len(ends):
                 return None
             cand = max(starts[i], x)
             return cand if cand <= limit else None
+        if self.kind == "even":
+            nxt = x + (x % 2)
+            return nxt if nxt <= limit else None
         # Sieve kinds: scan upward; squarefree and prime gaps are tiny
         # relative to every supported horizon.
         y = x
@@ -353,18 +374,12 @@ class IntegerSetSpec:
         if x < 1:
             return None
         x = int(x)
-        kind = self.kind
-        if kind == "full":
-            return x
-        if kind == "even":
-            return x - (x % 2) if x >= 2 else None
-        if kind == "explicit":
-            i = bisect_right(self.elements, x)
-            return self.elements[i - 1] if i else None
-        if kind in ("interval_union", "example2"):
-            starts, ends = self._block_ends()
+        if self._blocks is not None:
+            starts, ends = self._blocks
             i = bisect_right(starts, x)  # blocks starting at or below x
             return min(ends[i - 1], x) if i else None
+        if self.kind == "even":
+            return x - (x % 2) if x >= 2 else None
         y = x
         while y >= 1:
             if self.contains(y):
@@ -392,18 +407,6 @@ class IntegerSetSpec:
             arr.flags.writeable = False
             object.__setattr__(self, "_elements_arr", arr)
         return arr
-
-    def _block_ends(self) -> tuple[list[int], list[int]] | None:
-        """Block starts and ends of an interval-structured kind as Python-int
-        lists, kept per spec like the explicit array; None for other kinds."""
-        blocks = self.__dict__.get("_blocks")
-        if blocks is None:
-            union = self.block_union()
-            if union is None:
-                return None
-            blocks = ([a for a, _ in union.components], [b for _, b in union.components])
-            object.__setattr__(self, "_blocks", blocks)
-        return blocks
 
     # -- serialization -------------------------------------------------------
 
@@ -584,27 +587,6 @@ def materialize(spec: IntegerSetSpec, lo: int, hi: int) -> np.ndarray:
 def contains(spec: IntegerSetSpec, x: int) -> bool:
     """Membership test, consistent with materialize."""
     return spec.contains(x)
-
-
-def block_offsets(view: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Members before each block of a block view, then |A|: entry i is
-    |A cap [1, starts[i] - 1]|."""
-    starts, ends = view
-    out = np.zeros(len(starts) + 1, dtype=np.int64)
-    np.cumsum(ends - starts + 1, out=out[1:])
-    return out
-
-
-def count_le(view: tuple[np.ndarray, np.ndarray], x):
-    """|A cap [1, x]| for each x >= 0 (int64 array or scalar), read from a
-    view of ``IntegerSetSpec.view`` whose horizon is at least x."""
-    starts, ends = view
-    i = np.searchsorted(starts, x, side="right")  # blocks starting at or below x
-    if starts is ends:
-        return i
-    # the last of those blocks may run past x; index 0 means no block
-    last_end = np.concatenate(([0], ends))[i]
-    return block_offsets(view)[i] - np.maximum(last_end - x, 0)
 
 
 def example2_set(j: int, depth: int) -> IntervalSet:

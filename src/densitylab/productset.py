@@ -187,10 +187,10 @@ def _probe_upto2(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: in
     return (0, None) if seen is None else (1, seen)
 
 
-def _exact_candidates(a_spec, b_spec, n: int, x_max: int, horizon: int) -> list[int] | None:
-    """All window starts where the gap statistic can change, for small
-    explicit productsets; None when the exact scan does not apply (more than
-    EXACT_SCAN_MAX_PRODUCTS distinct products up to the horizon).
+def _exact_products(a_spec, b_spec, horizon: int) -> list[int] | None:
+    """The distinct products up to the horizon of two explicit sets, for the
+    exact scan; None when it does not apply (another kind, or more than
+    EXACT_SCAN_MAX_PRODUCTS products).
 
     The products a*min(B) are distinct, so more factors a than that decide
     None at once; otherwise the distinct products are gathered row by row of
@@ -211,6 +211,13 @@ def _exact_candidates(a_spec, b_spec, n: int, x_max: int, horizon: int) -> list[
             prods.update((row * a).tolist())
             if len(prods) > EXACT_SCAN_MAX_PRODUCTS:
                 return None
+    return sorted(prods)
+
+
+def _exact_candidates(prods: list[int], n: int, x_max: int) -> list[int]:
+    """The window starts in [1, x_max] where the gap statistic can change:
+    1, x_max, and p - 1, p, p + 1, ceil(p/n) and ceil(p/n) - 1 for each
+    product p."""
     cands = {1, x_max}
     for p in prods:
         for c in (p - 1, p, p + 1, -(-p // n), -(-p // n) - 1):
@@ -219,29 +226,10 @@ def _exact_candidates(a_spec, b_spec, n: int, x_max: int, horizon: int) -> list[
     return sorted(cands)
 
 
-def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon: int,
-                grid_ratio: float = 1.1) -> GapReport | None:
-    """Report the window start x in [1, horizon/n] minimizing the gap
-    statistic m of A*B over [x, n*x] (ties to the smallest x); None when
-    every candidate window is empty.
-
-    Candidate starts lie on a geometric grid (exact change-point scan for
-    small explicit productsets).  Full enumeration runs until a window with
-    the multi-product floor m = 2 is found; afterwards candidates are probed
-    for singleton windows only, which is equivalent and far cheaper: the
-    leapfrog ``_probe_upto2`` decides each by point queries.  Windows
-    enumerated in full cap their products at PRODUCT_HORIZON; probed windows
-    on sieve kinds cap at MEMBERSHIP_HORIZON.
-    """
-    n = int(n)
-    if n < 2:
-        raise DomainError("need n >= 2")
-    x_max = horizon // n
-    if x_max < 1:
-        raise DomainError("horizon admits no window")
-    cands = _exact_candidates(a_spec, b_spec, n, x_max, horizon)
-    if cands is None:
-        cands = geometric_grid(1, x_max, grid_ratio)
+def _best_window(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, cands) -> GapReport | None:
+    """The start x in ``cands`` (sorted) with the least gap statistic of
+    A*B over [x, n*x], ties to the smallest x; None when every window is
+    empty."""
     best: GapReport | None = None
     for x in cands:
         lo, hi = x, n * x
@@ -261,4 +249,41 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
         m = _window_gap(prods, x)
         if best is None or m < best.m:
             best = GapReport(n, x, m, len(prods), (lo, hi))
+    return best
+
+
+def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon: int,
+                grid_ratio: float = 1.1) -> GapReport | None:
+    """Report the window start x in [1, horizon/n] minimizing the gap
+    statistic m of A*B over [x, n*x] (ties to the smallest x); None when
+    every candidate window is empty.
+
+    Candidate starts lie on a geometric grid.  Small explicit productsets
+    get an exact change-point scan instead, in two passes: the first finds
+    the least statistic m* over the starts near each product p, the second
+    scans the starts ceil(p/m*) it did not, where the leading gap ceil(p/x)
+    first reaches m*, and the least (m, x) of both passes is reported.
+    Full enumeration runs until a window with the multi-product floor m = 2
+    is found; afterwards candidates are probed for singleton windows only,
+    which is equivalent and far cheaper: the leapfrog ``_probe_upto2``
+    decides each by point queries.  Windows enumerated in full cap their
+    products at PRODUCT_HORIZON; probed windows on sieve kinds cap at
+    MEMBERSHIP_HORIZON.
+    """
+    n = int(n)
+    if n < 2:
+        raise DomainError("need n >= 2")
+    x_max = horizon // n
+    if x_max < 1:
+        raise DomainError("horizon admits no window")
+    prods = _exact_products(a_spec, b_spec, horizon)
+    if prods is None:
+        return _best_window(a_spec, b_spec, n, geometric_grid(1, x_max, grid_ratio))
+    cands = _exact_candidates(prods, n, x_max)
+    best = _best_window(a_spec, b_spec, n, cands)
+    if best is not None and best.m > 1:
+        starts = {-(-p // best.m) for p in prods if p <= best.m * x_max} - set(cands)
+        extra = _best_window(a_spec, b_spec, n, sorted(starts))
+        if extra is not None and (extra.m, extra.x) < (best.m, best.x):
+            best = extra
     return best

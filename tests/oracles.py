@@ -178,6 +178,38 @@ def brute_gap_witness(a_elements, b_elements, n, cands):
     return best
 
 
+def brute_gap_witness_every_start(a_elements, b_elements, n, horizon):
+    """``brute_gap_witness`` over every start x in [1, horizon // n], fast
+    enough for tens of millions of starts: the windows of 2^18 starts at a
+    time are cut from the sorted list of every product up to the horizon,
+    and the largest ceiling ratio of consecutive products in each window is
+    read from a sparse table (level l holds the maxima of 2^l ratios)."""
+    import numpy as np
+
+    prods = np.array(brute_products(a_elements, b_elements, 1, horizon), dtype=np.int64)
+    ratios = -(-prods[1:] // prods[:-1])
+    levels = [ratios]
+    while 2 ** len(levels) <= len(ratios):
+        half = 2 ** (len(levels) - 1)
+        levels.append(np.maximum(levels[-1][:-half], levels[-1][half:]))
+    best = None
+    for x0 in range(1, horizon // n + 1, 1 << 18):
+        x = np.arange(x0, min(x0 + (1 << 18), horizon // n + 1), dtype=np.int64)
+        i = np.searchsorted(prods, x, side="left")
+        j = np.searchsorted(prods, n * x, side="right")
+        x, i, j = x[j > i], i[j > i], j[j > i]
+        m = -(-prods[i] // x)  # the leading gap
+        pairs = j - i - 1  # the window's ratios are ratios[i : j - 1]
+        for level, table in enumerate(levels):
+            w = np.flatnonzero((pairs >= 2**level) & (pairs < 2 ** (level + 1)))
+            inner = np.maximum(table[i[w]], table[j[w] - 1 - 2**level])
+            m[w] = np.maximum(m[w], inner)
+        if len(m) and (best is None or m.min() < best[1]):
+            k = int(np.argmin(m))
+            best = (int(x[k]), int(m[k]), int(j[k] - i[k]))
+    return best
+
+
 def brute_max_gap_ratio(products):
     if len(products) < 2:
         return 1

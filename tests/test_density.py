@@ -7,7 +7,7 @@ import pytest
 from densitylab import density as density_module
 from densitylab import numerics
 from densitylab.errors import DomainError
-from densitylab.intset import IntegerSetSpec, IntervalSet, count_le
+from densitylab.intset import ElementView, IntegerSetSpec, IntervalSet
 from densitylab.density import (
     banach_window_sup,
     banach_window_sup_at,
@@ -195,11 +195,11 @@ def test_banach_smallest_maximizer_vs_exhaustive_oracle(rng):
     assert banach_window_sup_at(specs[-1], 2, H)[1] == 451
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
 def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, chunk):
-    # the element scan keeps each chunk's first maximum and lets a later
-    # chunk, then kmax's window, replace it only when strictly larger: the
-    # same (value, k*) as one scan, bit for bit
+    # the scan keeps each chunk's first maximum (the last chunk ends with
+    # kmax) and lets a later chunk replace it only when strictly larger: the
+    # same (value, k*) as one scan, bit for bit, over members or block starts
     cases = []
     for _ in range(40):
         H = int(rng.randint(4, 400))
@@ -218,7 +218,17 @@ def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, chunk):
         # every member is above kmax: only kmax's window is scanned
         ([96, 97, 99], 2, 100),
     ]
+    # block views: unions of 4 to 9 blocks, and example2 (3 blocks up to 5000)
+    block_cases = []
+    for _ in range(12):
+        H = int(rng.randint(100, 400))
+        starts = np.sort(rng.choice(np.arange(1, H // 10), size=int(rng.randint(4, 10)), replace=False)) * 10
+        spec = IntegerSetSpec.interval_union(IntervalSet(tuple((a, a + int(rng.randint(0, 9))) for a in starts)))
+        block_cases += [(spec, n, H) for n in sorted({2, 3, int(rng.randint(2, H))})]
+    block_cases += [(IntegerSetSpec.example2(2, 4), n, H) for n in (2, 3, 10, 40) for H in (200, 5000)]
+    assert all(len(spec.view(H).starts) > 3 for spec, _, H in block_cases[:-8])
     want = [banach_window_sup_at(IntegerSetSpec.explicit(els), n, H) for els, n, H in cases]
+    block_want = [(banach_window_sup_at(spec, n, H), bd_estimate_at(spec, n, H)) for spec, n, H in block_cases]
     monkeypatch.setattr(density_module, "_CHUNK", chunk)
     monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", {})
     for (els, n, H), one_scan in zip(cases, want):
@@ -226,6 +236,14 @@ def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, chunk):
         assert got == one_scan, (els, n, H)
         value, k_star = brute_banach_sup(els, n, H)
         assert got[1] == k_star and got[0] == pytest.approx(value, abs=1e-12), (els, n, H)
+    for (spec, n, H), one_scan in zip(block_cases, block_want):
+        got = banach_window_sup_at(spec, n, H), bd_estimate_at(spec, n, H)
+        assert got == one_scan, (spec, n, H)
+        els = spec.members(1, H).tolist()
+        value, k_star = brute_banach_sup(els, n, H)
+        assert got[0][1] == k_star and got[0][0] == pytest.approx(value, abs=1e-12), (spec, n, H)
+        best, k_star = brute_bd_at(els, n, H)
+        assert got[1] == (best / (n + 1), k_star), (spec, n, H)
     assert banach_window_sup_at(IntegerSetSpec.explicit([4, 10, 12, 15]), 2, 40) == (0.25, 3)
     assert banach_window_sup_at(IntegerSetSpec.explicit([4, 10, 12, 15]), 2, 15) == (0.25, 3)
 
@@ -347,7 +365,7 @@ def test_bd_element_view_sends_no_bulk_search(monkeypatch):
     spec = IntegerSetSpec.squarefree()
     spec.view(10**6)
     searched, counted, missed = [], [], []
-    searchsorted, count_le = np.searchsorted, density_module.count_le
+    searchsorted, count_le = np.searchsorted, ElementView.count_le
 
     def spy_searchsorted(a, v, *args, **kwargs):
         searched.append(np.size(v))
@@ -361,7 +379,7 @@ def test_bd_element_view_sends_no_bulk_search(monkeypatch):
         return result
 
     monkeypatch.setattr(np, "searchsorted", spy_searchsorted)
-    monkeypatch.setattr(density_module, "count_le", spy_count_le)
+    monkeypatch.setattr(ElementView, "count_le", spy_count_le)
     for n in (2, 33, 1000, 10**5):
         bd_estimate_at(spec, n, 10**6)
     # count_le searches through intset's numpy handle: one that kept the
@@ -482,12 +500,12 @@ def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
         H = int(rng.randint(2**m, 3000))
         els = (np.flatnonzero(rng.random_sample(H) < rng.choice([0.02, 0.3, 0.9])) + 1).tolist()
         spec = IntegerSetSpec.explicit(els)
-        a = spec.view(H)[0]
+        a = spec.view(H).starts
         full = numerics.PrefixSums(a, lambda lo, hi: a[lo:hi].astype(np.float64) ** -beta)
         big = numerics.floor_nth_root(H, m)
         for h in (H, int(rng.randint(1, H + 1)), H):
             root = numerics.floor_nth_root(h, m)
-            counts = count_le(spec.view(h), np.arange(root + 1) ** m)
+            counts = spec.view(h).count_le(np.arange(root + 1) ** m)
             table = density_module._root_sums(spec, root, m, spec.view(h))
             assert cache[(spec, m)][0] == big  # grow-only by root
             assert np.array_equal(table._s[: root + 1], full._s[counts])
@@ -501,7 +519,7 @@ def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
             # bd_m's windows are the full table's, bit for bit
             ts = np.arange(1, tmax + 1)
             ks, tops = (ts - 1) ** m + 1, (ts + n) ** m
-            sums = full.range_sum(count_le(spec.view(h), ks - 1), count_le(spec.view(h), tops))
+            sums = full.range_sum(spec.view(h).count_le(ks - 1), spec.view(h).count_le(tops))
             i = int(np.argmax(sums))
             assert bdm_window_sup_at(spec, m, n, h) == (float(sums[i]) / (m * n), int(ks[i]))
         cache.clear()

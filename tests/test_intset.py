@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from densitylab import intset
 from densitylab.errors import CapacityError, DomainError, ValidationError
 from densitylab.intset import (
+    BlockView,
+    ElementView,
     IntegerSetSpec,
     IntervalSet,
     Window,
-    block_offsets,
     classify,
     contains,
-    count_le,
     example2_set,
     invert_intervals,
     materialize,
@@ -216,15 +216,17 @@ def test_view_counts_equal_element_counts(canonical_specs):
         view = spec.view(H)
         elems = spec.members(1, H)
         want = np.searchsorted(elems, xs, side="right")
-        assert np.array_equal(count_le(view, xs), want)
-        assert all(count_le(view, x) == want[x] for x in (0, 1, 17, H))
+        assert np.array_equal(view.count_le(xs), want)
+        assert all(view.count_le(x) == want[x] for x in (0, 1, 17, H))
         blocks = spec.kind in ("full", "interval_union", "example2")
-        assert (view[0] is view[1]) == (not blocks)
+        assert type(view) is (BlockView if blocks else ElementView)
+        starts = view.starts
+        assert np.array_equal(view.below(0, len(starts)), view.count_le(starts - 1))
+        assert np.array_equal(view.below(0, len(starts) + 1), np.append(view.count_le(starts - 1), len(elems)))
         if blocks:
-            assert np.array_equal(block_offsets(view), np.append(count_le(view, view[0] - 1), len(elems)))
-            assert len(view[0]) <= max(1, len(spec.block_union() or ()))  # endpoints, not elements
+            assert len(starts) <= max(1, len(spec.block_union() or ()))  # endpoints, not elements
         else:
-            assert np.array_equal(view[0], elems)
+            assert np.array_equal(starts, elems) and np.array_equal(view.ends, elems)
 
 
 def _random_unions(rng, count):
@@ -247,7 +249,8 @@ def test_block_view_equals_clipped_union():
         horizons |= {1, 2**63 - 1}
         for H in sorted(h for h in horizons if 1 <= h < 2**63):
             clipped = spec.block_union().clip(1, H).components
-            starts, ends = spec.view(H)
+            view = spec.view(H)
+            starts, ends = view.starts, view.ends
             assert starts.tolist() == [a for a, _ in clipped] and ends.tolist() == [b for _, b in clipped]
 
 

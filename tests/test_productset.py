@@ -9,7 +9,14 @@ from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.numerics import geometric_grid
 from densitylab.productset import GapReport, gap_witness, max_gap_ratio, products_in
 
-from oracles import brute_gap_witness, brute_max_gap_ratio, brute_primes, brute_products, brute_squarefree
+from oracles import (
+    brute_gap_witness,
+    brute_gap_witness_every_start,
+    brute_max_gap_ratio,
+    brute_primes,
+    brute_products,
+    brute_squarefree,
+)
 
 FULL = IntegerSetSpec.full()
 SQUAREFREE = IntegerSetSpec.squarefree()
@@ -223,12 +230,42 @@ def test_gap_witness_vs_full_enumeration_oracle(rng):
         cases.append((a, b, int(rng.choice([2, 3, 4, 16])), horizon))
     singletons = 0
     for a, b, n, horizon in cases:
-        cands = productset._exact_candidates(a, b, n, horizon // n, horizon) or geometric_grid(1, horizon // n, 1.1)
-        want = brute_gap_witness(_oracle_elements(a, horizon), _oracle_elements(b, horizon), n, cands)
+        a_el, b_el = _oracle_elements(a, horizon), _oracle_elements(b, horizon)
+        want = brute_gap_witness(a_el, b_el, n, _oracle_starts(a, b, a_el, b_el, n, horizon))
         got = gap_witness(a, b, n, horizon)
         assert (got and (got.x, got.m, got.products_examined)) == want, (a, b, n, horizon)
         singletons += bool(want and want[1] == 1)
     assert singletons >= len(PROBE_CASES)
+
+
+def _exact_scan_applies(a_spec, b_spec, a, b, horizon):
+    return a_spec.kind == b_spec.kind == "explicit" and len(
+        brute_products(a, b, 1, horizon)) <= productset.EXACT_SCAN_MAX_PRODUCTS
+
+
+def _oracle_starts(a_spec, b_spec, a, b, n, horizon):
+    """Every start up to horizon // n where the exact scan applies, else the
+    geometric grid."""
+    if _exact_scan_applies(a_spec, b_spec, a, b, horizon):
+        return range(1, horizon // n + 1)
+    return geometric_grid(1, horizon // n, 1.1)
+
+
+def test_exact_scan_vs_every_start(rng):
+    # explicit x explicit reports the least x with the least statistic over
+    # every start: [18, 54] holds 35 with leading gap ceil(35/18) = 2, which
+    # only a start ceil(p/m) found after the first pass reaches
+    r = gap_witness(EXPL([1]), EXPL([35]), 3, 100)
+    assert (r.x, r.m, r.products_examined) == (18, 2, 1)
+    for _ in range(300):
+        top = int(rng.choice([20, 60, 200]))
+        a, b = (sorted(rng.choice(np.arange(1, top + 1), size=int(rng.randint(1, 4)), replace=False).tolist())
+                for _ in range(2))
+        n, horizon = int(rng.choice([2, 3, 5])), int(rng.choice([100, 500, 3000]))
+        got = gap_witness(EXPL(a), EXPL(b), n, horizon)
+        want = brute_gap_witness(a, b, n, range(1, horizon // n + 1))
+        assert (got and (got.x, got.m, got.products_examined)) == want, (a, b, n, horizon)
+        assert brute_gap_witness_every_start(a, b, n, horizon) == want
 
 
 def _brute_candidates(a, b, n, horizon, cap):
@@ -251,15 +288,17 @@ def test_exact_candidates_vs_brute(rng, monkeypatch):
         for _ in range(40):
             a, b, a_spec, b_spec = _random_explicit_pair(rng, size_max=size_max, top=int(rng.choice([300, 3000])))
             n, horizon = int(rng.choice([2, 3, 16])), int(rng.choice([1000, 10**5, 2 * 10**9]))
-            got = productset._exact_candidates(a_spec, b_spec, n, horizon // n, horizon)
+            prods = productset._exact_products(a_spec, b_spec, horizon)
+            got = None if prods is None else productset._exact_candidates(prods, n, horizon // n)
             assert got == _brute_candidates(a, b, n, horizon, cap), (a, b, n, horizon)
             seen.add((cap, got is None))
     assert len(seen) == 4
-    assert productset._exact_candidates(EXPL([2]), IntegerSetSpec.primes(), 2, 50, 100) is None
-    assert productset._exact_candidates(EXPL([200]), EXPL([300]), 2, 50, 100) == [1, 50]
+    assert productset._exact_products(EXPL([2]), IntegerSetSpec.primes(), 100) is None
+    assert productset._exact_products(EXPL([200]), EXPL([300]), 100) == []
+    assert productset._exact_candidates([], 2, 50) == [1, 50]
     # a product past the cap raises as products_in does
     with pytest.raises(CapacityError):
-        productset._exact_candidates(EXPL([3, 10**6]), EXPL([7, 10**4]), 2, 10**10, 2 * 10**10)
+        productset._exact_products(EXPL([3, 10**6]), EXPL([7, 10**4]), 2 * 10**10)
 
 
 def test_exact_candidates_many_factors_decide_at_once(monkeypatch):
@@ -268,7 +307,7 @@ def test_exact_candidates_many_factors_decide_at_once(monkeypatch):
     a, b = (EXPL(rng.choice(np.arange(1, 10**5), size=5000, replace=False).tolist()) for _ in range(2))
     calls = []
     monkeypatch.setattr(productset, "products_in", lambda *args: calls.append(args))
-    assert productset._exact_candidates(a, b, 2, 10**9 // 2, 10**9) is None
+    assert productset._exact_products(a, b, 10**9) is None
     assert calls == []
 
 
@@ -319,10 +358,12 @@ def test_probe_stress_vs_brute_oracle(rng, monkeypatch):
     for size_max, n in ((400, 2), (60, 3), (30, 2), (30, 16)):
         a, b, a_spec, b_spec = _random_explicit_pair(rng, size_max)
         horizon = 4 * a[-1] * b[-1]
-        cands = productset._exact_candidates(a_spec, b_spec, n, horizon // n, horizon) or geometric_grid(
-            1, horizon // n, 1.1)
         got = gap_witness(a_spec, b_spec, n, horizon)
-        assert (got.x, got.m, got.products_examined) == brute_gap_witness(a, b, n, cands)
+        if _exact_scan_applies(a_spec, b_spec, a, b, horizon):
+            want = brute_gap_witness_every_start(a, b, n, horizon)
+        else:
+            want = brute_gap_witness(a, b, n, geometric_grid(1, horizon // n, 1.1))
+        assert (got.x, got.m, got.products_examined) == want
 
 
 def test_probe_step_bound(rng, monkeypatch):

@@ -120,7 +120,8 @@ def _check_allowed(spec, horizon, rng, ns=(1, 2, 3, 10), steps=800):
     """_allowed(spec, x, n, horizon) against a brute scan, x on block edges
     (of at most 300 blocks, sampled for element views), in gaps, past the
     last block and at random."""
-    starts, ends = (v.tolist() for v in spec.view(horizon))
+    view = spec.view(horizon)
+    starts, ends = view.starts.tolist(), view.ends.tolist()
     if len(starts) > 300:
         keep = sorted(rng.choice(len(starts), size=300, replace=False).tolist()) + [len(starts) - 1]
         starts, ends = [starts[i] for i in keep], [ends[i] for i in keep]
@@ -145,7 +146,7 @@ def test_allowed_blocks_equal_elements(rng):
         horizon = int(rng.randint(50, 5000))
         spec = _random_intervals(rng, horizon, int(rng.randint(1, 8)))
         twin = IntegerSetSpec.explicit(spec.members(1, horizon).tolist())
-        assert len(spec.view(horizon)[0]) <= len(spec.intervals)  # endpoints, not elements
+        assert len(spec.view(horizon).starts) <= len(spec.intervals)  # endpoints, not elements
         for n in (1, 2, 3, 10):
             xs = rng.randint(1, horizon // n + 1, size=100).tolist()
             assert [_allowed(spec, x, n, horizon) for x in xs] == [_allowed(twin, x, n, horizon) for x in xs], n
@@ -153,7 +154,8 @@ def test_allowed_blocks_equal_elements(rng):
 
 
 def test_allowed_full_is_one_block(rng):
-    starts, ends = FULL.view(10**9)
+    view = FULL.view(10**9)
+    starts, ends = view.starts, view.ends
     assert starts.tolist() == [1] and ends.tolist() == [10**9]
     assert all(_allowed(FULL, x, 2, 10**9) == x for x in range(1, 1000))
     assert all(_allowed(FULL, x, 1, 10**9) is None for x in range(1, 1000))  # n = 1 windows are empty
@@ -164,7 +166,7 @@ def test_allowed_example2_blocks_beyond_int64(rng):
     # block ends of depth 5 exceed int64; the view clips them at the horizon
     spec = IntegerSetSpec.example2(2, 5)
     view = spec.view(10**9)
-    assert view[0].tolist() == [2, 65, 2197001] and view[1].tolist() == [4, 130, 4394002]
+    assert view.starts.tolist() == [2, 65, 2197001] and view.ends.tolist() == [4, 130, 4394002]
     _check_allowed(spec, 10**9, rng)
 
 
