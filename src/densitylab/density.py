@@ -188,6 +188,7 @@ def _window_sums(weights, view, lo, hi, below=None) -> np.ndarray:
     if below is None:
         below = view.count_le(lo - 1)
     top = view.count_le(hi)
+    del hi  # the caller passed the tops without a name: they are not held while range_sum gathers
     return top - below if weights is None else table.range_sum(below, top)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -150,19 +151,43 @@ class Window:
 
 class ElementView:
     """The members of a set up to a horizon as a sorted int64 array, each a
-    block of its own: ``starts`` and ``ends`` are that array."""
+    block of its own: ``starts`` and ``ends`` are that array.
 
-    def __init__(self, members: np.ndarray):
+    A sieve kind's view also holds the sieve's rank directory: ``words``,
+    its bits (bit p of words[p >> 6] is the integer p + 1), and ``counts``,
+    the members in the words before each word (uint32).  ``count_le`` then
+    reads one count and one masked word per query instead of a binary
+    search over the members; both give the same integers."""
+
+    def __init__(self, members: np.ndarray, words: np.ndarray | None = None, counts: np.ndarray | None = None):
         self.starts = self.ends = members
+        self._words, self._counts = words, counts
 
     def count_le(self, x):
         """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
-        horizon."""
-        return np.searchsorted(self.starts, x, side="right")
+        horizon.  By rank, an array query holds at most three temporaries
+        of its length at once."""
+        if self._counts is None:
+            return np.searchsorted(self.starts, x, side="right")
+        if np.ndim(x) == 0:
+            return int(self.count_le(np.array([x], dtype=np.int64))[0])
+        w = x >> 6
+        bits = _low_masks()[x & 63]
+        bits &= self._words[w]
+        np.bitwise_count(bits, out=bits)  # in place: a separate uint8 result raised peak RSS
+        bits += self._counts[w]
+        return bits.view(np.int64)
 
     def below(self, i: int, j: int) -> np.ndarray:
         """The members below starts[i], ..., starts[j - 1]."""
         return np.arange(i, j, dtype=np.int64)
+
+
+@lru_cache(maxsize=1)
+def _low_masks() -> np.ndarray:
+    """The 64 words with their r lowest bits set, r = 0..63: built on first
+    use, so importing this module loads no numpy."""
+    return np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)
 
 
 class BlockView:
@@ -209,10 +234,10 @@ class IntegerSetSpec:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown set kind {self.kind!r}")
         if self.kind == "explicit":
-            elems = tuple(int(x) for x in self.elements)
-            if any(x < 1 for x in elems):
+            elems = tuple(map(int, self.elements))
+            if elems and min(elems) < 1:
                 raise ValidationError("explicit elements must be positive")
-            if any(b <= a for a, b in zip(elems, elems[1:])):
+            if not all(map(operator.lt, elems, elems[1:])):
                 raise ValidationError("explicit elements must be strictly increasing")
             object.__setattr__(self, "elements", elems)
         elif self.elements:
@@ -284,15 +309,19 @@ class IntegerSetSpec:
         """The set capped at [1, horizon]: a ``BlockView`` of its blocks for
         ``full``, ``interval_union`` and ``example2``, an ``ElementView`` of
         its sorted members for the other kinds, ``even`` and ``explicit``
-        included.  The blocks are the cached endpoints clipped to the horizon
-        by bisection before any int64 array is built (example2 block ends
-        pass int64 at depth 4), so a block view never materializes and
-        ``density`` sums it in closed form, also above the materialization
-        cap.  Horizons above 2^63 - 1 raise CapacityError.
+        included; ``squarefree`` and ``primes`` views count by the rank
+        directory of the cached sieve.  The blocks are the cached endpoints
+        clipped to the horizon by bisection before any int64 array is built
+        (example2 block ends pass int64 at depth 4), so a block view never
+        materializes and ``density`` sums it in closed form, also above the
+        materialization cap.  Horizons above 2^63 - 1 raise CapacityError.
         """
         horizon = int(horizon)
         if horizon >= 2**63:
             raise CapacityError("horizon exceeds 2^63 - 1")
+        if self.kind in _SIEVE_KINDS:  # members() sieves up to the horizon or reads the cache
+            members = self.members(1, horizon)
+            return ElementView(members, *_SIEVE_CACHE[self.kind][2:])
         if self._blocks is None or self.kind == "explicit":
             return ElementView(self.members(1, horizon))
         i = bisect_right(self._blocks[0], horizon)  # blocks starting at or below the horizon
@@ -433,7 +462,7 @@ class IntegerSetSpec:
         kind = obj["kind"]
         params = obj.get("params", {}) or {}
         if kind == "explicit":
-            return cls("explicit", elements=tuple(int(x) for x in params.get("elements", [])))
+            return cls("explicit", elements=params.get("elements", ()))  # __post_init__ converts them
         if kind == "interval_union":
             return cls("interval_union", intervals=IntervalSet.from_json(params.get("intervals", [])))
         if kind == "example2":
@@ -495,8 +524,11 @@ def _sieve_segment(kind: str, lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-# One cached element array per sieve kind, grown on demand.
-_SIEVE_CACHE: dict[str, tuple[int, np.ndarray]] = {}
+# One cached sieve per kind, grown on demand: its horizon, its members, and
+# the rank directory of ``ElementView``: its bits in hi // 64 + 1 uint64
+# words (so x >> 6 names a word for every x <= hi), and the uint32 member
+# count before each word.
+_SIEVE_CACHE: dict[str, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _sieve_members(kind: str, hi: int) -> np.ndarray:
@@ -505,25 +537,32 @@ def _sieve_members(kind: str, hi: int) -> np.ndarray:
         arr = cached[1]
         i1 = int(np.searchsorted(arr, hi, side="right"))
         return arr[:i1]
-    # Pass 1 sieves and counts each segment and keeps it bit-packed (one
-    # bit per integer); pass 2 writes the members into one buffer of the
-    # exact size, so the peak is that buffer plus one segment.
-    packed = []
+    # Pass 1 sieves and counts each segment and packs it into the words (a
+    # segment is a whole number of words); pass 2 writes the members into
+    # one buffer of the exact size, unpacking 2^16 integers at a time, so
+    # the peak is the words, that buffer and one segment.
+    words = np.zeros(hi // 64 + 1, dtype="<u8")
+    octets = words.view(np.uint8)
     total = 0
     for lo in range(1, hi + 1, _SEGMENT):
         seg = _sieve_segment(kind, lo, min(hi, lo + _SEGMENT - 1))
         total += int(np.count_nonzero(seg))
         _check_size(total)  # trip before the build grows any further
-        packed.append((lo, len(seg), np.packbits(seg)))
-        del seg  # not held while the buffer fills
+        packed = np.packbits(seg, bitorder="little")
+        del seg  # not held while the next one is sieved
+        b0 = (lo - 1) // 8
+        octets[b0 : b0 + len(packed)] = packed
+    counts = np.zeros(len(words), dtype=np.uint32)
+    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.uint32, out=counts[1:])
     arr = np.empty(total, dtype=np.int64)
     pos = 0
-    for lo, size, bits in packed:
-        offsets = np.flatnonzero(np.unpackbits(bits, count=size))
-        np.add(offsets, lo, out=arr[pos : pos + len(offsets)])
+    for b0 in range(0, len(octets), 1 << 13):  # the bits past hi are zero
+        offsets = np.flatnonzero(np.unpackbits(octets[b0 : b0 + (1 << 13)], bitorder="little"))
+        np.add(offsets, 8 * b0 + 1, out=arr[pos : pos + len(offsets)])
         pos += len(offsets)
-    arr.flags.writeable = False
-    _SIEVE_CACHE[kind] = (hi, arr)
+    for a in (words, counts, arr):
+        a.flags.writeable = False
+    _SIEVE_CACHE[kind] = (hi, arr, words, counts)
     return arr
 
 

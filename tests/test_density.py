@@ -23,6 +23,7 @@ from densitylab.density import (
     log_profile,
 )
 
+from conftest import random_explicit
 from oracles import (
     brute_banach_sup,
     brute_bd,
@@ -359,11 +360,14 @@ def test_bd_at_vs_oracle(rng, span_chunk):
         assert bdm_window_sup_at(spec, 1, n, H) == (best / n, k_star), (els, n, H)
 
 
-def test_bd_element_view_sends_no_bulk_search(monkeypatch):
+def test_bd_element_view_sends_no_bulk_search(monkeypatch, rng):
     # an element view answers each window length by span probes and scalar
-    # counts: no search gets one query per member
-    spec = IntegerSetSpec.squarefree()
-    spec.view(10**6)
+    # counts: no count gets one query per member.  A sieve view counts by
+    # rank; an explicit view (about 1e5 members) still searches, and each of
+    # its searches must reach the spy
+    H = 10**6
+    squarefree, explicit = IntegerSetSpec.squarefree(), random_explicit(rng, H, 0.1)
+    squarefree.view(H)
     searched, counted, missed = [], [], []
     searchsorted, count_le = np.searchsorted, ElementView.count_le
 
@@ -381,7 +385,11 @@ def test_bd_element_view_sends_no_bulk_search(monkeypatch):
     monkeypatch.setattr(np, "searchsorted", spy_searchsorted)
     monkeypatch.setattr(ElementView, "count_le", spy_count_le)
     for n in (2, 33, 1000, 10**5):
-        bd_estimate_at(spec, n, 10**6)
+        bd_estimate_at(squarefree, n, H)
+    assert counted and max(counted) <= 4
+    del counted[:], missed[:]
+    for n in (2, 33, 1000, 10**5):
+        bd_estimate_at(explicit, n, H)
     # count_le searches through intset's numpy handle: one that kept the
     # function it saw first would send its searches past the spy unchecked
     assert searched and max(searched) <= 4

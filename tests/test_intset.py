@@ -172,6 +172,44 @@ def test_sieve_build_cap_trips_before_allocation(monkeypatch, empty_sieve_cache)
     assert intset._SIEVE_CACHE == {}
 
 
+def _check_rank_counts(view, members, horizon):
+    # every x in [0, horizon] as arrays, a chunk at a time; as scalars every
+    # x within 130 of 0, the horizon and each segment edge, and a random sample
+    for lo in range(0, horizon + 1, 1 << 20):
+        xs = np.arange(lo, min(lo + (1 << 20), horizon + 1), dtype=np.int64)
+        got = view.count_le(xs)
+        assert got.dtype == np.int64 and np.array_equal(got, np.searchsorted(members, xs, "right")), lo
+    edges = [0, horizon] + list(range(0, horizon + 1, intset._SEGMENT))
+    near = {x for e in edges for x in range(e - 130, e + 131) if 0 <= x <= horizon}
+    near.update(np.random.RandomState(horizon % 1000).randint(0, horizon + 1, size=2000).tolist())
+    for x in sorted(near):
+        assert view.count_le(x) == np.searchsorted(members, x, "right"), x
+    assert view.count_le(0) == 0
+
+
+@pytest.mark.parametrize("kind", ["squarefree", "primes"])
+def test_sieve_view_counts_by_rank(kind, empty_sieve_cache):
+    # a sieve view counts by its rank directory: the same integers as a
+    # binary search over its members, at horizons on and around word and
+    # segment edges
+    spec, seg = IntegerSetSpec(kind), intset._SEGMENT
+    for horizon in (1, 2, 63, 64, 65, 127, seg - 1, seg + 1, 2 * seg + 1):
+        intset._SIEVE_CACHE.clear()
+        view = spec.view(horizon)
+        assert type(view) is ElementView and view._counts is not None
+        _check_rank_counts(view, view.starts, horizon)
+
+
+@pytest.mark.parametrize("kind", ["squarefree", "primes"])
+def test_sieve_view_of_a_smaller_horizon_reads_the_larger_cache(kind, empty_sieve_cache):
+    # a later, smaller horizon reads the directory built at the larger one
+    spec = IntegerSetSpec(kind)
+    spec.view(10**6)
+    view = spec.view(5 * 10**5)
+    assert intset._SIEVE_CACHE[kind][0] == 10**6
+    _check_rank_counts(view, spec.members(1, 5 * 10**5), 5 * 10**5)
+
+
 @given(st.sampled_from(["full", "even", "squarefree", "primes"]),
        st.integers(min_value=1, max_value=2000), st.integers(min_value=0, max_value=400))
 @settings(max_examples=60, deadline=None)
