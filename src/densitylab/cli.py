@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -47,9 +48,20 @@ def parse_int(text: str, name: str = "value") -> int:
         v = float(text)
     except ValueError:
         raise ValidationError(f"{name} must be an integer, got {text!r}")
-    if v != int(v):
+    if not math.isfinite(v) or v != int(v):
         raise ValidationError(f"{name} must be an integer, got {text!r}")
     return int(v)
+
+
+def parse_real_above(text: str, name: str, floor: float) -> float:
+    """Finite real argument that must exceed ``floor``."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise ValidationError(f"{name} must be a number, got {text!r}")
+    if not (math.isfinite(v) and v > floor):
+        raise ValidationError(f"{name} must be a finite number above {floor}, got {text!r}")
+    return v
 
 
 def parse_set_spec(text: str) -> IntegerSetSpec:
@@ -397,7 +409,7 @@ def parse_args(argv) -> RunConfig:
             "N": parse_int(ns.N, "N"),
             "intervals": IntervalSet.from_json(pairs),
             "rho": RatioCut(_parse_ratio(ns.rho)).rho,
-            "ratio_floor": float(ns.ratio_floor),
+            "ratio_floor": parse_real_above(ns.ratio_floor, "ratio-floor", 2),
             "scale": parse_int(ns.scale, "scale") if ns.scale is not None else None,
             "invert": bool(ns.invert),
             "margin": parse_int(ns.margin, "margin"),
@@ -429,7 +441,7 @@ def parse_args(argv) -> RunConfig:
             "set_b": parse_set_spec(ns.set_b),
             "n": [parse_int(c, "n") for c in ns.n.split(",")],
             "horizon": parse_int(ns.horizon, "horizon"),
-            "grid_ratio": float(ns.grid_ratio),
+            "grid_ratio": parse_real_above(ns.grid_ratio, "grid-ratio", 1),
         }
     else:  # certify
         params = {

@@ -49,8 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import numpy as np
 from .errors import CapacityError, DomainError, ValidationError
 from .intset import BlockView, ElementView, IntegerSetSpec
 from .numerics import BlockSums, PrefixSums, _powers, floor_nth_root, geometric_grid

@@ -649,7 +649,7 @@ def classify(s: IntervalSet, n: int, ratio_floor=2.5) -> dict:
     comps = s.components
     if comps[0][0] < 1 or comps[-1][1] > n:
         raise DomainError("components must lie within [1, N]")
-    if ratio_floor <= 2:
+    if not ratio_floor > 2:
         raise DomainError("ratio_floor must exceed 2")
     big = all(b >= ratio_floor * a for a, b in comps)
     separated = all(nxt[0] > 2 * cur[1] for cur, nxt in zip(comps, comps[1:]))

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._np import numpy as np
 from .errors import DomainError, ValidationError
 from .intset import IntervalSet, Window, classify, invert_intervals
 from .numerics import ceil_nth_root, harmonic_range, power_sum_range

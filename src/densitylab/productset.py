@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import numpy as np
 from .errors import CapacityError, DomainError
 from .intset import IntegerSetSpec
 from .numerics import geometric_grid

@@ -207,6 +207,50 @@ def test_validation_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_non_finite_numbers_exit_2(capsys):
+    # nan, inf and a literal past the largest float are not integers; they
+    # once escaped int() as ValueError or OverflowError
+    for args in (["density", "--set", "full", "--horizon", "nan"],
+                 ["density", "--set", "full", "--horizon", "inf"],
+                 ["density", "--set", "full", "--horizon=-inf"],
+                 ["search-gp", "--set", "full", "--l", "3", "--n", "2", "--horizon", "1e400"],
+                 ["monad", "--k", "1", "--N", "1000", "--intervals", "[[2,9]]", "--margin", "1e999"]):
+        assert cli.main(args) == 2, args
+        assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.0", "1", "0.5", "nan", "inf", "1e400"])
+def test_grid_ratio_checked_at_parse_time(value, capsys):
+    args = ["productset", "--set-a", "primes", "--set-b", "primes", "--n", "4", "--horizon", "1e4",
+            "--grid-ratio", value]
+    with pytest.raises(cli.ValidationError, match="grid-ratio"):
+        cli.parse_args(args)
+    assert cli.main(args) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["abc", "", "2", "2.0", "1", "nan", "inf", "1e999"])
+def test_ratio_floor_checked_at_parse_time(value, capsys):
+    # nan once passed classify's ratio_floor <= 2 guard and classified no
+    # component as big
+    args = ["monad", "--k", "1", "--N", "1000", "--intervals", "[[2,9]]", "--ratio-floor", value]
+    with pytest.raises(cli.ValidationError, match="ratio-floor"):
+        cli.parse_args(args)
+    assert cli.main(args) == 2
+    capsys.readouterr()
+
+
+def test_valid_ratios_keep_their_header_values():
+    monad = ["monad", "--k", "1", "--N", "1000", "--intervals", "[[2,9]]"]
+    product = ["productset", "--set-a", "primes", "--set-b", "primes", "--n", "4", "--horizon", "1e4"]
+    assert cli.parse_args(monad).header()["ratio_floor"] == 2.5
+    assert json.dumps(cli.parse_args(monad + ["--ratio-floor", "3"]).header()["ratio_floor"]) == "3.0"
+    assert json.dumps(cli.parse_args(monad + ["--ratio-floor", "2.0000001"]).header()["ratio_floor"]) == "2.0000001"
+    assert cli.parse_args(product).header()["grid_ratio"] == 1.1
+    assert json.dumps(cli.parse_args(product + ["--grid-ratio", "1e1"]).header()["grid_ratio"]) == "10.0"
+    assert json.dumps(cli.parse_args(product + ["--grid-ratio", "1.0001"]).header()["grid_ratio"]) == "1.0001"
+
+
 def test_capacity_exit_code(capsys):
     assert cli.main(["density", "--set", "squarefree", "--horizon", "1e10"]) == 4
     capsys.readouterr()

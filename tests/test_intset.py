@@ -385,6 +385,9 @@ def test_classify_examples():
     assert classify(IntervalSet(((10, 30),)), n, 2.5) == {"big": True, "separated": True}
     assert classify(IntervalSet(((10, 19),)), n, 2.5)["big"] is False
     assert classify(IntervalSet(((10, 30), (50, 200))), n, 2.5)["separated"] is False
+    for floor in (2, 1.5, float("nan")):  # nan compares false both ways
+        with pytest.raises(DomainError, match="ratio_floor"):
+            classify(IntervalSet(((10, 30),)), n, floor)
 
 
 def test_invert_intervals_examples():
