@@ -15,10 +15,10 @@ maximum is sampled away.  Every functional reads the set through
 ``IntegerSetSpec.view``: a ``BlockView`` of the blocks of ``full``,
 ``interval_union`` and ``example2``, or an ``ElementView`` of the sorted
 members of the other kinds.  Both count the members up to x (``count_le``)
-and below each block start (``below``), so a type test remains only where an
-algorithm runs on one of them alone: the table of x^(-beta) sums
-(``_window_sums``), the span bisection (``_count_max``) and bd_m's sums at
-perfect powers (``_root_sums``).
+and below each block start (``below``), and sum the counts or the x^(-beta)
+of the members in windows (``window_sums``), so a type test remains only
+where an algorithm runs on one of them alone: the span bisection
+(``_count_max``) and bd_m's sums at perfect powers (``_root_sums``).
 
 The Banach windows and the count windows (bd, and bd_m at m = 1) never fall
 while k steps over a non-member and never rise while it steps over a member,
@@ -32,7 +32,8 @@ differences that stops at its first hit.  The m-th root windows evaluate the
 left endpoint of each segment of constant ceil(k^(1/m)), where the value is
 non-increasing.
 
-Every window sum of x^(-beta) comes from a cached table.  A block view is
+Every window sum of x^(-beta) comes from a table held by the set's cached
+view, built once per size (``IntegerSetSpec.view``).  A block view is
 summed in closed form by ``BlockSums``, never materialized, so also above
 the materialization cap.  The closed form is one O(1) kernel,
 ``numerics.power_sums``, within 1e-14 relative of each range, and a window's
@@ -50,9 +51,9 @@ import math
 from dataclasses import dataclass
 
 from ._np import numpy as np
-from .errors import CapacityError, DomainError, ValidationError
-from .intset import BlockView, ElementView, IntegerSetSpec
-from .numerics import BlockSums, PrefixSums, _powers, floor_nth_root, geometric_grid
+from .errors import DomainError, ValidationError
+from .intset import BlockView, ElementView, IntegerSetSpec, _member_weights
+from .numerics import PrefixSums, floor_nth_root, geometric_grid
 
 __all__ = [
     "DensityProfile",
@@ -119,76 +120,19 @@ def default_checkpoints(horizon: int, start: int = 2) -> list[int]:
     return pts
 
 
-# ---------------------------------------------------------------------------
-# Window sums: counts, cached prefix sums of an element view, block sums of a block view
-# ---------------------------------------------------------------------------
-
-# One entry per key, each a size and its table, rebuilt only for a larger
-# size (as intset's sieve cache is), so a smaller request reads it as it is:
-# * (spec, beta): the largest horizon so far and its ``BlockSums`` of a block
-#   view, or its ``PrefixSums`` of x**(-beta) over an element view's members,
-#   built for beta = 1 only (the log profile and Banach; prefix sums are
-#   built front to back);
-# * (spec, m), m >= 2 (never a beta in [0, 1]): the largest root so far and
-#   bd_m's sums over an element view, kept at the perfect m-th powers
-#   (``_root_sums``).
-# The entry count is bounded so a long-lived process that sees many specs
-# does not keep all.
-_WEIGHTS_CACHE: dict = {}
-_WEIGHTS_CACHE_ENTRIES = 64
-
-
-def _cached(key, size: int, build):
-    """The cached table of ``key`` if built at ``size`` or above, else
-    ``build()``, cached at ``size``."""
-    hit = _WEIGHTS_CACHE.get(key)
-    if hit is None or hit[0] < size:
-        _WEIGHTS_CACHE.pop(key, None)  # the smaller entry is not held while the larger one builds
-        if len(_WEIGHTS_CACHE) >= _WEIGHTS_CACHE_ENTRIES:
-            _WEIGHTS_CACHE.clear()
-        hit = _WEIGHTS_CACHE[key] = (size, build())
-    return hit[1]
-
-
-def _member_weights(a: np.ndarray, beta: float):
-    """``weights_of`` for a ``PrefixSums`` pass over the members a."""
-    return lambda lo, hi: _powers(a[lo:hi].astype(np.float64), beta)
-
-
-def _root_sums(spec: IntegerSetSpec, root: int, m: int, view: ElementView) -> PrefixSums:
-    """The cached sums of x**(-(m-1)/m) over the members of an element view
-    of horizon at least root**m, kept only at the member counts
+def _root_sums(root: int, m: int, view: ElementView) -> PrefixSums:
+    """The sums of x**(-(m-1)/m) over the members of an element view of
+    horizon at least root**m, kept only at the member counts
     |A cap [1, s**m]| for s = 0..root: ``range_sum(t - 1, t + n)`` is the
     window [(t-1)**m + 1, (t+n)**m], bit for bit the full table's sum.  One
-    chunked pass over the members <= root**m builds it; rows 0..r of a larger
-    root's table are those of root r."""
+    chunked pass over the members <= root**m builds it, the view's table m
+    (no beta is 2 or more); a larger root's table has root r's rows 0..r."""
 
     def build():
         counts = view.count_le(np.arange(root + 1, dtype=np.int64) ** m)
         return PrefixSums.at_counts(counts, _member_weights(view.starts, (m - 1) / m))
 
-    return _cached((spec, m), root, build)
-
-
-def _window_sums(weights, view, lo, hi, below=None) -> np.ndarray:
-    """The members of ``view`` in each window [lo, hi] (int64 arrays): their
-    count when ``weights`` is None, else, for ``weights = (spec, horizon,
-    beta)`` and ``view = spec.view(horizon)``, their x**(-beta) sum from a
-    cached table: ``BlockSums`` in closed form at the window ends on a block
-    view, ``PrefixSums`` (beta = 1) read at the member counts on an element
-    view.  ``below``, when given, is |A cap [1, lo - 1]| of each window."""
-    if weights is not None:
-        spec, horizon, beta = weights
-        if isinstance(view, BlockView):
-            table = _cached((spec, beta), horizon, lambda: BlockSums(view.starts, view.ends, beta))
-            return table.window_sums(lo, hi)
-        a = view.starts
-        table = _cached((spec, beta), horizon, lambda: PrefixSums(a, _member_weights(a, beta)))
-    if below is None:
-        below = view.count_le(lo - 1)
-    top = view.count_le(hi)
-    del hi  # the caller passed the tops without a name: they are not held while range_sum gathers
-    return top - below if weights is None else table.range_sum(below, top)
+    return view.table(m, root, build)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +147,7 @@ def _validate_checkpoints(checkpoints, horizon, minimum=1):
     if any(n < minimum for n in pts):
         raise ValidationError(f"checkpoints must be >= {minimum}")
     if max(pts) > horizon:
-        raise CapacityError("checkpoint beyond horizon")
+        raise ValidationError("checkpoint beyond horizon")
     return sorted(set(pts))
 
 
@@ -227,7 +171,7 @@ def log_profile(spec: IntegerSetSpec, horizon: int, checkpoints=None, kind: str 
         raise ValidationError("kind must be 'upper' or 'lower'")
     pts = _validate_checkpoints(checkpoints or default_checkpoints(horizon), horizon, minimum=2)
     tops = np.asarray(pts, dtype=np.int64)
-    sums = _window_sums((spec, horizon, 1.0), spec.view(horizon), np.ones_like(tops), tops)
+    sums = spec.view(horizon).window_sums(np.ones_like(tops), tops, 1.0)
     values = [(n, float(s) / math.log(n)) for n, s in zip(pts, sums)]
     return DensityProfile(f"{kind}_log", horizon, tuple(values))
 
@@ -262,11 +206,11 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 _CHUNK = 1 << 16
 
 
-def _window_max(view, kmax: int, tops, weights=None):
+def _window_max(view, kmax: int, tops, beta=None):
     """The best window [k, tops(k)] over 1 <= k <= kmax on a set view, as
     (value, k): the value is the count of members in the window (block views
-    only; ``_count_max`` answers element views), or, given
-    ``weights = (spec, horizon, beta)``, their x**(-beta) sum.
+    only; ``_count_max`` answers element views), or, given ``beta``, their
+    x**(-beta) sum.
 
     The window functionals here never fall while k steps over a non-member
     and never rise while it steps over a member, so the maximum is attained
@@ -286,7 +230,7 @@ def _window_max(view, kmax: int, tops, weights=None):
         cands, below = starts[lo:hi], view.below(lo, hi)
         if hi == j:  # the last chunk ends with kmax
             cands, below = np.append(cands, kmax), np.append(below, view.count_le(kmax - 1))
-        values = _window_sums(weights, view, cands, tops(cands), below)
+        values = view.window_sums(cands, tops(cands), beta, below)
         i = int(np.argmax(values))
         if best is None or values[i] > best:
             best, k = values[i], int(cands[i])
@@ -361,7 +305,7 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
     if n > horizon:
         raise DomainError("need n <= horizon")
     view = spec.view(horizon)
-    value, k1 = _window_max(view, (horizon + 1) // n, lambda k: k * n - 1, (spec, horizon, 1.0))
+    value, k1 = _window_max(view, (horizon + 1) // n, lambda k: k * n - 1, 1.0)
     i = int(np.searchsorted(view.starts, k1 * n - 1, side="right"))
     p = min(int(view.ends[i - 1]), k1 * n - 1) if i else 0
     return float(value), p // n + 1
@@ -427,8 +371,8 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
     endpoint of each root segment (plus k = 1) needs evaluation, which makes
     the scan exact at every horizon.  Window t is [(t-1)^m + 1, (t+n)^m]:
     its sum comes from ``_root_sums`` on an element view (``even`` too: no
-    caller needed a closed form for it) and from ``_window_sums`` on a block
-    view; ties resolve to the smallest k.
+    caller needed a closed form for it) and from the view's ``window_sums``
+    on a block view; ties resolve to the smallest k.
     """
     m, n = int(m), int(n)
     if m < 1:
@@ -451,10 +395,10 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
         return 0.0, 0
     view = spec.view(horizon)
     if isinstance(view, ElementView):  # window t reads rows t - 1 and t + n
-        sums = _root_sums(spec, root, m, view).range_sum(slice(0, tmax), slice(n + 1, root + 1))
+        sums = _root_sums(root, m, view).range_sum(slice(0, tmax), slice(n + 1, root + 1))
     else:
         ts = np.arange(1, tmax + 1, dtype=np.int64)  # exact: every (t + n)**m <= horizon < 2**63
-        sums = _window_sums((spec, horizon, (m - 1) / m), view, (ts - 1) ** m + 1, (ts + n) ** m)
+        sums = view.window_sums((ts - 1) ** m + 1, (ts + n) ** m, (m - 1) / m)
     i = int(np.argmax(sums))  # window i + 1, the first maximizer, has the smallest k
     return float(sums[i]) / (m * n), i**m + 1
 

@@ -10,6 +10,9 @@ IntervalSet is a sorted disjoint union of integer intervals with maximal
 components; it doubles as the finite stand-in for internal sets decomposed
 into connected components, and carries the interval-inversion algebra
 u -> floor(N/u).
+
+A set's view up to a horizon counts and sums its members in windows; the
+largest view of each set is cached here with its sum tables (``_VIEWS``).
 """
 
 from __future__ import annotations
@@ -61,15 +64,10 @@ class IntervalSet:
     components: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        comps = []
-        for a, b in self.components:
-            a, b = int(a), int(b)
+        merged: list[tuple[int, int]] = []
+        for a, b in sorted(_integers(pair, "interval endpoints") for pair in self.components):
             if a < 1 or b < a:
                 raise ValidationError(f"bad interval [{a}, {b}]")
-            comps.append((a, b))
-        comps.sort()
-        merged: list[tuple[int, int]] = []
-        for a, b in comps:
             if merged and a <= merged[-1][1] + 1:
                 pa, pb = merged[-1]
                 merged[-1] = (pa, max(pb, b))
@@ -115,7 +113,7 @@ class IntervalSet:
     @classmethod
     def from_json(cls, pairs) -> "IntervalSet":
         try:
-            return cls(tuple((int(a), int(b)) for a, b in pairs))
+            return cls(tuple(pairs))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad interval list: {pairs!r}") from exc
 
@@ -149,7 +147,41 @@ class Window:
         return self.k <= x <= self.N * self.k
 
 
-class ElementView:
+class _View:
+    """What both views share: the horizon, and the sum tables that a view
+    and its clips hold in one dict."""
+
+    def table(self, key, size: int, build):
+        """The table of ``key`` if built at ``size`` or above, else ``build()``
+        kept at ``size``, the smaller one not held while the larger builds."""
+        if self._tables.get(key, (-1,))[0] < size:
+            self._tables.pop(key, None)
+            self._tables[key] = (size, build())
+        return self._tables[key][1]
+
+    def window_sums(self, lo, hi, beta=None, below=None):
+        """The members in each window [lo, hi] (int64 arrays): their count
+        when ``beta`` is None, else their x**(-beta) sum, from ``PrefixSums``
+        over the members (beta = 1: the log profile and Banach) read at the
+        member counts.  ``below``, when given, is |A cap [1, lo - 1]|."""
+        if beta is not None:
+            from .numerics import PrefixSums
+            a = self.starts
+            table = self.table(beta, self.horizon, lambda: PrefixSums(a, _member_weights(a, beta)))
+        if below is None:
+            below = self.count_le(lo - 1)
+        top = self.count_le(hi)
+        del hi  # the caller passed the tops without a name: they are not held while range_sum gathers
+        return top - below if beta is None else table.range_sum(below, top)
+
+
+def _member_weights(a: np.ndarray, beta: float):
+    """``weights_of`` for a ``PrefixSums`` pass over the members a."""
+    from .numerics import _powers
+    return lambda lo, hi: _powers(a[lo:hi].astype(np.float64), beta)
+
+
+class ElementView(_View):
     """The members of a set up to a horizon as a sorted int64 array, each a
     block of its own: ``starts`` and ``ends`` are that array.
 
@@ -159,9 +191,15 @@ class ElementView:
     reads one count and one masked word per query instead of a binary
     search over the members; both give the same integers."""
 
-    def __init__(self, members: np.ndarray, words: np.ndarray | None = None, counts: np.ndarray | None = None):
+    def __init__(self, horizon: int, members: np.ndarray, words: np.ndarray | None = None,
+                 counts: np.ndarray | None = None, tables: dict | None = None):
+        self.horizon, self._tables = horizon, {} if tables is None else tables
         self.starts = self.ends = members
         self._words, self._counts = words, counts
+
+    def clip(self, horizon: int) -> "ElementView":
+        """The view up to a smaller horizon, sharing this one's arrays and tables."""
+        return ElementView(horizon, self.starts[: self.count_le(horizon)], self._words, self._counts, self._tables)
 
     def count_le(self, x):
         """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
@@ -190,15 +228,28 @@ def _low_masks() -> np.ndarray:
     return np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)
 
 
-class BlockView:
+class BlockView(_View):
     """A set up to a horizon as sorted disjoint blocks [starts[b], ends[b]]
-    (int64 arrays), with the members below each block counted once."""
+    (int64 arrays), with the members below each block counted once; their
+    x**(-beta) sums come from ``BlockSums``, in closed form."""
 
-    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+    def __init__(self, horizon: int, starts: np.ndarray, ends: np.ndarray, tables: dict | None = None):
+        self.horizon, self._tables = horizon, {} if tables is None else tables
         self.starts, self.ends = starts, ends
         self._ends0 = np.concatenate(([0], ends))  # index 0: no block
         self._below = np.zeros(len(starts) + 1, dtype=np.int64)  # then |A|
         np.cumsum(ends - starts + 1, out=self._below[1:])
+
+    def clip(self, horizon: int) -> "BlockView":
+        """The view up to a smaller horizon, sharing this one's tables."""
+        i = np.searchsorted(self.starts, horizon, side="right")  # blocks starting at or below it
+        return BlockView(horizon, self.starts[:i], np.minimum(self.ends[:i], horizon), self._tables)
+
+    def window_sums(self, lo, hi, beta=None, below=None):
+        if beta is None:
+            return super().window_sums(lo, hi, below=below)
+        from .numerics import BlockSums
+        return self.table(beta, self.horizon, lambda: BlockSums(self.starts, self.ends, beta)).window_sums(lo, hi)
 
     def count_le(self, x):
         """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
@@ -209,6 +260,12 @@ class BlockView:
     def below(self, i: int, j: int) -> np.ndarray:
         """The members below starts[i], ..., starts[j - 1]."""
         return self._below[i:j]
+
+
+# The largest view of each set built so far, with its sum tables, for at
+# most _VIEW_SETS sets, so a long-lived process does not keep every set.
+_VIEWS: dict = {}
+_VIEW_SETS = 64
 
 
 def _example2_blocks(j: int, depth: int) -> tuple[tuple[int, int], ...]:
@@ -234,7 +291,7 @@ class IntegerSetSpec:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown set kind {self.kind!r}")
         if self.kind == "explicit":
-            elems = tuple(map(int, self.elements))
+            elems = _integers(self.elements, "explicit elements")
             if elems and min(elems) < 1:
                 raise ValidationError("explicit elements must be positive")
             if not all(map(operator.lt, elems, elems[1:])):
@@ -248,6 +305,8 @@ class IntegerSetSpec:
         elif self.intervals is not None:
             raise ValidationError("intervals only valid for kind 'interval_union'")
         if self.kind == "example2":
+            for name, value in zip(("j", "depth"), _integers((self.j, self.depth), "example2 j and depth")):
+                object.__setattr__(self, name, value)
             if self.j < 2:
                 raise ValidationError("example2 requires j >= 2")
             if self.depth < 0:
@@ -269,7 +328,7 @@ class IntegerSetSpec:
 
     @classmethod
     def explicit(cls, elements) -> "IntegerSetSpec":
-        return cls("explicit", elements=tuple(sorted(set(int(x) for x in elements))))
+        return cls("explicit", elements=tuple(sorted(set(_integers(elements, "explicit elements")))))
 
     @classmethod
     def interval_union(cls, intervals: IntervalSet) -> "IntegerSetSpec":
@@ -310,25 +369,46 @@ class IntegerSetSpec:
         ``full``, ``interval_union`` and ``example2``, an ``ElementView`` of
         its sorted members for the other kinds, ``even`` and ``explicit``
         included; ``squarefree`` and ``primes`` views count by the rank
-        directory of the cached sieve.  The blocks are the cached endpoints
+        directory of their sieve.  The blocks are the cached endpoints
         clipped to the horizon by bisection before any int64 array is built
         (example2 block ends pass int64 at depth 4), so a block view never
         materializes and ``density`` sums it in closed form, also above the
         materialization cap.  Horizons above 2^63 - 1 raise CapacityError.
-        """
+        The largest view so far is cached (``_VIEWS``): a smaller horizon gets
+        a clip sharing its arrays and tables, a larger one drops it first.
+        An explicit view holds its elements below 2^63: it never grows."""
         horizon = int(horizon)
+        if horizon < 1:
+            raise ValidationError("need horizon >= 1")
         if horizon >= 2**63:
             raise CapacityError("horizon exceeds 2^63 - 1")
-        if self.kind in _SIEVE_KINDS:  # members() sieves up to the horizon or reads the cache
-            members = self.members(1, horizon)
-            return ElementView(members, *_SIEVE_CACHE[self.kind][2:])
-        if self._blocks is None or self.kind == "explicit":
-            return ElementView(self.members(1, horizon))
-        i = bisect_right(self._blocks[0], horizon)  # blocks starting at or below the horizon
-        starts, ends = self._blocks[0][:i], self._blocks[1][:i]
-        if i and ends[-1] > horizon:
-            ends[-1] = horizon
-        return BlockView(np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64))
+        view = _VIEWS.pop(self, None)
+        if view is None or view.horizon < horizon:
+            view = None  # the smaller view and its tables are not held while the larger one builds
+            if len(_VIEWS) >= _VIEW_SETS:
+                _VIEWS.clear()
+            view = self._build_view(horizon)
+        _VIEWS[self] = view
+        return view if view.horizon == horizon else view.clip(horizon)
+
+    def _build_view(self, horizon: int) -> ElementView | BlockView:
+        if self.kind in _SIEVE_KINDS:
+            if horizon > SIEVE_HORIZON:
+                raise CapacityError(f"sieve horizon capped at {SIEVE_HORIZON}")
+            return _sieve_members(self.kind, horizon)
+        if self.kind == "even":
+            _check_size(horizon // 2)
+            members = np.arange(2, horizon + 1, 2, dtype=np.int64)
+        elif self.kind == "explicit":
+            members, horizon = np.asarray(self.elements[: bisect_left(self.elements, 2**63)], dtype=np.int64), 2**63 - 1
+        else:
+            i = bisect_right(self._blocks[0], horizon)  # blocks starting at or below the horizon
+            starts, ends = self._blocks[0][:i], self._blocks[1][:i]
+            if i and ends[-1] > horizon:
+                ends[-1] = horizon
+            return BlockView(horizon, np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64))
+        members.flags.writeable = False  # cached: every caller shares it
+        return ElementView(horizon, members)
 
     # -- membership and materialization -------------------------------------
 
@@ -349,30 +429,14 @@ class IntegerSetSpec:
         return _is_prime(x)
 
     def members(self, lo: int, hi: int) -> np.ndarray:
-        """Sorted int64 array of the set's members in [lo, hi]."""
+        """Sorted int64 array of the set's members in [lo, hi], read from ``view(hi)``."""
         lo, hi = int(lo), int(hi)
         if lo < 1 or hi < lo:
             raise ValidationError("need 1 <= lo <= hi")
-        kind = self.kind
-        if kind == "full":
-            _check_size(hi - lo + 1)
-            return np.arange(lo, hi + 1, dtype=np.int64)
-        if kind == "even":
-            start = lo + (lo % 2)
-            _check_size(max(0, (hi - start) // 2 + 1))
-            return np.arange(start, hi + 1, 2, dtype=np.int64)
-        if kind == "explicit":
-            arr = self._explicit_array()
-            i0 = int(np.searchsorted(arr, lo, side="left"))
-            i1 = int(np.searchsorted(arr, hi, side="right"))
-            return arr[i0:i1]
-        if kind in ("interval_union", "example2"):
-            return self.block_union().members(lo, hi)
-        if hi > SIEVE_HORIZON:
-            raise CapacityError(f"sieve horizon capped at {SIEVE_HORIZON}")
-        full = _sieve_members(kind, hi)
-        i0 = int(np.searchsorted(full, lo, side="left"))
-        return full[i0:]
+        view = self.view(hi)
+        if isinstance(view, BlockView):
+            return IntervalSet(tuple(zip(view.starts.tolist(), view.ends.tolist()))).members(lo, hi)
+        return view.starts[int(np.searchsorted(view.starts, lo, side="left")) :]
 
     def next_member(self, x: int, limit: int) -> int | None:
         """Least member >= x, or None if there is none up to ``limit``."""
@@ -417,8 +481,8 @@ class IntegerSetSpec:
         return None
 
     def __hash__(self) -> int:
-        # An explicit set hashes its whole elements tuple, and the density
-        # caches look a spec up on every call, so the hash is kept per object.
+        # An explicit set hashes its whole elements tuple, and the view
+        # cache looks a spec up on every call, so the hash is kept per object.
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.kind, self.elements, self.intervals, self.j, self.depth))
@@ -428,14 +492,6 @@ class IntegerSetSpec:
     def __getstate__(self) -> dict:
         # string hashes differ between processes, so a pickle leaves the hash out
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-    def _explicit_array(self) -> np.ndarray:
-        arr = self.__dict__.get("_elements_arr")
-        if arr is None:
-            arr = np.asarray(self.elements, dtype=np.int64)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_elements_arr", arr)
-        return arr
 
     # -- serialization -------------------------------------------------------
 
@@ -467,10 +523,24 @@ class IntegerSetSpec:
             return cls("interval_union", intervals=IntervalSet.from_json(params.get("intervals", [])))
         if kind == "example2":
             try:
-                return cls("example2", j=int(params["j"]), depth=int(params["depth"]))
+                return cls("example2", j=params["j"], depth=params["depth"])
             except KeyError as exc:
                 raise ValidationError("example2 requires params j and depth") from exc
         return cls(kind)
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each equal to its value, as an int or an
+    integral float (1e6) is: NaN, infinities, fractions, strings and objects
+    raise ValidationError.  ``int`` returns an int as it is, so the one
+    C-speed comparison mostly checks identity."""
+    try:
+        ints = tuple(map(int, values := tuple(values)))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != values:
+        raise ValidationError(f"{what} must be integers")
+    return ints
 
 
 def _check_size(n: int):
@@ -524,19 +594,9 @@ def _sieve_segment(kind: str, lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-# One cached sieve per kind, grown on demand: its horizon, its members, and
-# the rank directory of ``ElementView``: its bits in hi // 64 + 1 uint64
-# words (so x >> 6 names a word for every x <= hi), and the uint32 member
-# count before each word.
-_SIEVE_CACHE: dict[str, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _sieve_members(kind: str, hi: int) -> np.ndarray:
-    cached = _SIEVE_CACHE.get(kind)
-    if cached is not None and cached[0] >= hi:
-        arr = cached[1]
-        i1 = int(np.searchsorted(arr, hi, side="right"))
-        return arr[:i1]
+def _sieve_members(kind: str, hi: int) -> ElementView:
+    """The view of a sieve kind up to hi, with the rank directory of its bits
+    in hi // 64 + 1 uint64 words (x >> 6 names a word for every x <= hi)."""
     # Pass 1 sieves and counts each segment and packs it into the words (a
     # segment is a whole number of words); pass 2 writes the members into
     # one buffer of the exact size, unpacking 2^16 integers at a time, so
@@ -562,8 +622,7 @@ def _sieve_members(kind: str, hi: int) -> np.ndarray:
         pos += len(offsets)
     for a in (words, counts, arr):
         a.flags.writeable = False
-    _SIEVE_CACHE[kind] = (hi, arr, words, counts)
-    return arr
+    return ElementView(hi, arr, words, counts)
 
 
 # Point membership is pure Python and builds no array.  A squarefree test
@@ -634,11 +693,7 @@ def example2_set(j: int, depth: int) -> IntervalSet:
     The recursion fixes the minimal admissible growth choice so results are
     reproducible.
     """
-    if j < 2:
-        raise ValidationError("need j >= 2")
-    if depth < 0:
-        raise ValidationError("need depth >= 0")
-    return IntervalSet(_example2_blocks(j, depth))
+    return IntegerSetSpec.example2(j, depth).block_union()
 
 
 def classify(s: IntervalSet, n: int, ratio_floor=2.5) -> dict:

@@ -251,6 +251,47 @@ def test_valid_ratios_keep_their_header_values():
     assert json.dumps(cli.parse_args(product + ["--grid-ratio", "1.0001"]).header()["grid_ratio"]) == "1.0001"
 
 
+@pytest.mark.parametrize("args", [
+    ["density", "--set", '{"kind":"explicit","params":{"elements":[1,NaN]}}'],
+    ["density", "--set", '{"kind":"interval_union","params":{"intervals":[[1,Infinity]]}}'],
+    ["density", "--set", '{"kind":"explicit","params":{"elements":[1,{"a":1}]}}'],
+    ["density", "--set", '{"kind":"explicit","params":{"elements":[1,2.5,7]}}'],
+    ["density", "--set", '{"kind":"explicit","params":{"elements":"123"}}'],
+    ["density", "--set", '{"kind":"example2","params":{"j":2.7,"depth":2}}'],
+    ["monad", "--k", "1", "--N", "1000", "--intervals", "[[2,9.5]]"],
+], ids=["nan", "infinity", "object", "fraction", "string", "example2-j", "monad-interval"])
+def test_json_numbers_must_be_integers(args, capsys):
+    # these once ended in a traceback or were truncated silently ([1, 2, 7], j = 2, [2, 9])
+    if args[0] == "density":
+        args = args + ["--horizon", "2000", "--nmax", "4"]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "must be integers" in err or "bad interval list" in err
+
+
+def test_integral_json_floats_pass():
+    # as in parse_int, 1e6 is an integer
+    spec = IntegerSetSpec.from_json('{"kind":"explicit","params":{"elements":[1,7.0,2e3]}}')
+    assert spec.elements == (1, 7, 2000) and all(type(x) is int for x in spec.elements)
+    assert IntegerSetSpec.from_json('{"kind":"example2","params":{"j":2.0,"depth":1e0}}') == IntegerSetSpec.example2(2, 1)
+    assert IntervalSet.from_json([[2.0, 9e0]]).components == ((2, 9),)
+
+
+def test_explicit_elements_past_int64_lie_past_every_horizon(tmp_path):
+    # the view holds the elements below 2^63 only; the others once ended in an OverflowError
+    args = ["density", "--horizon", "1000", "--nmax", "4"]
+    assert cli.main(args + ["--set", "explicit:3,5,99999999999999999999", "--out", str(tmp_path / "big")]) == 0
+    assert cli.main(args + ["--set", "explicit:3,5", "--out", str(tmp_path / "small")]) == 0
+    rows = [(tmp_path / name).read_text().split("\n", 1)[1] for name in ("big", "small")]
+    assert rows[0] == rows[1]
+
+
+def test_checkpoint_beyond_horizon_exit_code(capsys):
+    # a malformed request, not a capacity limit
+    assert cli.main(["density", "--set", "full", "--horizon", "100", "--nmax", "4", "--checkpoints", "10,200"]) == 2
+    assert "checkpoint beyond horizon" in capsys.readouterr().err
+
+
 def test_capacity_exit_code(capsys):
     assert cli.main(["density", "--set", "squarefree", "--horizon", "1e10"]) == 4
     capsys.readouterr()

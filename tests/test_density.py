@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from densitylab import density as density_module
-from densitylab import numerics
+from densitylab import intset, numerics
 from densitylab.errors import DomainError
 from densitylab.intset import ElementView, IntegerSetSpec, IntervalSet
 from densitylab.density import (
@@ -231,7 +231,7 @@ def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, chunk):
     want = [banach_window_sup_at(IntegerSetSpec.explicit(els), n, H) for els, n, H in cases]
     block_want = [(banach_window_sup_at(spec, n, H), bd_estimate_at(spec, n, H)) for spec, n, H in block_cases]
     monkeypatch.setattr(density_module, "_CHUNK", chunk)
-    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", {})
+    monkeypatch.setattr(intset, "_VIEWS", {})
     for (els, n, H), one_scan in zip(cases, want):
         got = banach_window_sup_at(IntegerSetSpec.explicit(els), n, H)
         assert got == one_scan, (els, n, H)
@@ -501,8 +501,8 @@ def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
     # bits of a full table's, also when a smaller horizon follows a larger
     # one and reads a prefix of the cached rows
     monkeypatch.setattr(numerics, "_CHUNK", 3)
-    cache = {}
-    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", cache)
+    views = {}
+    monkeypatch.setattr(intset, "_VIEWS", views)
     beta, hit = (m - 1) / m, {"edge": False, "last": False}
     for _ in range(30):
         H = int(rng.randint(2**m, 3000))
@@ -514,8 +514,8 @@ def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
         for h in (H, int(rng.randint(1, H + 1)), H):
             root = numerics.floor_nth_root(h, m)
             counts = spec.view(h).count_le(np.arange(root + 1) ** m)
-            table = density_module._root_sums(spec, root, m, spec.view(h))
-            assert cache[(spec, m)][0] == big  # grow-only by root
+            table = density_module._root_sums(root, m, spec.view(h))
+            assert views[spec]._tables[m][0] == big  # grow-only by root
             assert np.array_equal(table._s[: root + 1], full._s[counts])
             assert np.array_equal(table._c[: root + 1], full._c[counts])
             hit["edge"] |= bool(np.any((counts > 0) & (counts % 3 == 0) & (counts < len(a))))
@@ -530,7 +530,7 @@ def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
             sums = full.range_sum(spec.view(h).count_le(ks - 1), spec.view(h).count_le(tops))
             i = int(np.argmax(sums))
             assert bdm_window_sup_at(spec, m, n, h) == (float(sums[i]) / (m * n), int(ks[i]))
-        cache.clear()
+        views.clear()
     assert hit == {"edge": True, "last": True}
 
 
@@ -540,19 +540,22 @@ def test_weights_cache_slices_match_fresh_builds(spec, monkeypatch):
     def calls(H):
         return (log_profile(spec, H), lbd_profile(spec, 64, H), bdm_window_sup_at(spec, 2, 16, H))
 
-    cache = {}
-    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", cache)
+    views = {}
+    monkeypatch.setattr(intset, "_VIEWS", views)
     fresh = {}
     for H in (10**5, 2 * 10**4):
-        cache.clear()
+        views.clear()
         fresh[H] = calls(H)
-    cache.clear()
+    views.clear()
     for H in (10**5, 2 * 10**4, 10**5):
         assert calls(H) == fresh[H]  # bit-identical
-    # the reciprocal sums per member, keyed by beta and sized by horizon;
-    # bd_m's sums at the perfect squares, keyed by m and sized by root
-    assert sorted(cache) == [(spec, 1.0), (spec, 2)]
-    assert cache[(spec, 1.0)][0] == 10**5 and cache[(spec, 2)][0] == math.isqrt(10**5)
+    # one view per set, holding the reciprocal sums per member, keyed by
+    # beta and sized by horizon, and bd_m's sums at the perfect squares,
+    # keyed by m and sized by root
+    assert list(views) == [spec]
+    tables = views[spec]._tables
+    assert sorted(tables) == [1.0, 2]
+    assert tables[1.0][0] == 10**5 and tables[2][0] == math.isqrt(10**5)
 
 
 def test_bdm_full_value_and_k_star_pins():
@@ -642,14 +645,14 @@ def test_element_view_temporaries_are_bounded(monkeypatch):
     # on an element view none holds |A|-long temporaries: squarefree at 1e6
     # has 607,926 members, 4.9 MB per float64 array
     spec, H, slack = IntegerSetSpec.squarefree(), 10**6, 4 * 2**20
-    monkeypatch.setattr(density_module, "_WEIGHTS_CACHE", {})
+    monkeypatch.setattr(intset, "_VIEWS", {})
     spec.view(H)  # the elements are held before tracing starts
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         log_profile(spec, H)
         held, peak = tracemalloc.get_traced_memory()
-        table = density_module._WEIGHTS_CACHE[(spec, 1.0)][1]
+        table = spec.view(H)._tables[1.0][1]
         assert peak - base <= table._s.nbytes + table._c.nbytes + slack
         tracemalloc.reset_peak()
         lbd_profile(spec, 1000, H)
@@ -660,3 +663,23 @@ def test_element_view_temporaries_are_bounded(monkeypatch):
         assert tracemalloc.get_traced_memory()[1] - held <= slack
     finally:
         tracemalloc.stop()
+
+
+def test_a_larger_table_is_built_without_the_smaller_one():
+    # an explicit view never grows, only its tables do: the reciprocal sums
+    # at H/2 (8 MB here) are dropped before those at H build, so the two
+    # calls peak no higher than one call at H on a fresh set of the same size
+    H, slack = 2 * 10**6, 2**20
+
+    def peak(spec, horizons):
+        spec.view(H)  # the elements are held before tracing starts
+        tracemalloc.start()
+        try:
+            for h in horizons:
+                log_profile(spec, h, [h])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fresh = peak(IntegerSetSpec.explicit(range(2, H + 1, 2)), [H])
+    assert peak(IntegerSetSpec.explicit(range(1, H + 1, 2)), [H // 2, H]) <= fresh + slack

@@ -98,6 +98,24 @@ def test_numpy_is_imported_in_one_place():
     assert len(found["_np.py"]) == 1
 
 
+def _empty_dicts(path):
+    """Lines of the module-level statements that bind an empty {} or dict()."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(node.value, ast.Dict) and not node.value.keys
+                or isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+                and node.value.func.id == "dict" and not node.value.args and not node.value.keywords)]
+
+
+def test_one_module_level_cache():
+    # a set's materialization and its sum tables live in one cache, the
+    # views in intset; a module-level empty dict elsewhere would start another
+    found = {path.name: _empty_dicts(path) for path in sorted((ROOT / "src" / "densitylab").rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "intset.py"} == {}
+    assert len(found["intset.py"]) == 1
+
+
 needs_pool = pytest.mark.skipif(not (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2),
                                 reason="counts threads in /proc/self/status; OpenBLAS starts a pool on 2+ CPUs")
 

@@ -131,30 +131,29 @@ def test_sieve_horizon_cap():
 
 
 @pytest.fixture()
-def empty_sieve_cache(monkeypatch):
-    monkeypatch.setattr(intset, "_SIEVE_CACHE", {})
+def empty_view_cache(monkeypatch):
+    monkeypatch.setattr(intset, "_VIEWS", {})
 
 
 @pytest.mark.parametrize("kind, brute", [("squarefree", brute_squarefree), ("primes", brute_primes)])
-def test_sieve_build_vs_trial_division(kind, brute, empty_sieve_cache):
+def test_sieve_build_vs_trial_division(kind, brute):
     for hi in (1, 2, 3, 4, 9, 10, 97, 2000):
-        intset._SIEVE_CACHE.clear()
-        got = intset._sieve_members(kind, hi)
+        got = intset._sieve_members(kind, hi).starts
         assert got.dtype == np.int64 and got.tolist() == brute(hi)
 
 
 @pytest.mark.parametrize("kind", ["squarefree", "primes"])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("delta", [-1, 0, 1])
-def test_sieve_build_at_segment_edges(kind, k, delta, empty_sieve_cache):
+def test_sieve_build_at_segment_edges(kind, k, delta):
     hi = k * intset._SEGMENT + delta
-    got = intset._sieve_members(kind, hi)
+    got = intset._sieve_members(kind, hi).starts
     want = np.flatnonzero(intset._sieve_segment(kind, 1, hi)) + 1
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert not got.flags.writeable
 
 
-def test_sieve_build_cap_trips_before_allocation(monkeypatch, empty_sieve_cache):
+def test_sieve_build_cap_trips_before_allocation(monkeypatch, empty_view_cache):
     # the buffer is filled only after every segment is counted, so a cap trip
     # in the first of three segments means no buffer was allocated
     sieved = []
@@ -167,9 +166,9 @@ def test_sieve_build_cap_trips_before_allocation(monkeypatch, empty_sieve_cache)
     monkeypatch.setattr(intset, "MATERIALIZE_LIMIT", 1000)
     monkeypatch.setattr(intset, "_sieve_segment", counting_segment)
     with pytest.raises(CapacityError):
-        intset._sieve_members("squarefree", 3 * intset._SEGMENT)
+        IntegerSetSpec.squarefree().view(3 * intset._SEGMENT)
     assert sieved == [(1, intset._SEGMENT)]
-    assert intset._SIEVE_CACHE == {}
+    assert intset._VIEWS == {}
 
 
 def _check_rank_counts(view, members, horizon):
@@ -188,25 +187,26 @@ def _check_rank_counts(view, members, horizon):
 
 
 @pytest.mark.parametrize("kind", ["squarefree", "primes"])
-def test_sieve_view_counts_by_rank(kind, empty_sieve_cache):
+def test_sieve_view_counts_by_rank(kind, empty_view_cache):
     # a sieve view counts by its rank directory: the same integers as a
     # binary search over its members, at horizons on and around word and
     # segment edges
     spec, seg = IntegerSetSpec(kind), intset._SEGMENT
     for horizon in (1, 2, 63, 64, 65, 127, seg - 1, seg + 1, 2 * seg + 1):
-        intset._SIEVE_CACHE.clear()
+        intset._VIEWS.clear()
         view = spec.view(horizon)
         assert type(view) is ElementView and view._counts is not None
         _check_rank_counts(view, view.starts, horizon)
 
 
 @pytest.mark.parametrize("kind", ["squarefree", "primes"])
-def test_sieve_view_of_a_smaller_horizon_reads_the_larger_cache(kind, empty_sieve_cache):
+def test_sieve_view_of_a_smaller_horizon_reads_the_larger_cache(kind, empty_view_cache):
     # a later, smaller horizon reads the directory built at the larger one
     spec = IntegerSetSpec(kind)
     spec.view(10**6)
     view = spec.view(5 * 10**5)
-    assert intset._SIEVE_CACHE[kind][0] == 10**6
+    cached = intset._VIEWS[IntegerSetSpec(kind)]  # an equal spec finds the same view
+    assert cached.horizon == 10**6 and view._words is cached._words and view._counts is cached._counts
     _check_rank_counts(view, spec.members(1, 5 * 10**5), 5 * 10**5)
 
 
