@@ -53,24 +53,13 @@ def parse_int(text: str, name: str = "value") -> int:
     return int(v)
 
 
-def parse_real_above(text: str, name: str, floor: float) -> float:
-    """Finite real argument that must exceed ``floor``."""
-    try:
-        v = float(text)
-    except ValueError:
-        raise ValidationError(f"{name} must be a number, got {text!r}")
-    if not (math.isfinite(v) and v > floor):
-        raise ValidationError(f"{name} must be a finite number above {floor}, got {text!r}")
-    return v
-
-
 def parse_set_spec(text: str) -> IntegerSetSpec:
     text = text.strip()
     if text.startswith("{"):
         return IntegerSetSpec.from_json(text)
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
-            return IntegerSetSpec.from_json(json.load(fh))
+            return IntegerSetSpec.from_json(fh.read())
     name, _, args = text.partition(":")
     name = name.strip()
     if name in ("full", "even", "squarefree", "primes"):
@@ -98,11 +87,7 @@ def parse_set_spec(text: str) -> IntegerSetSpec:
 def _jsonable(v):
     if isinstance(v, (IntegerSetSpec, IntervalSet)):
         return v.to_json()
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if v is None or isinstance(v, (bool, int, float, str)):
-        return v
-    return str(v)
+    return v if v is None or isinstance(v, (bool, int, float, str, list)) else str(v)
 
 
 @dataclass
@@ -120,28 +105,6 @@ class RunConfig:
         return items
 
 
-def _emit(config: RunConfig, text: str):
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_text(header: dict, columns: list[str], rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _json_text(header: dict, payload) -> str:
-    return json.dumps({"config": header, "report": payload}, sort_keys=True, indent=2) + "\n"
-
-
 def _fmt_value(v: float):
     from .monad import round12
 
@@ -151,10 +114,12 @@ def _fmt_value(v: float):
 # ---------------------------------------------------------------------------
 # Command implementations.  Each imports the modules it runs, so a command
 # loads numpy only if they do: search-gp, search-pap and certify do not.
+# Each returns its exit code and its report: a table (columns, rows), written
+# in --format, or a JSON payload, written as JSON whatever --format says.
 # ---------------------------------------------------------------------------
 
 
-def _run_density(config: RunConfig) -> int:
+def _run_density(config: RunConfig):
     from . import density
     from .numerics import geometric_grid
 
@@ -184,24 +149,16 @@ def _run_density(config: RunConfig) -> int:
             value, k_star = density.bdm_window_sup_at(spec, p["m"], n, horizon)
             rows.append(("bd_m", p["m"], n, k_star, _fmt_value(value)))
     rows.sort(key=lambda r: (r[0], r[2]))
-    columns = ["functional", "m", "n", "k_star", "value"]
-    header = config.header()
-    if config.fmt == "csv":
-        _emit(config, _csv_text(header, columns, rows))
-    else:
-        payload = [dict(zip(columns, row)) for row in rows]
-        _emit(config, _json_text(header, payload))
-    return EXIT_OK
+    return EXIT_OK, (["functional", "m", "n", "k_star", "value"], rows)
 
 
-def _run_monad(config: RunConfig) -> int:
+def _run_monad(config: RunConfig):
     from . import monad
 
     p = config.params
     window = Window(p["k"], p["N"])
     intervals: IntervalSet = p["intervals"]
-    report = monad.nu(window, intervals)
-    nu_json = report.to_json()
+    nu_json = monad.nu(window, intervals).to_json()
     nu_json["params"] = {
         "rho": str(p["rho"]),
         "ratio_floor": p["ratio_floor"],
@@ -209,7 +166,6 @@ def _run_monad(config: RunConfig) -> int:
         "intervals": intervals.to_json(),
     }
     payload: dict = {"nu": nu_json}
-    flags = None
     if intervals:
         flags = classify(intervals, window.hi, p["ratio_floor"])
         payload["classify"] = flags
@@ -219,26 +175,19 @@ def _run_monad(config: RunConfig) -> int:
         payload["scale_check"] = monad.scale_check(window, intervals, p["scale"]).to_json()
     if p["invert"]:
         payload["inversion_check"] = monad.inversion_check(window, intervals, p["margin"]).to_json()
-    header = config.header()
     if config.fmt == "csv":
-        rows = _flatten(payload)
-        _emit(config, _csv_text(header, ["metric", "value"], rows))
-    else:
-        _emit(config, _json_text(header, payload))
-    return EXIT_OK
+        return EXIT_OK, (["metric", "value"], _flatten(payload))
+    return EXIT_OK, payload
 
 
 def _flatten(obj, prefix="") -> list[tuple]:
-    rows = []
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            rows.extend(_flatten(obj[key], f"{prefix}{key}." if prefix else f"{key}."))
-    else:
-        rows.append((prefix.rstrip("."), obj))
-    return rows
+    """(dotted path, value) rows of a nested dict's leaves, keys sorted."""
+    if not isinstance(obj, dict):
+        return [(prefix, obj)]
+    return [row for key in sorted(obj) for row in _flatten(obj[key], f"{prefix}.{key}" if prefix else key)]
 
 
-def _run_search(config: RunConfig) -> int:
+def _run_search(config: RunConfig):
     from . import progressions
 
     p = config.params
@@ -248,64 +197,165 @@ def _run_search(config: RunConfig) -> int:
         witness = progressions.find_power_ap(
             p["set"], p["m"], p["l"], p["n"], p["min_a"], p["min_d"], p["horizon"]
         )
-    header = config.header()
     if witness is None:
-        _emit(config, _json_text(header, {"found": False}))
-        return EXIT_EXHAUSTED
-    _emit(config, _json_text(header, {"found": True, "witness": witness.to_json()}))
-    return EXIT_OK
+        return EXIT_EXHAUSTED, {"found": False}
+    return EXIT_OK, {"found": True, "witness": witness.to_json()}
 
 
-def _run_productset(config: RunConfig) -> int:
+def _run_productset(config: RunConfig):
     from . import productset
 
     p = config.params
-    rows = []
-    missing = False
-    for n in p["n"]:
-        report = productset.gap_witness(p["set_a"], p["set_b"], n, p["horizon"], p["grid_ratio"])
-        if report is None:
-            missing = True
-            continue
-        rows.append((report.n, report.x, report.m, report.products_examined, report.window[0], report.window[1]))
-    header = config.header()
-    columns = ["n", "x", "m", "products", "lo", "hi"]
-    if config.fmt == "csv":
-        _emit(config, _csv_text(header, columns, rows))
-    else:
-        _emit(config, _json_text(header, [dict(zip(columns, row)) for row in rows]))
-    return EXIT_EXHAUSTED if missing else EXIT_OK
+    reports = [productset.gap_witness(p["set_a"], p["set_b"], n, p["horizon"], p["grid_ratio"]) for n in p["n"]]
+    rows = [(r.n, r.x, r.m, r.products_examined, *r.window) for r in reports if r is not None]
+    return EXIT_EXHAUSTED if None in reports else EXIT_OK, (["n", "x", "m", "products", "lo", "hi"], rows)
 
 
-def _run_certify(config: RunConfig) -> int:
+def _run_certify(config: RunConfig):
     from . import progressions
 
-    p = config.params
-    triple = progressions.find_gp3(p["set"], p["horizon"])
-    payload: dict = {"certified": triple is None}
-    if triple is not None:
-        payload["counterexample"] = list(triple)
-    _emit(config, _json_text(config.header(), payload))
-    return EXIT_OK if triple is None else EXIT_EXHAUSTED
+    triple = progressions.find_gp3(config.params["set"], config.params["horizon"])
+    if triple is None:
+        return EXIT_OK, {"certified": True}
+    return EXIT_EXHAUSTED, {"certified": False, "counterexample": list(triple)}
 
 
-_RUNNERS = {
-    "density": _run_density,
-    "monad": _run_monad,
-    "search-gp": _run_search,
-    "search-pap": _run_search,
-    "productset": _run_productset,
-    "certify": _run_certify,
+# ---------------------------------------------------------------------------
+# Options.  A converter takes the option's text and its name (the flag
+# without dashes, as error messages give it) and returns the value stored
+# under the option's argparse dest, which is also its report-header key.
+# ---------------------------------------------------------------------------
+
+
+def _set(text: str, name: str) -> IntegerSetSpec:
+    return parse_set_spec(text)
+
+
+def _int_list(item: str):
+    """Converter of a comma-separated list of integers, each named ``item``."""
+    return lambda text, name: [parse_int(c, item) for c in text.split(",")]
+
+
+def _real_above(floor: float):
+    """Converter of a finite real that must exceed ``floor``."""
+
+    def convert(text: str, name: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            raise ValidationError(f"{name} must be a number, got {text!r}")
+        if not (math.isfinite(v) and v > floor):
+            raise ValidationError(f"{name} must be a finite number above {floor}, got {text!r}")
+        return v
+
+    return convert
+
+
+def _intervals(text: str, name: str) -> IntervalSet:
+    try:
+        pairs = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad --intervals JSON: {exc}")
+    return IntervalSet.from_json(pairs)
+
+
+def _rho(text: str, name: str):
+    from fractions import Fraction
+
+    from .monad import RatioCut
+
+    try:
+        ratio = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad ratio {text!r}") from exc
+    return RatioCut(ratio).rho
+
+
+# Each command maps to (runner, help, options), and an option is (flag,
+# converter, default, help).  A default of _REQUIRED makes the option
+# required; the converter bool makes a flag without a value, and a tuple of
+# choices an option whose value is kept as given.
+_REQUIRED = ...
+_SET = ("--set", _set, _REQUIRED, None)
+_HORIZON = ("--horizon", parse_int, _REQUIRED, None)
+_COMMON = (("--out", None, None, "output path (default: stdout)"), ("--format", ("csv", "json"), "csv", None))
+
+_COMMANDS = {
+    "density": (_run_density, "density functional profiles", (
+        _SET,
+        _HORIZON,
+        ("--checkpoints", _int_list("checkpoint"), None, "comma-separated checkpoint list"),
+        ("--nmax", parse_int, "1000", "largest window ratio on the n-grid"),
+        ("--m", parse_int, None, "also emit bd_m rows for this m"),
+    )),
+    "monad": (_run_monad, "window measure reports", (
+        ("--k", parse_int, _REQUIRED, None),
+        ("--N", parse_int, _REQUIRED, None),
+        ("--intervals", _intervals, _REQUIRED, "JSON array of [a, b] pairs"),
+        ("--rho", _rho, "10", None),
+        ("--ratio-floor", _real_above(2), "2.5", None),
+        ("--scale", parse_int, None, "also run the scaling-map check"),
+        ("--invert", bool, False, "also run the inversion check"),
+        ("--margin", parse_int, "1000", None),
+    )),
+    "search-gp": (_run_search, "approximate geometric progression search", (
+        _SET,
+        ("--l", parse_int, _REQUIRED, None),
+        ("--n", parse_int, _REQUIRED, None),
+        ("--min", parse_int, None, "sets both --min-a and --min-r"),
+        ("--min-a", parse_int, "0", None),
+        ("--min-r", parse_int, "0", None),
+        _HORIZON,
+    )),
+    "search-pap": (_run_search, "m-th powers of arithmetic progressions search", (
+        _SET,
+        ("--m", parse_int, _REQUIRED, None),
+        ("--l", parse_int, _REQUIRED, None),
+        ("--n", parse_int, _REQUIRED, None),
+        ("--min", parse_int, None, "sets both --min-a and --min-d"),
+        ("--min-a", parse_int, "0", None),
+        ("--min-d", parse_int, "0", None),
+        _HORIZON,
+    )),
+    "productset": (_run_productset, "productset gap reports", (
+        ("--set-a", _set, _REQUIRED, None),
+        ("--set-b", _set, _REQUIRED, None),
+        ("--n", _int_list("n"), _REQUIRED, "comma-separated list of window ratios"),
+        _HORIZON,
+        ("--grid-ratio", _real_above(1), "1.1", None),
+    )),
+    "certify": (_run_certify, "certify structural properties", (
+        ("property", ("gp-free",), _REQUIRED, None),
+        _SET,
+        _HORIZON,
+    )),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
-    if config.command not in _RUNNERS:
+    if config.command not in _COMMANDS:
         raise ValidationError(f"unknown command {config.command!r}")
     if config.fmt not in ("csv", "json"):
         raise ValidationError("format must be csv or json")
-    return _RUNNERS[config.command](config)
+    code, report = _COMMANDS[config.command][0](config)
+    header = config.header()
+    if isinstance(report, tuple) and config.fmt == "csv":
+        buf = io.StringIO()
+        buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        csv.writer(buf, lineterminator="\n").writerows([report[0], *report[1]])
+        text = buf.getvalue()
+    else:
+        if isinstance(report, tuple):
+            columns, rows = report
+            report = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps({"config": header, "report": report}, sort_keys=True, indent=2) + "\n"
+    if config.out:
+        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -321,144 +371,41 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="densitylab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--format", default="csv", choices=("csv", "json"))
-
-    sp = sub.add_parser("density", help="density functional profiles")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--horizon", required=True)
-    sp.add_argument("--checkpoints", default=None, help="comma-separated checkpoint list")
-    sp.add_argument("--nmax", default="1000", help="largest window ratio on the n-grid")
-    sp.add_argument("--m", default=None, help="also emit bd_m rows for this m")
-    add_common(sp)
-
-    sp = sub.add_parser("monad", help="window measure reports")
-    sp.add_argument("--k", required=True)
-    sp.add_argument("--N", required=True)
-    sp.add_argument("--intervals", required=True, help="JSON array of [a, b] pairs")
-    sp.add_argument("--rho", default="10")
-    sp.add_argument("--ratio-floor", default="2.5")
-    sp.add_argument("--scale", default=None, help="also run the scaling-map check")
-    sp.add_argument("--invert", action="store_true", help="also run the inversion check")
-    sp.add_argument("--margin", default="1000")
-    add_common(sp)
-
-    sp = sub.add_parser("search-gp", help="approximate geometric progression search")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--l", required=True)
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--min", default=None, help="sets both --min-a and --min-r")
-    sp.add_argument("--min-a", default="0")
-    sp.add_argument("--min-r", default="0")
-    sp.add_argument("--horizon", required=True)
-    add_common(sp)
-
-    sp = sub.add_parser("search-pap", help="m-th powers of arithmetic progressions search")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--m", required=True)
-    sp.add_argument("--l", required=True)
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--min", default=None, help="sets both --min-a and --min-d")
-    sp.add_argument("--min-a", default="0")
-    sp.add_argument("--min-d", default="0")
-    sp.add_argument("--horizon", required=True)
-    add_common(sp)
-
-    sp = sub.add_parser("productset", help="productset gap reports")
-    sp.add_argument("--set-a", required=True)
-    sp.add_argument("--set-b", required=True)
-    sp.add_argument("--n", required=True, help="comma-separated list of window ratios")
-    sp.add_argument("--horizon", required=True)
-    sp.add_argument("--grid-ratio", default="1.1")
-    add_common(sp)
-
-    sp = sub.add_parser("certify", help="certify structural properties")
-    sp.add_argument("property", choices=("gp-free",))
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--horizon", required=True)
-    add_common(sp)
+    for command, (_, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag, convert, default, text in options + _COMMON:
+            kwargs: dict = {"help": text}
+            if isinstance(convert, tuple):
+                kwargs["choices"] = convert
+            elif convert is bool:
+                kwargs["action"] = "store_true"
+            if default is not _REQUIRED:
+                kwargs["default"] = default
+            elif flag.startswith("-"):  # a positional is required as it is
+                kwargs["required"] = True
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
 def parse_args(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
-    cmd = ns.command
-    if cmd == "density":
-        params = {
-            "set": parse_set_spec(ns.set),
-            "horizon": parse_int(ns.horizon, "horizon"),
-            "checkpoints": [parse_int(c, "checkpoint") for c in ns.checkpoints.split(",")] if ns.checkpoints else None,
-            "nmax": parse_int(ns.nmax, "nmax"),
-            "m": parse_int(ns.m, "m") if ns.m is not None else None,
-        }
+    params = {}
+    for flag, convert, _, _ in _COMMANDS[ns.command][2]:
+        name = flag.lstrip("-")
+        key = name.replace("-", "_")
+        value = getattr(ns, key)
+        if isinstance(value, str) and callable(convert):  # not an absent option, a bool flag or a choice
+            value = convert(value, name)
+        params[key] = value
+    base = params.pop("min", None)
+    if base is not None:  # --min sets every --min-* option
+        params.update({key: base for key in params if key.startswith("min_")})
+    if ns.command == "density":
         if params["horizon"] < 2:
             raise ValidationError("horizon must be >= 2")
         if not 2 <= params["nmax"] <= params["horizon"]:
             raise ValidationError("need 2 <= nmax <= horizon")
-    elif cmd == "monad":
-        from .monad import RatioCut
-
-        try:
-            pairs = json.loads(ns.intervals)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad --intervals JSON: {exc}")
-        params = {
-            "k": parse_int(ns.k, "k"),
-            "N": parse_int(ns.N, "N"),
-            "intervals": IntervalSet.from_json(pairs),
-            "rho": RatioCut(_parse_ratio(ns.rho)).rho,
-            "ratio_floor": parse_real_above(ns.ratio_floor, "ratio-floor", 2),
-            "scale": parse_int(ns.scale, "scale") if ns.scale is not None else None,
-            "invert": bool(ns.invert),
-            "margin": parse_int(ns.margin, "margin"),
-        }
-    elif cmd == "search-gp":
-        base = parse_int(ns.min, "min") if ns.min is not None else None
-        params = {
-            "set": parse_set_spec(ns.set),
-            "l": parse_int(ns.l, "l"),
-            "n": parse_int(ns.n, "n"),
-            "min_a": base if base is not None else parse_int(ns.min_a, "min-a"),
-            "min_r": base if base is not None else parse_int(ns.min_r, "min-r"),
-            "horizon": parse_int(ns.horizon, "horizon"),
-        }
-    elif cmd == "search-pap":
-        base = parse_int(ns.min, "min") if ns.min is not None else None
-        params = {
-            "set": parse_set_spec(ns.set),
-            "m": parse_int(ns.m, "m"),
-            "l": parse_int(ns.l, "l"),
-            "n": parse_int(ns.n, "n"),
-            "min_a": base if base is not None else parse_int(ns.min_a, "min-a"),
-            "min_d": base if base is not None else parse_int(ns.min_d, "min-d"),
-            "horizon": parse_int(ns.horizon, "horizon"),
-        }
-    elif cmd == "productset":
-        params = {
-            "set_a": parse_set_spec(ns.set_a),
-            "set_b": parse_set_spec(ns.set_b),
-            "n": [parse_int(c, "n") for c in ns.n.split(",")],
-            "horizon": parse_int(ns.horizon, "horizon"),
-            "grid_ratio": parse_real_above(ns.grid_ratio, "grid-ratio", 1),
-        }
-    else:  # certify
-        params = {
-            "set": parse_set_spec(ns.set),
-            "horizon": parse_int(ns.horizon, "horizon"),
-            "property": ns.property,
-        }
-    return RunConfig(cmd, params, out=ns.out, fmt=ns.format)
-
-
-def _parse_ratio(text: str):
-    from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad ratio {text!r}") from exc
+    return RunConfig(ns.command, params, out=ns.out, fmt=ns.format)
 
 
 def main(argv=None) -> int:

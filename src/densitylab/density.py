@@ -105,14 +105,12 @@ class DensityProfile:
         return max(v for _, v in self.checkpoints)
 
 
-def default_checkpoints(horizon: int, start: int = 2) -> list[int]:
-    """Powers of two in [start, horizon], always including the horizon."""
+def default_checkpoints(horizon: int) -> list[int]:
+    """Powers of two in [2, horizon], always including the horizon."""
     if horizon < 2:
         raise ValidationError("horizon must be >= 2")
     pts = []
-    p = 1 << max(1, int(start).bit_length() - 1)
-    if p < start:
-        p <<= 1
+    p = 2
     while p < horizon:
         pts.append(p)
         p <<= 1

@@ -50,6 +50,8 @@ MATERIALIZE_LIMIT = 1 << 27
 
 _SIEVE_KINDS = ("squarefree", "primes")
 _KINDS = ("explicit", "interval_union", "squarefree", "primes", "full", "even", "example2")
+# the keys of a JSON spec's params, by kind; the other kinds take none
+_PARAMS = {"explicit": ("elements",), "interval_union": ("intervals",), "example2": ("j", "depth")}
 
 
 @dataclass(frozen=True)
@@ -112,10 +114,14 @@ class IntervalSet:
 
     @classmethod
     def from_json(cls, pairs) -> "IntervalSet":
-        try:
-            return cls(tuple(pairs))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad interval list: {pairs!r}") from exc
+        """The union of a JSON array of [a, b] pairs; an entry that is not a
+        pair is named in the error, not the whole array."""
+        if not isinstance(pairs, (list, tuple)):
+            raise ValidationError("intervals must be an array of [a, b] pairs")
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValidationError(f"bad interval {pair!r}: not an [a, b] pair")
+        return cls(tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -450,11 +456,8 @@ class IntegerSetSpec:
                 return None
             cand = max(starts[i], x)
             return cand if cand <= limit else None
-        if self.kind == "even":
-            nxt = x + (x % 2)
-            return nxt if nxt <= limit else None
-        # Sieve kinds: scan upward; squarefree and prime gaps are tiny
-        # relative to every supported horizon.
+        # even and the sieve kinds: scan upward; squarefree and prime gaps
+        # are tiny relative to every supported horizon.
         y = x
         while y <= limit:
             if self.contains(y):
@@ -471,8 +474,6 @@ class IntegerSetSpec:
             starts, ends = self._blocks
             i = bisect_right(starts, x)  # blocks starting at or below x
             return min(ends[i - 1], x) if i else None
-        if self.kind == "even":
-            return x - (x % 2) if x >= 2 else None
         y = x
         while y >= 1:
             if self.contains(y):
@@ -515,8 +516,14 @@ class IntegerSetSpec:
                 raise ValidationError(f"bad set spec JSON: {exc}") from exc
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("set spec must be an object with a 'kind' field")
-        kind = obj["kind"]
-        params = obj.get("params", {}) or {}
+        kind, params = obj["kind"], obj.get("params", {})
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown set kind {kind!r}")
+        if not isinstance(params, dict):
+            raise ValidationError("set spec params must be an object")
+        for key in params:
+            if key not in _PARAMS.get(kind, ()):
+                raise ValidationError(f"{kind} params take no key {key!r}")
         if kind == "explicit":
             return cls("explicit", elements=params.get("elements", ()))  # __post_init__ converts them
         if kind == "interval_union":

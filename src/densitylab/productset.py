@@ -72,8 +72,7 @@ def _factor_members(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, hi: int):
     return a_spec.members(1, hi // b_min), b_spec.members(1, hi // a_min)
 
 
-def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int,
-                limit: int = PRODUCT_HORIZON) -> np.ndarray:
+def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int) -> np.ndarray:
     """Sorted distinct {a*b : a in A, b in B, lo <= a*b <= hi}.
 
     Materializes only the factors that can take part: A up to
@@ -87,7 +86,7 @@ def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int
     lo, hi = int(lo), int(hi)
     if lo > hi or lo < 1:
         raise DomainError("need 1 <= lo <= hi")
-    hi = _capped_top(a_spec, b_spec, hi, limit)
+    hi = _capped_top(a_spec, b_spec, hi)
     factors = _factor_members(a_spec, b_spec, hi) if lo <= hi else None
     if factors is None:
         return np.empty(0, dtype=np.int64)
@@ -114,15 +113,15 @@ def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int
     return pieces[0] if len(pieces) == 1 else _distinct(np.concatenate(pieces))
 
 
-def _capped_top(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, hi: int, limit: int) -> int:
-    """hi, or when hi is past ``limit`` the largest product a*b of members
-    a, b <= hi (0 when A or B has none); CapacityError when that is still
-    past ``limit``."""
-    if hi > limit:
+def _capped_top(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, hi: int) -> int:
+    """hi, or when hi is past PRODUCT_HORIZON the largest product a*b of
+    members a, b <= hi (0 when A or B has none); CapacityError when that is
+    still past PRODUCT_HORIZON."""
+    if hi > PRODUCT_HORIZON:
         a_top, b_top = a_spec.prev_member(hi), b_spec.prev_member(hi)
         hi = min(hi, (a_top or 0) * (b_top or 0))
-        if hi > limit:
-            raise CapacityError(f"productset window capped at {limit}")
+        if hi > PRODUCT_HORIZON:
+            raise CapacityError(f"productset window capped at {PRODUCT_HORIZON}")
     return hi
 
 
@@ -198,7 +197,7 @@ def _exact_products(a_spec, b_spec, horizon: int) -> list[int] | None:
     as ``products_in`` caps it."""
     if a_spec.kind != "explicit" or b_spec.kind != "explicit":
         return None
-    hi = _capped_top(a_spec, b_spec, horizon, PRODUCT_HORIZON)
+    hi = _capped_top(a_spec, b_spec, horizon)
     factors = _factor_members(a_spec, b_spec, hi)
     prods: set[int] = set()
     if factors is not None:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -40,6 +41,9 @@ def test_parse_set_spec_forms(tmp_path):
     assert cli.parse_set_spec(str(path)) == cli.parse_set_spec(inline)
     with pytest.raises(cli.ValidationError):
         cli.parse_set_spec("fibonacci")
+    path.write_text("not json")  # once a JSONDecodeError traceback
+    with pytest.raises(cli.ValidationError, match="bad set spec JSON"):
+        cli.parse_set_spec(str(path))
 
 
 def test_density_csv_deterministic(tmp_path):
@@ -265,8 +269,79 @@ def test_json_numbers_must_be_integers(args, capsys):
     if args[0] == "density":
         args = args + ["--horizon", "2000", "--nmax", "4"]
     assert cli.main(args) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("intervals, message", [
+    ("[[5,2]]", "bad interval [5, 2]"),
+    ("[[1,2],[3]]", "bad interval [3]: not an [a, b] pair"),
+    ("[[1,2],7]", "bad interval 7: not an [a, b] pair"),
+    ('{"a": 1}', "intervals must be an array of [a, b] pairs"),
+    (json.dumps([[a, a + 1] for a in range(2, 20000, 4)] + [[9, 3]]), "bad interval [9, 3]"),
+], ids=["reversed", "short-pair", "number", "object", "long-list"])
+def test_interval_errors_name_the_entry(intervals, message, capsys):
+    # the reason and the faulty entry; the whole list was once echoed instead
+    assert cli.main(["monad", "--k", "1", "--N", "1000", "--intervals", intervals]) == 2
+    assert capsys.readouterr().err == f"densitylab: {message}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"kind":"explicit","params":[1]}', "set spec params must be an object"),
+    ('{"kind":"explicit","params":{"elemnts":[3,5,7]}}', "explicit params take no key 'elemnts'"),
+    ('{"kind":"squarefree","params":{"elements":[3]}}', "squarefree params take no key 'elements'"),
+    ('{"kind":"example2","params":{"j":2,"depth":1,"k":3}}', "example2 params take no key 'k'"),
+], ids=["list", "typo", "no-keys", "extra"])
+def test_set_spec_params_hold_only_the_kinds_keys(spec, message, capsys):
+    # the typo once reported an empty set with exit 0, the list a traceback
+    assert cli.main(["density", "--set", spec, "--horizon", "100", "--nmax", "4"]) == 2
+    assert capsys.readouterr().err == f"densitylab: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["density", "--set", "squarefree:3", "--horizon", "100"], "squarefree takes no parameters"),
+    (["density", "--set", "example2:j=2", "--horizon", "100"], "example2 needs j=<int>,depth=<int>"),
+    (["density", "--set", "explicit:", "--horizon", "100"], "explicit needs a comma-separated element list"),
+    (["density", "--set", "full", "--horizon", "100", "--nmax", "1000"], "need 2 <= nmax <= horizon"),
+    (["monad", "--k", "1", "--N", "1000", "--intervals", "[[2,9]"], "bad --intervals JSON: "),
+    (["monad", "--k", "1", "--N", "1000", "--intervals", "[[2,9]]", "--rho", "abc"], "bad ratio 'abc'"),
+    (["monad", "--k", "1", "--N", "1000", "--intervals", "[[2,9]]", "--rho", "1/2"], "ratio cut requires rho >= 1"),
+    (["search-gp", "--set", "full", "--l", "3", "--n", "2", "--min", "x", "--horizon", "100"],
+     "min must be an integer, got 'x'"),
+    (["certify", "nope", "--set", "full", "--horizon", "100"], "invalid choice"),
+], ids=["squarefree-args", "example2-depth", "explicit-empty", "nmax", "intervals-json", "rho-text",
+        "rho-below-1", "min", "certify-property"])
+def test_validation_messages(args, message, capsys):
+    assert cli.main(args) == 2
     err = capsys.readouterr().err
-    assert "must be integers" in err or "bad interval list" in err
+    assert err.startswith("densitylab: ") and message in err
+
+
+def test_productset_json_rows(tmp_path):
+    args = ["productset", "--set-a", "explicit:3,5", "--set-b", "explicit:7,11", "--n", "2,3", "--horizon", "1e3"]
+    code, text = run_cli(args + ["--format", "json"], tmp_path, "prod.json")
+    assert code == 0
+    assert json.loads(text)["report"] == [
+        {"n": 2, "x": 55, "m": 1, "products": 1, "lo": 55, "hi": 110},
+        {"n": 3, "x": 55, "m": 1, "products": 1, "lo": 55, "hi": 165},
+    ]
+
+
+def test_readme_synopsis_lists_every_option():
+    # each command's synopsis line names the parser's options, bar -h, --out
+    # and --format, which the README gives as common flags; a positional
+    # counts by its choices (certify gp-free)
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    commands = next(a for a in cli._build_parser()._actions if a.choices and a.dest == "command").choices
+    for command, parser in commands.items():
+        want = set()
+        for action in parser._actions:
+            want |= set(action.option_strings) if action.option_strings else set(action.choices)
+        want -= {"-h", "--help", "--out", "--format"}
+        line = next(line for line in lines if line.split()[:2] == ["densitylab", command])
+        words = line.split()[2:]
+        got = {w.strip("[]|") for w in words if w.startswith(("--", "[--"))}
+        got |= set(itertools.takewhile(lambda w: not w.startswith(("-", "[")), words))
+        assert got == want, command
 
 
 def test_integral_json_floats_pass():

@@ -239,6 +239,9 @@ def test_next_prev_member():
     sf = IntegerSetSpec.squarefree()
     assert sf.next_member(48, 100) == 51
     assert sf.prev_member(50) == 47
+    ev = IntegerSetSpec.even()
+    assert (ev.next_member(-3, 10), ev.next_member(7, 100), ev.next_member(8, 8), ev.next_member(9, 9)) == (2, 8, 8, None)
+    assert (ev.prev_member(9), ev.prev_member(2), ev.prev_member(1)) == (8, 2, None)
 
 
 def test_view_counts_equal_element_counts(canonical_specs):
