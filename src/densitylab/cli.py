@@ -9,7 +9,7 @@ Set specifications accept three forms:
   - shorthand:      full | even | squarefree | primes | example2:j=2,depth=4
                     explicit:3,5,11
   - inline JSON:    '{"kind": "explicit", "params": {"elements": [3, 5]}}'
-  - a file path containing the JSON object.
+  - a file path containing the JSON object (./primes: a shorthand wins).
 
 Outputs are deterministic: identical configurations produce byte-identical
 reports (all effective parameter values are embedded in the report header,
@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, DensityLabError, ValidationError
-from .intset import IntegerSetSpec, IntervalSet, Window, classify
+from .intset import IntegerSetSpec, IntervalSet, Window, _exact_number, classify
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -39,27 +39,20 @@ EXIT_CAPACITY = 4
 
 
 def parse_int(text: str, name: str = "value") -> int:
-    """Integer argument, scientific notation allowed (1e7 -> 10000000)."""
+    """Integer argument, read exactly; scientific notation allowed (1e25 -> 10**25)."""
     try:
-        return int(text)
+        v = _exact_number(text)
     except ValueError:
-        pass
-    try:
-        v = float(text)
-    except ValueError:
+        v = None
+    if type(v) is not int:
         raise ValidationError(f"{name} must be an integer, got {text!r}")
-    if not math.isfinite(v) or v != int(v):
-        raise ValidationError(f"{name} must be an integer, got {text!r}")
-    return int(v)
+    return v
 
 
 def parse_set_spec(text: str) -> IntegerSetSpec:
     text = text.strip()
     if text.startswith("{"):
         return IntegerSetSpec.from_json(text)
-    if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return IntegerSetSpec.from_json(fh.read())
     name, _, args = text.partition(":")
     name = name.strip()
     if name in ("full", "even", "squarefree", "primes"):
@@ -68,11 +61,10 @@ def parse_set_spec(text: str) -> IntegerSetSpec:
         return IntegerSetSpec(name)
     if name == "example2":
         kv = {}
-        for part in args.split(","):
-            if not part:
-                continue
-            key, _, val = part.partition("=")
-            kv[key.strip()] = parse_int(val, key)
+        for key, _, val in (part.partition("=") for part in args.split(",") if part):
+            if (key := key.strip()) not in ("j", "depth"):
+                raise ValidationError(f"example2 takes no key {key!r}")
+            kv[key] = parse_int(val, key)
         try:
             return IntegerSetSpec.example2(kv["j"], kv["depth"])
         except KeyError:
@@ -81,6 +73,9 @@ def parse_set_spec(text: str) -> IntegerSetSpec:
         if not args:
             raise ValidationError("explicit needs a comma-separated element list")
         return IntegerSetSpec.explicit(parse_int(p, "element") for p in args.split(","))
+    if os.path.exists(text):
+        with open(text, "r", encoding="utf-8") as fh:
+            return IntegerSetSpec.from_json(fh.read())
     raise ValidationError(f"unrecognized set spec {text!r}")
 
 
@@ -253,7 +248,7 @@ def _real_above(floor: float):
 
 def _intervals(text: str, name: str) -> IntervalSet:
     try:
-        pairs = json.loads(text)
+        pairs = json.loads(text, parse_float=_exact_number)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad --intervals JSON: {exc}")
     return IntervalSet.from_json(pairs)

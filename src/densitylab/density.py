@@ -17,20 +17,22 @@ maximum is sampled away.  Every functional reads the set through
 members of the other kinds.  Both count the members up to x (``count_le``)
 and below each block start (``below``), and sum the counts or the x^(-beta)
 of the members in windows (``window_sums``), so a type test remains only
-where an algorithm runs on one of them alone: the span bisection
-(``_count_max``) and bd_m's sums at perfect powers (``_root_sums``).
+where an algorithm runs on one of them alone: the galloping count scan
+(``_count_max``), an element view's left rows read as slices
+(``_window_max``) and bd_m's sums at perfect powers (``_root_sums``).
 
 The Banach windows and the count windows (bd, and bd_m at m = 1) never fall
 while k steps over a non-member and never rise while it steps over a member,
 so the maximum sits at a block start (a member, on an element view) or at
 the last k.  ``_window_max`` scans those candidates in chunks of 2^16 block
 starts, so no temporary grows with |A|.  The count windows on an element
-view read spans of consecutive members instead (``_count_max``): the member
-a[i] counts c members exactly when a[i + c - 1] - a[i] <= n, so the best
-count is found by bisection on c, each probe one chunked pass over those
-differences that stops at its first hit.  The m-th root windows evaluate the
-left endpoint of each segment of constant ceil(k^(1/m)), where the value is
-non-increasing.
+view take one galloping pass instead (``_count_max``): the window at a[i]
+holds more than the best count c so far exactly when a[i + c] - a[i] <= n,
+so one difference per member finds the better windows of a block (2^10
+members, doubling up to 2^16 while it finds none), and only those are
+counted: at worst, when the counts rise member by member, every member.
+The m-th root windows evaluate the left endpoint of each segment of
+constant ceil(k^(1/m)), where the value is non-increasing.
 
 Every window sum of x^(-beta) comes from a table held by the set's cached
 view, built once per size (``IntegerSetSpec.view``).  A block view is
@@ -199,9 +201,10 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-# Members per chunk of a window scan or of a span probe: their temporaries
-# are one chunk long.
+# Members per chunk of a window scan, and the first and the most per block
+# of a count scan: their temporaries are at most one chunk long.
 _CHUNK = 1 << 16
+_FIRST_BLOCK = 1 << 10
 
 
 def _window_max(view, kmax: int, tops, beta=None):
@@ -214,40 +217,27 @@ def _window_max(view, kmax: int, tops, beta=None):
     and never rise while it steps over a member, so the maximum is attained
     at a block start at or below kmax (for an element view, at an element) or
     at kmax; only those candidates are scanned, in chunks of _CHUNK block
-    starts, the last chunk ending with kmax.  The view counts the members
-    below each block start, so only the window tops and kmax's left count
-    need a search.  Each chunk keeps its first maximum and a later chunk
-    replaces the best only when strictly larger, so k is the first
-    maximizing candidate.  A window's value does not depend on its chunk.
+    starts, the last chunk ending with kmax unless kmax is one.  The view
+    counts the members below each block start (an element view's rows lo to
+    hi - 1, read as a slice, and kmax's row j), so only the window tops (and
+    a block view's kmax) need a search.  A later chunk replaces the best
+    only when strictly larger, so k is the first maximizing candidate; a
+    window's value does not depend on its chunk.
     """
-    starts = view.starts
+    starts, element = view.starts, isinstance(view, ElementView)
     j = int(np.searchsorted(starts, kmax, side="right"))
-    best = None
+    best = -1  # every value is at least 0
     for lo in range(0, max(j, 1), _CHUNK):
         hi = min(lo + _CHUNK, j)
-        cands, below = starts[lo:hi], view.below(lo, hi)
-        if hi == j:  # the last chunk ends with kmax
-            cands, below = np.append(cands, kmax), np.append(below, view.count_le(kmax - 1))
+        cands, below = starts[lo:hi], slice(lo, hi) if element else view.below(lo, hi)
+        if hi == j and not (j and starts[j - 1] == kmax):  # the last chunk ends with kmax
+            cands = np.append(cands, kmax)
+            below = slice(lo, hi + 1) if element else np.append(below, view.count_le(kmax - 1))
         values = view.window_sums(cands, tops(cands), beta, below)
         i = int(np.argmax(values))
-        if best is None or values[i] > best:
+        if values[i] > best:
             best, k = values[i], int(cands[i])
     return best, k
-
-
-def _first_span(a: np.ndarray, j: int, c: int, n: int) -> int:
-    """The least i < j with a[i + c - 1] - a[i] <= n (i + c - 1 < |a|), or
-    -1: one pass over the differences, chunk by chunk, that returns at the
-    first chunk holding a hit."""
-    d = c - 1
-    m = min(j, len(a) - d)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        hits = a[lo + d : hi + d] - a[lo:hi] <= n
-        i = int(np.argmax(hits))
-        if hits[i]:
-            return lo + i
-    return -1
 
 
 def _count_max(view, kmax: int, n: int) -> tuple[int, int]:
@@ -255,33 +245,32 @@ def _count_max(view, kmax: int, n: int) -> tuple[int, int]:
     as (count, k*): k* is the smallest member k <= kmax whose window reaches
     it, else kmax.
 
-    A block view scans its block starts with ``_window_max``.  On an element
-    view a = view.starts the member a[i] (i < j, the j members <= kmax) counts c
-    members exactly when a[i + c - 1] - a[i] <= n, which holds for every
-    smaller c too; so the best member count is found by bisection on c in
-    [1, min(n + 1, |a|)], each probe one ``_first_span`` pass, and k* is the
-    first member of the first span at that count.  kmax's own window, two
-    scalar counts, wins only when it holds more (a member wins a tie).
+    A block view scans its block starts with ``_window_max``.  An element
+    view a = view.starts takes one galloping pass over its j members <= kmax:
+    the window at a[i] holds more than ``best`` members exactly when
+    a[i + best] - a[i] <= n, so a block's differences find its better
+    windows, only those are counted, and its first maximum becomes the best.
+    A block starts at _FIRST_BLOCK members and doubles up to _CHUNK while it
+    finds none.  kmax's own window, two scalar counts, wins only when it
+    holds more (a member wins a tie).
     """
     if isinstance(view, BlockView):
         value, k = _window_max(view, kmax, lambda k: k + n)
         return int(value), k
     a = view.starts
-    j = int(np.searchsorted(a, kmax, side="right"))
-    best, first = 0, 0
-    if j:
-        best, hi = 1, min(n + 1, len(a))  # a[0] spans one member
-        while best < hi:
-            c = (best + hi + 1) // 2
-            i = _first_span(a, j, c, n)
-            if i < 0:
-                hi = c - 1
-            else:
-                best, first = c, i
+    j = int(view.count_le(kmax))
+    best, first, lo, size = 1, 0, 0, _FIRST_BLOCK  # a[0] spans one member, if j > 0
+    while best <= n and lo < min(j, len(a) - best):  # a[i + best] exists for i < len(a) - best
+        hi = min(lo + min(size, _CHUNK), j, len(a) - best)
+        idx = np.flatnonzero(a[lo + best : hi + best] - a[lo:hi] <= n) + lo
+        size *= 2
+        if len(idx):  # a[idx] <= kmax: the tops a[idx] + n stay within the horizon
+            counts = view.count_le(a[idx] + n) - idx
+            i = int(np.argmax(counts))
+            best, first, size = int(counts[i]), int(idx[i]), _FIRST_BLOCK
+        lo = hi
     top = int(view.count_le(kmax + n) - view.count_le(kmax - 1))
-    if top > best or not j:
-        return top, kmax
-    return best, int(a[first])
+    return (top, kmax) if top > best or not j else (best, int(a[first]))
 
 
 def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:

@@ -511,7 +511,7 @@ class IntegerSetSpec:
     def from_json(cls, obj) -> "IntegerSetSpec":
         if isinstance(obj, str):
             try:
-                obj = json.loads(obj)
+                obj = json.loads(obj, parse_float=_exact_number)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"bad set spec JSON: {exc}") from exc
         if not isinstance(obj, dict) or "kind" not in obj:
@@ -534,6 +534,22 @@ class IntegerSetSpec:
             except KeyError as exc:
                 raise ValidationError("example2 requires params j and depth") from exc
         return cls(kind)
+
+
+def _exact_number(text: str):
+    """The integer that a decimal literal names, read exactly (1e25 is
+    10**25), or NaN, which every integer check rejects (2.5; 1e400, past the
+    largest float).  Text that is no number raises ValueError."""
+    v = float(text)
+    mant, _, exp = text.replace("_", "").strip().lower().partition("e")
+    whole, _, frac = mant.partition(".")
+    if (exp or mant != whole) and not math.isfinite(v):  # digits alone are read as int() reads them
+        return math.nan
+    digits = (whole + frac).rstrip("0")  # the value is int(digits) * 10**shift
+    shift = int(exp or 0) - len(frac) + len(whole + frac) - len(digits)
+    if not digits.strip("+-"):
+        return 0
+    return int(digits) * 10**shift if shift >= 0 else math.nan
 
 
 def _integers(values, what: str) -> tuple[int, ...]:

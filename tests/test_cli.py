@@ -30,6 +30,35 @@ def test_parse_int_scientific():
         cli.parse_int("ten")
 
 
+def test_parse_int_reads_scientific_literals_exactly(capsys):
+    # through a float, 1e25 read as 10000000000000000905969664
+    assert cli.parse_int("1e25") == 10**25
+    assert cli.parse_int("9007199254740993e0") == 2**53 + 1
+    assert cli.parse_int("2.50e1") == cli.parse_int("2500e-2") == cli.parse_int("+.25e2") == 25
+    assert cli.parse_int("-0.0") == cli.parse_int("0e" + "9" * 30) == 0
+    assert cli.parse_int("1" * 400) == int("1" * 400)  # digits alone, as int() reads them
+    for text in ("nan", "inf", "-inf", "1/2", "4/2", "2.5", "1e-3", "1e400", "1" * 400 + ".0",
+                 "1e100000000", "1e" + "9" * 30, "1e-" + "9" * 30, "1.0000000000000001"):
+        with pytest.raises(cli.ValidationError, match="must be an integer"):
+            cli.parse_int(text)
+    assert cli.parse_set_spec("explicit:9007199254740993e0").elements == (2**53 + 1,)
+    spec = '{"kind": "explicit", "params": {"elements": [3, 9007199254740993e0, 1e25]}}'
+    assert cli.parse_set_spec(spec).elements == (3, 2**53 + 1, 10**25)
+    assert cli._intervals("[[2, 9007199254740993e0]]", "intervals").components == ((2, 2**53 + 1),)
+    with pytest.raises(cli.ValidationError, match="must be integers"):  # an exponent past decimal's range
+        cli.parse_set_spec('{"kind": "explicit", "params": {"elements": [1e%s]}}' % ("9" * 30))
+    assert cli.main(["monad", "--k", "1", "--N", "1e25", "--intervals", "[[2,5]]"]) == 0
+    assert '"N": 10000000000000000000000000,' in capsys.readouterr().out
+
+
+def test_shorthand_names_win_over_files(tmp_path, monkeypatch):
+    # a JSON file named primes once replaced the primes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "primes").write_text('{"kind": "full"}')
+    assert cli.parse_set_spec("primes") == IntegerSetSpec.primes()
+    assert cli.parse_set_spec("./primes") == IntegerSetSpec.full()
+
+
 def test_parse_set_spec_forms(tmp_path):
     assert cli.parse_set_spec("squarefree") == IntegerSetSpec.squarefree()
     assert cli.parse_set_spec("example2:j=2,depth=4") == IntegerSetSpec.example2(2, 4)
@@ -300,6 +329,7 @@ def test_set_spec_params_hold_only_the_kinds_keys(spec, message, capsys):
 @pytest.mark.parametrize("args, message", [
     (["density", "--set", "squarefree:3", "--horizon", "100"], "squarefree takes no parameters"),
     (["density", "--set", "example2:j=2", "--horizon", "100"], "example2 needs j=<int>,depth=<int>"),
+    (["density", "--set", "example2:j=2,depth=1,dpth=9", "--horizon", "100"], "example2 takes no key 'dpth'"),
     (["density", "--set", "explicit:", "--horizon", "100"], "explicit needs a comma-separated element list"),
     (["density", "--set", "full", "--horizon", "100", "--nmax", "1000"], "need 2 <= nmax <= horizon"),
     (["monad", "--k", "1", "--N", "1000", "--intervals", "[[2,9]"], "bad --intervals JSON: "),
@@ -308,7 +338,7 @@ def test_set_spec_params_hold_only_the_kinds_keys(spec, message, capsys):
     (["search-gp", "--set", "full", "--l", "3", "--n", "2", "--min", "x", "--horizon", "100"],
      "min must be an integer, got 'x'"),
     (["certify", "nope", "--set", "full", "--horizon", "100"], "invalid choice"),
-], ids=["squarefree-args", "example2-depth", "explicit-empty", "nmax", "intervals-json", "rho-text",
+], ids=["squarefree-args", "example2-depth", "example2-key", "explicit-empty", "nmax", "intervals-json", "rho-text",
         "rho-below-1", "min", "certify-property"])
 def test_validation_messages(args, message, capsys):
     assert cli.main(args) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from densitylab import density as density_module
 from densitylab import intset, numerics
-from densitylab.errors import DomainError
+from densitylab.errors import DomainError, ValidationError
 from densitylab.intset import ElementView, IntegerSetSpec, IntervalSet
 from densitylab.density import (
     banach_window_sup,
@@ -299,6 +299,34 @@ def test_lbd_validation():
         lbd_estimate(FULL, 1, 10**4)
 
 
+def test_domain_edges_hold_at_equality():
+    # each documented limit is reached exactly: the value at the edge is the
+    # oracle's and one step past it raises
+    els, H = [3, 4, 10, 11], 12
+    spec = IntegerSetSpec.explicit(els)
+    assert default_checkpoints(2) == [2]
+    with pytest.raises(ValidationError):
+        default_checkpoints(1)
+    # one member: no gap between members to take a minimum over
+    assert count_extremes(IntegerSetSpec.explicit([5]), 20) == (0.0, 0.2)
+    assert count_extremes(IntegerSetSpec.explicit([1]), 10) == (0.1, 1.0)
+    assert banach_window_sup_at(spec, H, H) == brute_banach_sup(els, H, H) == (0.7742424242424242, 1)
+    with pytest.raises(DomainError):
+        banach_window_sup_at(spec, H + 1, H)
+    for n, k_star, v in lbd_profile(spec, H, H):
+        value, k = brute_banach_sup(els, n, H)
+        assert k_star == k and v == pytest.approx(value / math.log(n), abs=1e-12)
+    with pytest.raises(DomainError):
+        lbd_profile(spec, H + 1, H)
+    best, k_star = brute_bd_at(els, H - 1, H)
+    assert bd_estimate_at(spec, H - 1, H) == (best / H, k_star) == (1 / 3, 1)
+    with pytest.raises(DomainError):
+        bd_estimate_at(spec, H, H)
+    assert bdm_window_sup_at(spec, 2, 1, 1) == bdm_window_sup_at(spec, 1, 1, 1) == (0.0, 0)
+    with pytest.raises(DomainError):
+        bdm_window_sup_at(spec, 1, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # bd_estimate
 # ---------------------------------------------------------------------------
@@ -324,12 +352,19 @@ def test_bd_vs_exhaustive_oracle(seed, n):
     assert got == brute_bd(els, n, 2000)
 
 
-@pytest.fixture(params=[None, 3], ids=["chunk-default", "chunk-3"])
-def span_chunk(request, monkeypatch):
-    # chunks of 3 members split every probe: spans straddle chunk boundaries
-    # and a hit ends the pass early
-    if request.param is not None:
-        monkeypatch.setattr(density_module, "_CHUNK", request.param)
+@pytest.fixture(
+    params=[(None, None), (3, None), (1, None), (1 << 16, None), (None, 1), (3, 1)],
+    ids=["chunk-default", "chunk-3", "chunk-1", "chunk-65536", "block-1", "chunk-3-block-1"],
+)
+def scan_sizes(request, monkeypatch):
+    # chunks of 1 or 3 members cap every block of the count scan, so windows
+    # straddle block boundaries; first blocks of 1 member make every better
+    # window restart the doubling
+    chunk, first = request.param
+    if chunk is not None:
+        monkeypatch.setattr(density_module, "_CHUNK", chunk)
+    if first is not None:
+        monkeypatch.setattr(density_module, "_FIRST_BLOCK", first)
 
 
 def _bd_cases(rng):
@@ -345,6 +380,7 @@ def _bd_cases(rng):
         ([1, 95, 96, 97, 98, 99, 100], 10, 100),  # kmax's window is the best
         ([2, 4, 96, 100], 10, 100),  # kmax ties member 2, which wins
         ([3, 7, 20], 50, 100),  # n >= |A|
+        ([1, 2], 5, 10),  # the best window ends at the last member
         ([2, 3, 5, 7, 11, 13], 1, 20),  # n = 1
         (list(range(10, 60)) + list(range(70, 140)), 30, 200),  # long dense runs
         (list(range(1, 201)), 7, 200),  # every k is a member
@@ -352,7 +388,7 @@ def _bd_cases(rng):
     return cases
 
 
-def test_bd_at_vs_oracle(rng, span_chunk):
+def test_bd_at_vs_oracle(rng, scan_sizes):
     for els, n, H in _bd_cases(rng):
         spec = IntegerSetSpec.explicit(els)
         best, k_star = brute_bd_at(els, n, H)
@@ -360,11 +396,58 @@ def test_bd_at_vs_oracle(rng, span_chunk):
         assert bdm_window_sup_at(spec, 1, n, H) == (best / n, k_star), (els, n, H)
 
 
+def _rising(m, n):
+    """2m members floor((n + 1/2) * log2(i + 2)), i < 2m, and the horizon
+    their largest: the window [a_i, a_i + n] reaches a_(2i+1), so along the
+    m or so members <= H - n the window counts rise member by member."""
+    els = [math.floor((n + 0.5) * math.log2(i + 2)) for i in range(2 * m)]
+    assert all(map(int.__lt__, els, els[1:]))  # needs 2m + 2 <= n * 1.44
+    return els, els[-1]
+
+
+def test_bd_vs_oracles_at_every_scan_size(rng, scan_sizes):
+    for _ in range(8):
+        els = sorted(rng.choice(np.arange(1, 1201), size=int(rng.randint(1, 400)), replace=False).tolist())
+        spec = IntegerSetSpec.explicit(els)
+        for n in (1, 2, int(rng.randint(3, 60)), 1199):
+            assert bd_estimate(spec, n, 1200) == brute_bd(els, n, 1200), (els, n)
+            assert bdm_window_sup(spec, 1, n, 1200) == brute_window_count_max(els, n, 1200), (els, n)
+    els, H = _rising(150, 400)
+    for n in (40, 400, 1000):
+        best, k_star = brute_bd_at(els, n, H)
+        assert bd_estimate_at(IntegerSetSpec.explicit(els), n, H) == (best / (n + 1), k_star), n
+
+
+@pytest.mark.parametrize("first,m,n", [(None, 20000, 40000), (8, 400, 1000)])
+def test_bd_rising_counts_take_one_count_per_block(monkeypatch, first, m, n):
+    # window counts that rise member by member put a better window in every
+    # block, the scan's worst case: each block stays at its first size, so
+    # count_le is called once per block, plus once for the members <= kmax
+    # and twice for kmax's window
+    if first is not None:
+        monkeypatch.setattr(density_module, "_FIRST_BLOCK", first)
+    block = density_module._FIRST_BLOCK
+    els, H = _rising(m, n)
+    view = IntegerSetSpec.explicit(els).view(H)
+    j = int(view.count_le(H - n))
+    calls, count_le = [], ElementView.count_le
+
+    def spy_count_le(view, x):
+        calls.append(np.size(x))
+        return count_le(view, x)
+
+    monkeypatch.setattr(ElementView, "count_le", spy_count_le)
+    got = density_module._count_max(view, H - n, n)
+    assert j // block < len(calls) <= -(-j // block) + 3 <= -(-2 * m // block) + 3
+    if m <= 400:
+        assert got == brute_bd_at(els, n, H)
+
+
 def test_bd_element_view_sends_no_bulk_search(monkeypatch, rng):
-    # an element view answers each window length by span probes and scalar
-    # counts: no count gets one query per member.  A sieve view counts by
-    # rank; an explicit view (about 1e5 members) still searches, and each of
-    # its searches must reach the spy
+    # an element view counts only the members whose window beats the best
+    # count so far, and kmax's window: no count queries every member.  A
+    # sieve view counts by rank; an explicit view (about 1e5 members) still
+    # searches, and each of its searches must reach the spy
     H = 10**6
     squarefree, explicit = IntegerSetSpec.squarefree(), random_explicit(rng, H, 0.1)
     squarefree.view(H)
@@ -384,16 +467,17 @@ def test_bd_element_view_sends_no_bulk_search(monkeypatch, rng):
 
     monkeypatch.setattr(np, "searchsorted", spy_searchsorted)
     monkeypatch.setattr(ElementView, "count_le", spy_count_le)
-    for n in (2, 33, 1000, 10**5):
-        bd_estimate_at(squarefree, n, H)
-    assert counted and max(counted) <= 4
-    del counted[:], missed[:]
-    for n in (2, 33, 1000, 10**5):
-        bd_estimate_at(explicit, n, H)
-    # count_le searches through intset's numpy handle: one that kept the
-    # function it saw first would send its searches past the spy unchecked
-    assert searched and max(searched) <= 4
-    assert counted and max(counted) <= 4 and not any(missed)
+    for spec in (squarefree, explicit):
+        size = len(spec.view(H).starts)
+        for n in (2, 33, 1000, 10**5):
+            del searched[:], counted[:], missed[:]
+            bd_estimate_at(spec, n, H)
+            assert counted and sum(counted) <= size / 4, (spec.kind, n)
+            if spec is explicit:
+                # count_le searches through intset's numpy handle: one that
+                # kept the function it saw first would send its searches
+                # past the spy unchecked
+                assert searched and sum(searched) <= size / 4 and not any(missed), n
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +745,23 @@ def test_element_view_temporaries_are_bounded(monkeypatch):
         tracemalloc.reset_peak()
         bdm_window_sup_at(spec, 2, 16, H)
         assert tracemalloc.get_traced_memory()[1] - held <= slack
+    finally:
+        tracemalloc.stop()
+
+
+def test_bd_temporaries_are_one_chunk_long(monkeypatch):
+    # the count scan's blocks stop doubling at _CHUNK members, so its largest
+    # temporary is one int64 difference per member of a chunk (512 KiB), not
+    # of all 607,926 members of squarefree at 1e6
+    spec, H = IntegerSetSpec.squarefree(), 10**6
+    monkeypatch.setattr(intset, "_VIEWS", {})
+    spec.view(H)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for n in (1, 2, 33, 1000, 10**5):
+            bd_estimate_at(spec, n, H)
+        assert tracemalloc.get_traced_memory()[1] - base <= 2**20
     finally:
         tracemalloc.stop()
 
