@@ -101,7 +101,7 @@ class RunConfig:
 
 
 def _fmt_value(v: float):
-    from .monad import round12
+    from .numerics import round12
 
     return round12(float(v))
 

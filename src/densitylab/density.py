@@ -15,23 +15,31 @@ maximum is sampled away.  Every functional reads the set through
 ``IntegerSetSpec.view``: a ``BlockView`` of the blocks of ``full``,
 ``interval_union`` and ``example2``, or an ``ElementView`` of the sorted
 members of the other kinds.  Both count the members up to x (``count_le``)
-and below each block start (``below``), and sum the counts or the x^(-beta)
-of the members in windows (``window_sums``), so a type test remains only
-where an algorithm runs on one of them alone: the galloping count scan
-(``_count_max``), an element view's left rows read as slices
-(``_window_max``) and bd_m's sums at perfect powers (``_root_sums``).
+and sum the counts or the x^(-beta) of the members in windows
+(``window_sums``), so a type test remains only where an algorithm runs on
+one of them alone: the galloping count scan (``_count_max``), the members
+below each candidate of ``_window_max`` (an element view's rows, read as a
+slice; a block view's ``below``) and bd_m's sums at perfect powers
+(``_root_sums``).
 
 The Banach windows and the count windows (bd, and bd_m at m = 1) never fall
 while k steps over a non-member and never rise while it steps over a member,
 so the maximum sits at a block start (a member, on an element view) or at
-the last k.  ``_window_max`` scans those candidates in chunks of 2^16 block
-starts, so no temporary grows with |A|.  The count windows on an element
-view take one galloping pass instead (``_count_max``): the window at a[i]
-holds more than the best count c so far exactly when a[i + c] - a[i] <= n,
-so one difference per member finds the better windows of a block (2^10
-members, doubling up to 2^16 while it finds none), and only those are
-counted: at worst, when the counts rise member by member, every member.
-The m-th root windows evaluate the left endpoint of each segment of
+the last k.  ``_window_max`` scans those candidates in blocks of 2^10 to
+2^16, so no temporary grows with |A|, and skips a block when one enclosing
+window, [its first candidate, the top of its last], sums to no more than
+the best so far less a margin for the rounding of both sums (0 for
+counts).  Every evaluated window is summed as in a full scan, so values and
+k* keep their bits.  A skipped block, or one that raised the best, doubles
+the next.  The maxima of the benchmarked sets sit at small k, so a grid of
+Banach scans reads a few percent of the rows; at worst, windows that rise
+with k, it reads every row and one enclosing sum per block.  The count
+windows on an element view take one galloping pass instead
+(``_count_max``): the window at a[i] holds more than the best count c so
+far exactly when a[i + c] - a[i] <= n, so one difference per member finds
+the better windows of a block (2^10 members, doubling up to 2^16 while it
+finds none), and only those are counted: at worst, when the counts rise
+member by member, every member.  The m-th root windows evaluate the left endpoint of each segment of
 constant ceil(k^(1/m)), where the value is non-increasing.
 
 Every window sum of x^(-beta) comes from a table held by the set's cached
@@ -201,42 +209,76 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-# Members per chunk of a window scan, and the first and the most per block
-# of a count scan: their temporaries are at most one chunk long.
+# Candidates per block of a window scan, and members per block of a count
+# scan: a block starts at _FIRST_BLOCK and doubles, up to _CHUNK, while the
+# scan rules it out, so no temporary is more than one chunk long.
 _CHUNK = 1 << 16
 _FIRST_BLOCK = 1 << 10
+# A computed reciprocal window sum V' of a window whose true sum is V, on a
+# view of r - 1 members or blocks, has |V' - V| <= _REL * V + _ABS * r**2.
+# _REL holds the 1e-14 relative bound of ``numerics.power_sums`` (a block
+# view's block sums and cut parts) and a few roundings, 3u of them from
+# ``PrefixSums.range_sum``; _ABS * r**2 is the second-order term of the
+# compensated prefix sums, 8 (r u)**2 S, where u = 2**-53 and S, the sum of
+# the table's rows, is below 1 + 63 ln 2 for reciprocals of integers below
+# 2**63 (see ``PrefixSums``).
+_U = 2.0**-53
+_REL = 1e-14 + 8 * _U
+_ABS = 8 * _U * _U * (1 + 63 * math.log(2))
 
 
-def _window_max(view, kmax: int, tops, beta=None):
+def _window_max(view, kmax: int, tops, sums: bool = False):
     """The best window [k, tops(k)] over 1 <= k <= kmax on a set view, as
     (value, k): the value is the count of members in the window (block views
-    only; ``_count_max`` answers element views), or, given ``beta``, their
-    x**(-beta) sum.
+    only; ``_count_max`` answers element views), or, with ``sums``, their
+    reciprocal sum.
 
     The window functionals here never fall while k steps over a non-member
     and never rise while it steps over a member, so the maximum is attained
     at a block start at or below kmax (for an element view, at an element) or
-    at kmax; only those candidates are scanned, in chunks of _CHUNK block
-    starts, the last chunk ending with kmax unless kmax is one.  The view
-    counts the members below each block start (an element view's rows lo to
-    hi - 1, read as a slice, and kmax's row j), so only the window tops (and
-    a block view's kmax) need a search.  A later chunk replaces the best
-    only when strictly larger, so k is the first maximizing candidate; a
-    window's value does not depend on its chunk.
+    at kmax.  Only those candidates are scanned, in blocks, the last ending
+    with kmax unless kmax is a block start.  A block's enclosing window,
+    [its first candidate, the top of its last], holds each of its windows,
+    so the block is skipped when that window's value plus a margin is at
+    most the best so far.  The margin, 3 (_REL * value + _ABS * r**2),
+    covers the error of both computed sums; counts are exact, so theirs is
+    0.  It decides only what is skipped: an evaluated block sums its windows
+    as a full scan does.  A block starts at _FIRST_BLOCK candidates and
+    doubles up to _CHUNK while the scan skips it or it raises the best; a
+    block evaluated without raising the best had too wide an enclosing
+    window, so the next starts again at _FIRST_BLOCK.  At worst, windows
+    that rise with k, nothing is skipped, and each block costs one more
+    window sum.
+
+    The view counts the members below each block start (an element view's
+    rows lo to hi - 1, read as a slice, kmax's being j), so only the window
+    tops (and a block view's kmax) need a search.  A later block replaces
+    the best only when strictly larger, so k is the first maximizing
+    candidate; a window's value does not depend on its block.
     """
     starts, element = view.starts, isinstance(view, ElementView)
+    beta = 1.0 if sums else None
+    rel, err = (_REL, _ABS * (len(starts) + 1) ** 2) if sums else (0, 0)
     j = int(np.searchsorted(starts, kmax, side="right"))
-    best = -1  # every value is at least 0
-    for lo in range(0, max(j, 1), _CHUNK):
-        hi = min(lo + _CHUNK, j)
-        cands, below = starts[lo:hi], slice(lo, hi) if element else view.below(lo, hi)
-        if hi == j and not (j and starts[j - 1] == kmax):  # the last chunk ends with kmax
+    count = j if j and starts[j - 1] == kmax else j + 1  # the candidates: j block starts, then kmax
+    best, lo, size = -1, 0, _FIRST_BLOCK  # every value is at least 0
+    while lo < count:
+        hi = min(lo + min(size, _CHUNK), count)
+        cands, below = starts[lo : min(hi, j)], slice(lo, hi) if element else view.below(lo, min(hi, j))
+        if hi > j:  # the last candidate is kmax
             cands = np.append(cands, kmax)
-            below = slice(lo, hi + 1) if element else np.append(below, view.count_le(kmax - 1))
-        values = view.window_sums(cands, tops(cands), beta, below)
-        i = int(np.argmax(values))
-        if values[i] > best:
-            best, k = values[i], int(cands[i])
+            if not element:
+                below = np.append(below, view.count_le(kmax - 1))
+        cover = view.window_sums(cands[:1], tops(cands[-1:]), beta, slice(lo, lo + 1) if element else below[:1])[0]
+        size *= 2
+        if cover + 3 * (rel * cover + err) > best:  # a window of the block may beat the best
+            values = view.window_sums(cands, tops(cands), beta, below)
+            i = int(np.argmax(values))
+            if values[i] > best:
+                best, k = values[i], int(cands[i])
+            else:  # its enclosing window was too wide: the next one is narrower
+                size = _FIRST_BLOCK
+        lo = hi
     return best, k
 
 
@@ -292,7 +334,7 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
     if n > horizon:
         raise DomainError("need n <= horizon")
     view = spec.view(horizon)
-    value, k1 = _window_max(view, (horizon + 1) // n, lambda k: k * n - 1, 1.0)
+    value, k1 = _window_max(view, (horizon + 1) // n, lambda k: k * n - 1, sums=True)
     i = int(np.searchsorted(view.starts, k1 * n - 1, side="right"))
     p = min(int(view.ends[i - 1]), k1 * n - 1) if i else 0
     return float(value), p // n + 1

@@ -222,10 +222,6 @@ class ElementView(_View):
         bits += self._counts[w]
         return bits.view(np.int64)
 
-    def below(self, i: int, j: int) -> np.ndarray:
-        """The members below starts[i], ..., starts[j - 1]."""
-        return np.arange(i, j, dtype=np.int64)
-
 
 @lru_cache(maxsize=1)
 def _low_masks() -> np.ndarray:

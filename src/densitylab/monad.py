@@ -28,7 +28,7 @@ from fractions import Fraction
 from ._np import numpy as np
 from .errors import DomainError, ValidationError
 from .intset import IntervalSet, Window, classify, invert_intervals
-from .numerics import ceil_nth_root, harmonic_range, power_sum_range
+from .numerics import ceil_nth_root, harmonic_range, power_sum_range, round12
 
 __all__ = [
     "RatioCut",
@@ -50,11 +50,6 @@ __all__ = [
     "nu_m",
     "root_shift",
 ]
-
-
-def round12(v: float) -> float:
-    """Round to 12 significant digits (report serialization contract)."""
-    return float(f"{v:.12g}")
 
 
 @dataclass(frozen=True)

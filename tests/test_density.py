@@ -196,20 +196,42 @@ def test_banach_smallest_maximizer_vs_exhaustive_oracle(rng):
     assert banach_window_sup_at(specs[-1], 2, H)[1] == 451
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
-def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, chunk):
-    # the scan keeps each chunk's first maximum (the last chunk ends with
-    # kmax) and lets a later chunk replace it only when strictly larger: the
-    # same (value, k*) as one scan, bit for bit, over members or block starts
+def _every_candidate(view, kmax, n):
+    """The Banach scan without blocks or skips: (value, k) of the first
+    maximum of window_sums over every block start <= kmax and kmax itself."""
+    starts = view.starts
+    cands = starts[: np.searchsorted(starts, kmax, side="right")]
+    if not (len(cands) and cands[-1] == kmax):
+        cands = np.append(cands, kmax)
+    values = view.window_sums(cands, cands * n - 1, 1.0)
+    i = int(np.argmax(values))
+    return float(values[i]).hex(), int(cands[i])
+
+
+def _scan_cases(rng):
+    """(spec, n, horizon, brute) for the Banach block scan: brute says
+    whether ``brute_banach_sup`` runs in time."""
     cases = []
     for _ in range(40):
         H = int(rng.randint(4, 400))
         els = (np.flatnonzero(rng.random_sample(H) < rng.choice([0.05, 0.3, 0.8])) + 1).tolist()
         cases += [(els, n, H) for n in sorted({2, 3, int(rng.randint(2, H + 1))})]
+    for _ in range(6):
+        H = int(rng.randint(500, 4000))
+        els = (np.flatnonzero(rng.random_sample(H) < rng.choice([0.05, 0.3, 0.7])) + 1).tolist()
+        cases += [(els, n, H) for n in (2, 3, int(rng.randint(4, 60)))]
+    # rising density, P(x in A) = x/H: windows rise with k and nothing is skipped
+    rising = (np.flatnonzero(rng.random_sample(3000) < np.arange(1, 3001) / 3000) + 1).tolist()
+    cases += [(rising, n, 3000) for n in (2, 3, 10)]
+    # the maximum in a late block: sparse members, then a full run from 2400
+    late = sorted(set((np.flatnonzero(rng.random_sample(2400) < 0.02) + 1).tolist()) | set(range(2400, 2700)))
+    cases += [(late, n, 6000) for n in (2, 3, 10)]
     cases += [
-        # 1/4 = 1/10 + 1/12 + 1/15: members 4 and 10 tie, in two chunks of 1
+        # 1/4 = 1/10 + 1/12 + 1/15: members 4 and 10 tie, in two blocks of 1
         ([4, 10, 12, 15], 2, 40),
         ([32, 80, 96, 120], 2, 320),
+        # the same tie, and every later window sums to less
+        ([4, 10, 12, 15] + list(range(1000, 4000, 97)), 2, 8000),
         # kmax = 8 is no member and its window [8, 16) ties member 4's
         ([4, 10, 12, 15], 2, 15),
         # kmax = 16 is a member: its own window ties its candidate
@@ -219,34 +241,82 @@ def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, chunk):
         # every member is above kmax: only kmax's window is scanned
         ([96, 97, 99], 2, 100),
     ]
-    # block views: unions of 4 to 9 blocks, and example2 (3 blocks up to 5000)
-    block_cases = []
+    cases = [(IntegerSetSpec.explicit(els), n, H, True) for els, n, H in cases]
+    # members near 2**61: weights near 4e-19, so the margin's absolute part,
+    # 8 (r u)**2 S, outweighs its relative part by far
+    for scale in (2**10, 2**41):  # members within 2**30 of 2**61, or spread up to 2**62
+        big = np.unique(2**61 + rng.randint(0, 2**20, size=600) * scale + rng.randint(0, 5, size=600)).tolist()
+        cases += [(IntegerSetSpec.explicit(big), n, 2**63 - 1, False) for n in (2, 3)]
+    big = [1, 2, 3] + np.unique(2**61 + rng.randint(0, 2**40, size=400)).tolist()
+    cases += [(IntegerSetSpec.explicit(big), 2, 2**63 - 1, False)]
+    # block views: unions of 4 to 9 blocks, example2 (3 blocks up to 5000),
+    # and a union of 1,500 blocks
     for _ in range(12):
         H = int(rng.randint(100, 400))
         starts = np.sort(rng.choice(np.arange(1, H // 10), size=int(rng.randint(4, 10)), replace=False)) * 10
         spec = IntegerSetSpec.interval_union(IntervalSet(tuple((a, a + int(rng.randint(0, 9))) for a in starts)))
-        block_cases += [(spec, n, H) for n in sorted({2, 3, int(rng.randint(2, H))})]
-    block_cases += [(IntegerSetSpec.example2(2, 4), n, H) for n in (2, 3, 10, 40) for H in (200, 5000)]
-    assert all(len(spec.view(H).starts) > 3 for spec, _, H in block_cases[:-8])
-    want = [banach_window_sup_at(IntegerSetSpec.explicit(els), n, H) for els, n, H in cases]
-    block_want = [(banach_window_sup_at(spec, n, H), bd_estimate_at(spec, n, H)) for spec, n, H in block_cases]
-    monkeypatch.setattr(density_module, "_CHUNK", chunk)
+        assert len(spec.view(H).starts) > 3
+        cases += [(spec, n, H, True) for n in sorted({2, 3, int(rng.randint(2, H))})]
+    cases += [(IntegerSetSpec.example2(2, 4), n, H, True) for n in (2, 3, 10, 40) for H in (200, 5000)]
+    evens = np.sort(rng.choice(np.arange(1, 3001), size=1500, replace=False)) * 2
+    many = IntegerSetSpec.interval_union(IntervalSet(tuple((a, a) for a in evens.tolist())))
+    assert len(many.view(6000).starts) == 1500  # more blocks than _FIRST_BLOCK
+    cases += [(many, n, 6000, True) for n in (2, 3, 10)]
+    return cases
+
+
+@pytest.mark.parametrize("size", [1, 3, 1 << 16])
+def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, size):
+    # blocks of `size` candidates: the scan skips a block only when its
+    # enclosing window rules it out, keeps each block's first maximum (the
+    # last block ends with kmax) and lets a later block replace it only when
+    # strictly larger: the same (value, k) as the scan of every candidate,
+    # bit for bit, over members or block starts, and the brute scan's k*
+    cases = _scan_cases(rng)
+    want = [banach_window_sup_at(spec, n, H) for spec, n, H, _ in cases]
+    bd_want = [bd_estimate_at(spec, n, H) for spec, n, H, _ in cases if spec.kind != "explicit"]
+    monkeypatch.setattr(density_module, "_FIRST_BLOCK", size)
+    monkeypatch.setattr(density_module, "_CHUNK", size)
     monkeypatch.setattr(intset, "_VIEWS", {})
-    for (els, n, H), one_scan in zip(cases, want):
-        got = banach_window_sup_at(IntegerSetSpec.explicit(els), n, H)
-        assert got == one_scan, (els, n, H)
-        value, k_star = brute_banach_sup(els, n, H)
-        assert got[1] == k_star and got[0] == pytest.approx(value, abs=1e-12), (els, n, H)
-    for (spec, n, H), one_scan in zip(block_cases, block_want):
-        got = banach_window_sup_at(spec, n, H), bd_estimate_at(spec, n, H)
-        assert got == one_scan, (spec, n, H)
-        els = spec.members(1, H).tolist()
-        value, k_star = brute_banach_sup(els, n, H)
-        assert got[0][1] == k_star and got[0][0] == pytest.approx(value, abs=1e-12), (spec, n, H)
-        best, k_star = brute_bd_at(els, n, H)
-        assert got[1] == (best / (n + 1), k_star), (spec, n, H)
+    bd_got = []
+    for (spec, n, H, brute), one_scan in zip(cases, want):
+        view, kmax = spec.view(H), (H + 1) // n
+        value, k = density_module._window_max(view, kmax, lambda k: k * n - 1, sums=True)
+        assert (float(value).hex(), k) == _every_candidate(view, kmax, n), (spec, n, H)
+        got = banach_window_sup_at(spec, n, H)
+        assert got == one_scan and got[0] == value, (spec, n, H)
+        els = spec.members(1, H).tolist() if brute else None
+        if brute:
+            best, k_star = brute_banach_sup(els, n, H)
+            assert got[1] == k_star and got[0] == pytest.approx(best, abs=1e-12), (spec, n, H)
+        if spec.kind != "explicit":
+            bd_got.append(bd_estimate_at(spec, n, H))
+            best, k_star = brute_bd_at(els, n, H)
+            assert bd_got[-1] == (best / (n + 1), k_star), (spec, n, H)
+    assert bd_got == bd_want
     assert banach_window_sup_at(IntegerSetSpec.explicit([4, 10, 12, 15]), 2, 40) == (0.25, 3)
     assert banach_window_sup_at(IntegerSetSpec.explicit([4, 10, 12, 15]), 2, 15) == (0.25, 3)
+    assert banach_window_sup_at(IntegerSetSpec.explicit([4, 10, 12, 15] + list(range(1000, 4000, 97))), 2,
+                                8000) == (0.25, 3)
+
+
+def test_banach_grid_reads_few_window_rows(monkeypatch):
+    # squarefree's windows peak at k = 1 and later blocks sum below the
+    # best, so the enclosing windows rule out almost every block: a grid of
+    # scans over 607,926 members hands range_sum under |A|/8 window rows
+    # (a full scan of every candidate hands it about 1.7 |A|)
+    spec, H = IntegerSetSpec.squarefree(), 10**6
+    monkeypatch.setattr(intset, "_VIEWS", {})
+    size = len(spec.view(H).starts)
+    rows, range_sum = [], numerics.PrefixSums.range_sum
+
+    def spy_range_sum(table, i, j):
+        rows.append(np.size(j))
+        return range_sum(table, i, j)
+
+    monkeypatch.setattr(numerics.PrefixSums, "range_sum", spy_range_sum)
+    lbd_profile(spec, 1000, H)
+    assert rows and sum(rows) <= size / 8
 
 
 def test_banach_subadditivity_exact(canonical_specs):

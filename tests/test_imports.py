@@ -65,6 +65,19 @@ def test_point_query_commands_leave_numpy_out(key):
     assert "numpy" not in imported
 
 
+@pytest.mark.parametrize("argv", [["--set", "squarefree", "--horizon", "1e4"],
+                                  ["--set", "full", "--horizon", "1e5", "--m", "2", "--nmax", "10"]])
+def test_density_leaves_monad_and_fractions_out(argv):
+    # a density report rounds its values with numerics.round12; loading
+    # densitylab.monad for it would also load fractions and decimal
+    done = _python("-X", "importtime", "-m", "densitylab.cli", "density", *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "densitylab.density" in imported  # the command's module shows in the trace
+    assert not imported & {"densitylab.monad", "fractions", "decimal"}
+
+
 def test_exports_resolve_and_star_import_works():
     # the 46 names the package imported eagerly before its exports went lazy
     _check(textwrap.dedent("""

@@ -262,11 +262,12 @@ def test_view_counts_equal_element_counts(canonical_specs):
         blocks = spec.kind in ("full", "interval_union", "example2")
         assert type(view) is (BlockView if blocks else ElementView)
         starts = view.starts
-        assert np.array_equal(view.below(0, len(starts)), view.count_le(starts - 1))
-        assert np.array_equal(view.below(0, len(starts) + 1), np.append(view.count_le(starts - 1), len(elems)))
         if blocks:
+            assert np.array_equal(view.below(0, len(starts)), view.count_le(starts - 1))
+            assert np.array_equal(view.below(0, len(starts) + 1), np.append(view.count_le(starts - 1), len(elems)))
             assert len(starts) <= max(1, len(spec.block_union() or ()))  # endpoints, not elements
-        else:
+        else:  # the members below starts[i] are i: the scans read an element view's rows as a slice
+            assert np.array_equal(view.count_le(starts - 1), np.arange(len(starts)))
             assert np.array_equal(starts, elems) and np.array_equal(view.ends, elems)
 
 
