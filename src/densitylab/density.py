@@ -52,7 +52,8 @@ float does not depend on the other windows of the call.  An element view
 sums: the reciprocal sums of the log profile and Banach from one table per
 member, and bd_m at m >= 2 from sums kept only at the member counts of the
 perfect m-th powers, since its windows [(t-1)^m + 1, (t+n)^m] start and end
-there (``_root_sums``): one chunked pass, with no second per-member table.
+there (``_root_sums``): one chunked pass, with no second per-member table,
+which a larger root carries on from the last row instead of starting again.
 """
 
 from __future__ import annotations
@@ -134,13 +135,15 @@ def _root_sums(root: int, m: int, view: ElementView) -> PrefixSums:
     |A cap [1, s**m]| for s = 0..root: ``range_sum(t - 1, t + n)`` is the
     window [(t-1)**m + 1, (t+n)**m], bit for bit the full table's sum.  One
     chunked pass over the members <= root**m builds it, the view's table m
-    (no beta is 2 or more); a larger root's table has root r's rows 0..r."""
+    (no beta is 2 or more); a larger root's table has root r's rows 0..r, so
+    it extends root r's table, reading only the members above r**m, also
+    when the view has grown since (``IntegerSetSpec.view``)."""
 
-    def build():
+    def build(old=None):
         counts = view.count_le(np.arange(root + 1, dtype=np.int64) ** m)
-        return PrefixSums.at_counts(counts, _member_weights(view.starts, (m - 1) / m))
+        return PrefixSums.at_counts(counts, _member_weights(view.starts, (m - 1) / m), old)
 
-    return view.table(m, root, build)
+    return view.table(m, root, build, extend=build)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +255,9 @@ def _window_max(view, kmax: int, tops, sums: bool = False):
 
     The view counts the members below each block start (an element view's
     rows lo to hi - 1, read as a slice, kmax's being j), so only the window
-    tops (and a block view's kmax) need a search.  A later block replaces
+    tops (and a block view's kmax) need a search.  On an element view the
+    enclosing window is summed from two scalar rows, with the bits of the
+    elementwise sum.  A later block replaces
     the best only when strictly larger, so k is the first maximizing
     candidate; a window's value does not depend on its block.
     """
@@ -269,7 +274,10 @@ def _window_max(view, kmax: int, tops, sums: bool = False):
             cands = np.append(cands, kmax)
             if not element:
                 below = np.append(below, view.count_le(kmax - 1))
-        cover = view.window_sums(cands[:1], tops(cands[-1:]), beta, slice(lo, lo + 1) if element else below[:1])[0]
+        if element:  # two scalar rows
+            cover = view.window_sums(cands[0], tops(int(cands[-1])), beta, lo)
+        else:
+            cover = view.window_sums(cands[:1], tops(cands[-1:]), beta, below[:1])[0]
         size *= 2
         if cover + 3 * (rel * cover + err) > best:  # a window of the block may beat the best
             values = view.window_sums(cands, tops(cands), beta, below)

@@ -13,6 +13,10 @@ u -> floor(N/u).
 
 A set's view up to a horizon counts and sums its members in windows; the
 largest view of each set is cached here with its sum tables (``_VIEWS``).
+A sieve kind's view grows with the horizon: the larger view copies the
+smaller one's sieve words, counts and members below its last whole word,
+and keeps the tables that extend (bd_m's sums at the perfect powers); the
+per-member tables are dropped and built again.
 """
 
 from __future__ import annotations
@@ -157,28 +161,38 @@ class _View:
     """What both views share: the horizon, and the sum tables that a view
     and its clips hold in one dict."""
 
-    def table(self, key, size: int, build):
-        """The table of ``key`` if built at ``size`` or above, else ``build()``
-        kept at ``size``, the smaller one not held while the larger builds."""
+    def table(self, key, size: int, build, extend=None):
+        """The table of ``key`` if built at ``size`` or above, else one kept at
+        ``size``: ``extend(smaller)`` from the smaller one when the caller can
+        extend it, else ``build()``, the smaller one not held while the
+        larger builds.  A table that extends is carried over when a sieve
+        view grows (``_sieve_members``); the others are dropped."""
         if self._tables.get(key, (-1,))[0] < size:
-            self._tables.pop(key, None)
-            self._tables[key] = (size, build())
+            old = self._tables.pop(key, (0, None))[1]
+            if extend is None:
+                old = None  # not held while the larger one builds
+            self._tables[key] = (size, build() if old is None else extend(old), extend is not None)
         return self._tables[key][1]
 
     def window_sums(self, lo, hi, beta=None, below=None):
-        """The members in each window [lo, hi] (int64 arrays): their count
-        when ``beta`` is None, else their x**(-beta) sum, from ``PrefixSums``
-        over the members (beta = 1: the log profile and Banach) read at the
-        member counts.  ``below``, when given, is |A cap [1, lo - 1]|."""
+        """The members in each window [lo, hi] (int64 arrays, or scalars on
+        an element view): their count when ``beta`` is None, else their
+        x**(-beta) sum, from ``PrefixSums`` over the members (beta = 1: the
+        log profile and Banach) read at the member counts.  ``below``, when
+        given, is |A cap [1, lo - 1]|."""
         if beta is not None:
-            from .numerics import PrefixSums
-            a = self.starts
-            table = self.table(beta, self.horizon, lambda: PrefixSums(a, _member_weights(a, beta)))
+            table = self.table(beta, self.horizon, lambda: _member_sums(self.starts, beta))
         if below is None:
             below = self.count_le(lo - 1)
         top = self.count_le(hi)
         del hi  # the caller passed the tops without a name: they are not held while range_sum gathers
         return top - below if beta is None else table.range_sum(below, top)
+
+
+def _member_sums(a: np.ndarray, beta: float):
+    """The ``PrefixSums`` of x**(-beta) over the members a, one row each."""
+    from .numerics import PrefixSums
+    return PrefixSums(a, _member_weights(a, beta))
 
 
 def _member_weights(a: np.ndarray, beta: float):
@@ -209,12 +223,15 @@ class ElementView(_View):
 
     def count_le(self, x):
         """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
-        horizon.  By rank, an array query holds at most three temporaries
-        of its length at once."""
+        horizon.  By rank, a scalar (a Python int, a numpy integer or a 0-d
+        array) reads one word in Python and gives an int, and an array query
+        holds at most three temporaries of its length at once."""
         if self._counts is None:
             return np.searchsorted(self.starts, x, side="right")
-        if np.ndim(x) == 0:
-            return int(self.count_le(np.array([x], dtype=np.int64))[0])
+        if getattr(x, "ndim", 0) == 0:
+            x = int(x)
+            w = x >> 6
+            return self._counts.item(w) + (self._words.item(w) & ((1 << (x & 63)) - 1)).bit_count()
         w = x >> 6
         bits = _low_masks()[x & 63]
         bits &= self._words[w]
@@ -268,6 +285,15 @@ class BlockView(_View):
 # most _VIEW_SETS sets, so a long-lived process does not keep every set.
 _VIEWS: dict = {}
 _VIEW_SETS = 64
+
+
+def _take_view(spec) -> ElementView | BlockView | None:
+    """The cached view of ``spec``, taken out of the cache (None if there is
+    none); the cache is emptied when it still holds _VIEW_SETS sets."""
+    view = _VIEWS.pop(spec, None)
+    if len(_VIEWS) >= _VIEW_SETS:
+        _VIEWS.clear()
+    return view
 
 
 def _example2_blocks(j: int, depth: int) -> tuple[tuple[int, int], ...]:
@@ -377,27 +403,35 @@ class IntegerSetSpec:
         materializes and ``density`` sums it in closed form, also above the
         materialization cap.  Horizons above 2^63 - 1 raise CapacityError.
         The largest view so far is cached (``_VIEWS``): a smaller horizon gets
-        a clip sharing its arrays and tables, a larger one drops it first.
-        An explicit view holds its elements below 2^63: it never grows."""
+        a clip sharing its arrays and tables.  A larger one makes a new view,
+        and the cached one is taken out of the cache and handed to the build,
+        so no frame here holds it.  A sieve kind's view grows from it
+        (``_sieve_members``): its sieve arrays are held only until they are
+        copied, and of its tables only those that extend are kept; every
+        per-member table is dropped before the new view builds.  The other
+        kinds drop the cached view and build anew.  An explicit view holds
+        its elements below 2^63: it never grows."""
         horizon = int(horizon)
         if horizon < 1:
             raise ValidationError("need horizon >= 1")
         if horizon >= 2**63:
             raise CapacityError("horizon exceeds 2^63 - 1")
-        view = _VIEWS.pop(self, None)
+        view = _VIEWS.get(self)
         if view is None or view.horizon < horizon:
-            view = None  # the smaller view and its tables are not held while the larger one builds
-            if len(_VIEWS) >= _VIEW_SETS:
-                _VIEWS.clear()
+            view = None  # the smaller view is handed to the build, not held here
             view = self._build_view(horizon)
         _VIEWS[self] = view
         return view if view.horizon == horizon else view.clip(horizon)
 
     def _build_view(self, horizon: int) -> ElementView | BlockView:
+        """The view up to ``horizon``, in place of the cached one: a sieve
+        kind hands it to ``_sieve_members`` to grow from, unnamed, so only
+        that frame holds it; the other kinds drop it before they build."""
         if self.kind in _SIEVE_KINDS:
             if horizon > SIEVE_HORIZON:
                 raise CapacityError(f"sieve horizon capped at {SIEVE_HORIZON}")
-            return _sieve_members(self.kind, horizon)
+            return _sieve_members(self.kind, horizon, _take_view(self))
+        _take_view(self)
         if self.kind == "even":
             _check_size(horizon // 2)
             members = np.arange(2, horizon + 1, 2, dtype=np.int64)
@@ -613,17 +647,35 @@ def _sieve_segment(kind: str, lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-def _sieve_members(kind: str, hi: int) -> ElementView:
+def _sieve_members(kind: str, hi: int, old: ElementView | None = None) -> ElementView:
     """The view of a sieve kind up to hi, with the rank directory of its bits
-    in hi // 64 + 1 uint64 words (x >> 6 names a word for every x <= hi)."""
+    in hi // 64 + 1 uint64 words (x >> 6 names a word for every x <= hi).
+
+    It grows from ``old``, the kind's view up to a smaller horizon h0, or
+    from nothing (h0 = 0), so a fresh build takes the same path: the words
+    below word h0 // 64 (the integers up to 64 * (h0 // 64)), their counts
+    and their members are copied, and only the integers above them are
+    sieved and decoded; the size cap counts the whole new view.  Each old
+    array is held only until it is copied.  Of old's tables, the ones that
+    extend (``_View.table``) are kept, and the others are dropped before
+    anything is sieved, so a caller that hands ``old`` over unnamed holds
+    no per-member table while the larger view builds."""
+    if old is None:  # the view of nothing, up to 0
+        old = ElementView(0, np.empty(0, dtype=np.int64), np.zeros(1, dtype="<u8"), np.zeros(1, dtype=np.uint32))
+    base = old.horizon // 64  # old's whole words
+    tables = {key: entry for key, entry in old._tables.items() if entry[2]}
+    words = np.zeros(hi // 64 + 1, dtype="<u8")
+    words[:base] = old._words[:base]
+    counts_below = old._counts[: base + 1]
+    members_below = old.starts[: int(counts_below[base])]
+    old = None  # its words and its other tables are dropped here
     # Pass 1 sieves and counts each segment and packs it into the words (a
     # segment is a whole number of words); pass 2 writes the members into
     # one buffer of the exact size, unpacking 2^16 integers at a time, so
-    # the peak is the words, that buffer and one segment.
-    words = np.zeros(hi // 64 + 1, dtype="<u8")
+    # the peak is the words, that buffer, one segment and the old members.
     octets = words.view(np.uint8)
-    total = 0
-    for lo in range(1, hi + 1, _SEGMENT):
+    total = len(members_below)
+    for lo in range(64 * base + 1, hi + 1, _SEGMENT):
         seg = _sieve_segment(kind, lo, min(hi, lo + _SEGMENT - 1))
         total += int(np.count_nonzero(seg))
         _check_size(total)  # trip before the build grows any further
@@ -631,17 +683,20 @@ def _sieve_members(kind: str, hi: int) -> ElementView:
         del seg  # not held while the next one is sieved
         b0 = (lo - 1) // 8
         octets[b0 : b0 + len(packed)] = packed
-    counts = np.zeros(len(words), dtype=np.uint32)
-    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.uint32, out=counts[1:])
+    counts = np.empty(len(words), dtype=np.uint32)
+    counts[: base + 1], counts_below = counts_below, None
+    np.cumsum(np.bitwise_count(words[base:-1]), dtype=np.uint32, out=counts[base + 1 :])
+    counts[base + 1 :] += counts[base]
     arr = np.empty(total, dtype=np.int64)
-    pos = 0
-    for b0 in range(0, len(octets), 1 << 13):  # the bits past hi are zero
+    pos = len(members_below)
+    arr[:pos], members_below = members_below, None
+    for b0 in range(8 * base, len(octets), 1 << 13):  # the bits past hi are zero
         offsets = np.flatnonzero(np.unpackbits(octets[b0 : b0 + (1 << 13)], bitorder="little"))
         np.add(offsets, 8 * b0 + 1, out=arr[pos : pos + len(offsets)])
         pos += len(offsets)
     for a in (words, counts, arr):
         a.flags.writeable = False
-    return ElementView(hi, arr, words, counts)
+    return ElementView(hi, arr, words, counts, tables)
 
 
 # Point membership is pure Python and builds no array.  A squarefree test

@@ -30,7 +30,8 @@ Accuracy notes
   _CHUNK weights, each carrying the running sums on from the last, so its
   temporaries are one chunk long and both tables are bit-identical to one
   sequential cumulative sum.  A table kept only at chosen entry counts
-  (``PrefixSums.at_counts``) is the same pass, keeping fewer rows.
+  (``PrefixSums.at_counts``) is the same pass, keeping fewer rows; it grows
+  by carrying the pass on from its last row, with the same bits.
 * ``power_sums`` is within 1e-14 relative of the true sum of every range,
   at any distance from 1: its Euler-Maclaurin tail starts at
   x >= EXACT_TERMS, where the truncation error is below 4e-15 relative, and
@@ -82,7 +83,8 @@ class PrefixSums:
     the sorted entry counts ``counts``: its ``range_sum(i, j)`` is the sum of
     weights[counts[i]:counts[j]], bit for bit the full table's
     ``range_sum(counts[i], counts[j])``, and it holds one row per count, not
-    one per entry.  Both come from one chunked pass, ``_running_sums``.
+    one per entry.  Both come from one chunked pass, ``_running_sums``, which
+    an ``at_counts`` table can carry on from its last row to grow.
     """
 
     def __init__(self, entries, weights_of):
@@ -94,17 +96,24 @@ class PrefixSums:
         self._s, self._c = _running_sums(weights_of, n, n + 1, rows)
 
     @classmethod
-    def at_counts(cls, counts: np.ndarray, weights_of) -> PrefixSums:
+    def at_counts(cls, counts: np.ndarray, weights_of, old: PrefixSums | None = None) -> PrefixSums:
         """The table kept at the sorted entry counts ``counts`` (int64, at
         least one); the pass reads the weights of the first counts[-1]
-        entries."""
+        entries.  ``old``, when given, is the table kept at a prefix of
+        ``counts`` over the same weights: its rows are copied, and the pass
+        carries on from its last row, reading only the weights past that
+        row's count.  Every row has the bits of a fresh table's, since the
+        carry is the running sums of one sequential pass."""
 
         def rows(lo, hi):  # the counts in (lo, hi], as offsets into the chunk
             r0, r1 = np.searchsorted(counts, (lo, hi), side="right")
             return slice(r0, r1), counts[r0:r1] - lo
 
-        table = cls.__new__(cls)
-        table._s, table._c = _running_sums(weights_of, int(counts[-1]), len(counts), rows)
+        table, r = cls.__new__(cls), 0 if old is None else len(old._s)
+        carry = (0, 0.0, 0.0) if old is None else (int(counts[r - 1]), old._s[-1], old._c[-1])
+        table._s, table._c = _running_sums(weights_of, int(counts[-1]), len(counts), rows, carry)
+        if r:
+            table._s[:r], table._c[:r] = old._s, old._c
         return table
 
     def range_sum(self, i, j):
@@ -117,20 +126,27 @@ class PrefixSums:
         return float(self._s[-1] + self._c[-1])
 
 
-def _running_sums(weights_of, n: int, size: int, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The compensated running sums (s, c) of n weights, kept in ``size``
-    rows (a row no chunk names keeps the sums of no weight, 0).
+def _running_sums(weights_of, n: int, size: int, rows, carry=(0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+    """The compensated running sums (s, c) of the weights of entries
+    start to n - 1, carried on from ``carry`` = (start, s, c), the sums after
+    the first start weights (0 by default), and kept in ``size`` rows (a row
+    no chunk names keeps the carried sums).
 
     The pass asks for _CHUNK weights at a time.  A chunk of entries lo to
     hi - 1 writes its running sums after lo to hi weights into one
     chunk-long buffer whose first slot carries them on from the last chunk,
     so every sum has the bits of one sequential cumulative sum over all the
-    weights; ``rows(lo, hi)`` gives the rows that keep the sums after lo + 1
-    to hi weights and their offsets into the buffer.
+    weights, wherever the chunks start; ``rows(lo, hi)`` gives the rows that
+    keep the sums after lo + 1 to hi weights and their offsets into the
+    buffer.
     """
+    start, carry_s, carry_c = carry
     s, c = np.zeros(size), np.zeros(size)
-    buf_s, buf_c = np.zeros(min(n, _CHUNK) + 1), np.zeros(min(n, _CHUNK) + 1)
-    for lo in range(0, n, _CHUNK):
+    if start:
+        s[:], c[:] = carry_s, carry_c
+    buf_s, buf_c = np.zeros(min(n - start, _CHUNK) + 1), np.zeros(min(n - start, _CHUNK) + 1)
+    buf_s[0], buf_c[0] = carry_s, carry_c
+    for lo in range(start, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         w = weights_of(lo, hi)
         seg_s, seg_c = buf_s[: hi - lo + 1], buf_c[: hi - lo + 1]

@@ -688,6 +688,62 @@ def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
     assert hit == {"edge": True, "last": True}
 
 
+@pytest.mark.parametrize("kind", ["squarefree", "primes"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_grown_root_sums_equal_a_fresh_pass(kind, m, monkeypatch):
+    # as a sieve view grows, bd_m's sums at the perfect powers carry on from
+    # the last row of the smaller table, reading only the members above its
+    # root**m, and keep the bits of a fresh ``at_counts`` pass (3 weights per
+    # chunk, so both passes cross many chunk edges at different places)
+    monkeypatch.setattr(numerics, "_CHUNK", 3)
+    monkeypatch.setattr(intset, "_VIEWS", {})
+    spec, beta, read = IntegerSetSpec(kind), (m - 1) / m, []
+    weights = density_module._member_weights
+    monkeypatch.setattr(density_module, "_member_weights",
+                        lambda a, b: (lambda lo, hi: read.append((lo, hi)) or weights(a, b)(lo, hi)))
+    last, horizons, grown = 0, (1000, 1001, 4096, 4159, 30_000, 70_001), []
+    for h in horizons:
+        root, read[:] = numerics.floor_nth_root(h, m), []
+        view = spec.view(h)
+        table = density_module._root_sums(root, m, view)
+        counts = view.count_le(np.arange(root + 1, dtype=np.int64) ** m)
+        fresh = numerics.PrefixSums.at_counts(counts, weights(view.starts, beta))
+        assert np.array_equal(table._s.view(np.int64), fresh._s.view(np.int64)), h
+        assert np.array_equal(table._c.view(np.int64), fresh._c.view(np.int64)), h
+        assert sum(hi - lo for lo, hi in read) == counts[-1] - last and all(lo >= last for lo, _ in read), h
+        last = int(counts[-1])
+        grown.append(bdm_window_sup_at(spec, m, 5, h))
+    for h, got in zip(horizons, grown):
+        intset._VIEWS.clear()
+        assert bdm_window_sup_at(spec, m, 5, h) == got, h
+
+
+def test_a_sieve_view_grows_without_its_per_member_table(monkeypatch):
+    # test_a_larger_table_is_built_without_the_smaller_one for a view that
+    # grows: the reciprocal sums per member at H/2 (4.9 MB) are dropped
+    # before the larger sieve view builds, so the growth peaks that much
+    # below a fresh build at H, above what was held before it
+    spec, H, slack = IntegerSetSpec.squarefree(), 10**6, 2**20
+    views = {}
+    monkeypatch.setattr(intset, "_VIEWS", views)
+    tracemalloc.start()
+    try:
+        spec.view(H)
+        fresh = tracemalloc.get_traced_memory()[1]
+        views.clear()
+        base = tracemalloc.get_traced_memory()[0]
+        log_profile(spec, H // 2, [H // 2])
+        table = views[spec]._tables[1.0][1]
+        size, table = table._s.nbytes + table._c.nbytes, None
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        spec.view(H)
+        assert views[spec]._tables == {}
+        assert tracemalloc.get_traced_memory()[1] - held <= fresh - base - size + slack
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("spec", [IntegerSetSpec.squarefree(),
                                   IntegerSetSpec.explicit(range(1, 10**5 + 1, 7))])
 def test_weights_cache_slices_match_fresh_builds(spec, monkeypatch):

@@ -210,6 +210,66 @@ def test_sieve_view_of_a_smaller_horizon_reads_the_larger_cache(kind, empty_view
     _check_rank_counts(view, spec.members(1, 5 * 10**5), 5 * 10**5)
 
 
+@pytest.mark.parametrize("kind", ["squarefree", "primes"])
+def test_sieve_scalar_count_le_reads_one_word(kind, empty_view_cache):
+    # a scalar query reads one count and one word in Python: the same
+    # integer as a binary search, as an int, for Python ints, numpy integers
+    # and 0-d arrays, on a view and on its clip
+    horizon = 10**4 + 37
+    view = IntegerSetSpec(kind).view(horizon)
+    for v in (view, view.clip(5000)):
+        for x in (0, 1, 63, 64, 65, 127, 128, v.horizon - 1, v.horizon):
+            want = int(np.searchsorted(v.starts, x, side="right"))
+            for q in (x, np.int64(x), np.uint32(x), np.array(x)):
+                got = v.count_le(q)
+                assert type(got) is int and got == want, (v.horizon, repr(q))
+
+
+def _sieve_arrays(view):
+    return view._words, view._counts, view.starts
+
+
+def _assert_same_sieve(grown, fresh):
+    assert grown.horizon == fresh.horizon
+    for g, f in zip(_sieve_arrays(grown), _sieve_arrays(fresh)):
+        assert g.dtype == f.dtype and np.array_equal(g, f) and not g.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["squarefree", "primes"])
+def test_grown_sieve_view_equals_a_fresh_build(kind):
+    # a view grown from a smaller one copies its whole words, their counts
+    # and their members, and sieves only the rest: the same words, counts
+    # and members as a build from nothing, with old horizons on both sides
+    # of a word edge (0 and 63 mod 64) and of a segment edge, one integer
+    # more, and a chain of five steps; the old view is left as it was
+    seg = intset._SEGMENT
+    steps = [(640, 5000), (639, 5000), (64, 65), (63, 64), (1, 2), (seg - 1, seg + 70),
+             (seg + 1, seg + 64), (seg - 1, seg), (seg, seg + 1), (seg + 1, 2 * seg + 1)]
+    for h0, h in steps:
+        old = intset._sieve_members(kind, h0)
+        before = [a.copy() for a in _sieve_arrays(old)]
+        _assert_same_sieve(intset._sieve_members(kind, h, old), intset._sieve_members(kind, h))
+        assert all(np.array_equal(a, b) for a, b in zip(_sieve_arrays(old), before))
+    view = None
+    for h in (100, 4097, 4160, 70_001, 2 * 10**5 + 63):
+        view = intset._sieve_members(kind, h, view)
+        _assert_same_sieve(view, intset._sieve_members(kind, h))
+
+
+def test_grown_sieve_view_keeps_only_the_tables_that_extend(empty_view_cache):
+    # the cached view of a larger horizon grows from the smaller one: bd_m's
+    # root sums, which extend, are carried over, and the reciprocal sums per
+    # member are dropped
+    spec = IntegerSetSpec.squarefree()
+    view = spec.view(10**4)
+    root_sums = view.table(2, 100, lambda: "root sums", extend=lambda old: None)
+    view.table(1.0, 10**4, lambda: "per member")
+    grown = spec.view(2 * 10**4)
+    assert grown.horizon == 2 * 10**4 and grown is not view
+    assert sorted(grown._tables) == [2] and grown.table(2, 100, None) is root_sums
+    assert view._tables[1.0][1] == "per member"  # the old view itself is not changed
+
+
 @given(st.sampled_from(["full", "even", "squarefree", "primes"]),
        st.integers(min_value=1, max_value=2000), st.integers(min_value=0, max_value=400))
 @settings(max_examples=60, deadline=None)

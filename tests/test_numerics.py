@@ -68,6 +68,31 @@ def test_prefix_sums_chunked_build_matches_one_cumsum(rng, monkeypatch, chunk):
         assert all(0 < k <= chunk for k in asked) and sum(asked) == len(w)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_prefix_sums_at_counts_extend_with_the_bits_of_a_fresh_pass(rng, monkeypatch, chunk):
+    # a table kept at a prefix of the counts carries its pass on from its
+    # last row, reading only the weights past that row's count: every row
+    # has the bits of a fresh pass, also where counts repeat the last old
+    # count or no weight lies past it
+    monkeypatch.setattr(numerics, "_CHUNK", chunk)
+    x = np.cumsum(rng.randint(1, 9, size=3000)).astype(np.float64)
+    for w in (np.reciprocal(x), x**-0.5, x ** (-2 / 3)):
+        def weights_of(lo, hi, w=w):
+            return w[lo:hi]
+
+        counts = np.unique(np.concatenate(([0], rng.randint(0, len(w) + 1, size=40))))
+        counts = np.sort(np.concatenate((counts, counts[rng.randint(0, len(counts), size=10)])))
+        for r in (1, 2, len(counts) // 2, len(counts) - 1, len(counts)):
+            old = PrefixSums.at_counts(counts[:r], weights_of)
+            read = []
+            grown = PrefixSums.at_counts(counts, lambda lo, hi: read.append((lo, hi)) or w[lo:hi], old)
+            fresh = PrefixSums.at_counts(counts, weights_of)
+            assert np.array_equal(grown._s.view(np.int64), fresh._s.view(np.int64)), r
+            assert np.array_equal(grown._c.view(np.int64), fresh._c.view(np.int64)), r
+            assert sum(hi - lo for lo, hi in read) == counts[-1] - counts[r - 1]
+            assert all(lo >= counts[r - 1] for lo, _ in read)
+
+
 def _random_blocks(rng, count, gap, length):
     starts, ends, x = [], [], 0
     for _ in range(count):

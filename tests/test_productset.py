@@ -391,7 +391,7 @@ def test_gap_witness_sieves_only_before_m2(monkeypatch):
     # or materialize factor sets
     calls, events = [], []
     sieve = intset._sieve_members
-    monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi: calls.append(hi) or sieve(kind, hi))
+    monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi, old=None: calls.append(hi) or sieve(kind, hi, old))
     members = IntegerSetSpec.members
     monkeypatch.setattr(IntegerSetSpec, "members", lambda self, lo, hi: events.append("members") or members(self, lo, hi))
     probe = productset._probe_upto2

@@ -175,7 +175,7 @@ def test_allowed_sieve_kinds_by_point_queries(spec, rng, monkeypatch):
     # the oracle's edges come from the sieved view; _allowed itself sieves nothing
     _check_allowed(spec, 10**6, rng)
     sieve = []
-    monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi: sieve.append(hi))
+    monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi, old=None: sieve.append(hi))
     assert _allowed(spec, 10**6 // 3, 3, 10**6) == 10**6 // 3
     assert sieve == []
 
