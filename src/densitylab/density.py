@@ -18,22 +18,24 @@ members of the other kinds.  Both count the members up to x (``count_le``)
 and sum the counts or the x^(-beta) of the members in windows
 (``window_sums``), so a type test remains only where an algorithm runs on
 one of them alone: the galloping count scan (``_count_max``), the members
-below each candidate of ``_window_max`` (an element view's rows, read as a
-slice; a block view's ``below``) and bd_m's sums at perfect powers
-(``_root_sums``).
+below each candidate of ``_window_max`` (an element view's rows lo to
+hi - 1; a block view's ``below``), an element view's enclosing windows
+(``_row``) and bd_m's sums at perfect powers (``_root_sums``).
 
 The Banach windows and the count windows (bd, and bd_m at m = 1) never fall
 while k steps over a non-member and never rise while it steps over a member,
 so the maximum sits at a block start (a member, on an element view) or at
-the last k.  ``_window_max`` scans those candidates in blocks of 2^10 to
+the last k.  ``_window_max`` scans those candidates in blocks of 2^5 to
 2^16, so no temporary grows with |A|, and skips a block when one enclosing
 window, [its first candidate, the top of its last], sums to no more than
 the best so far less a margin for the rounding of both sums (0 for
 counts).  Every evaluated window is summed as in a full scan, so values and
 k* keep their bits.  A skipped block, or one that raised the best, doubles
-the next.  The maxima of the benchmarked sets sit at small k, so a grid of
-Banach scans reads a few percent of the rows; at worst, windows that rise
-with k, it reads every row and one enclosing sum per block.  The count
+the next; a block that cannot be skipped after a block that did not raise
+the best is halved until it can, or until it is 2^5 candidates long.  The
+maxima of the benchmarked sets sit at small k, so a Banach scan evaluates
+a few blocks of 2^5 windows; at worst, windows that rise with k, it
+evaluates every window and one enclosing sum per block.  The count
 windows on an element view take one galloping pass instead
 (``_count_max``): the window at a[i] holds more than the best count c so
 far exactly when a[i + c] - a[i] <= n, so one difference per member finds
@@ -49,11 +51,15 @@ the materialization cap.  The closed form is one O(1) kernel,
 ``numerics.power_sums``, within 1e-14 relative of each range, and a window's
 float does not depend on the other windows of the call.  An element view
 (``even`` too: its own closed form had no caller) reads compensated prefix
-sums: the reciprocal sums of the log profile and Banach from one table per
-member, and bd_m at m >= 2 from sums kept only at the member counts of the
-perfect m-th powers, since its windows [(t-1)^m + 1, (t+n)^m] start and end
-there (``_root_sums``): one chunked pass, with no second per-member table,
-which a larger root carries on from the last row instead of starting again.
+sums.  The reciprocal sums of the log profile and Banach come from a table
+kept at every ``numerics.STRIDE``-th member count, 16 bytes per STRIDE
+members (``ElementView.sums_table``): any other row is carried on from the
+kept row below it with the float operations of the pass, so it has the
+bits of a table with a row per member.  bd_m at m >= 2 reads sums kept only
+at the member counts of the perfect m-th powers, since its windows
+[(t-1)^m + 1, (t+n)^m] start and end there (``_root_sums``).  Both tables
+are one chunked pass, which a larger view or root carries on from the last
+kept row instead of starting again.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import numerics
 from ._np import numpy as np
 from .errors import DomainError, ValidationError
 from .intset import BlockView, ElementView, IntegerSetSpec, _member_weights
@@ -213,18 +220,21 @@ def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
 
 
 # Candidates per block of a window scan, and members per block of a count
-# scan: a block starts at _FIRST_BLOCK and doubles, up to _CHUNK, while the
-# scan rules it out, so no temporary is more than one chunk long.
+# scan: a block starts at _FIRST_WINDOWS and _FIRST_BLOCK, and doubles, up to
+# _CHUNK, while the scan rules it out, so no temporary is more than one chunk
+# long.  An evaluated window carries its two rows over up to STRIDE - 1
+# weights each, so the window scan starts small.
 _CHUNK = 1 << 16
 _FIRST_BLOCK = 1 << 10
+_FIRST_WINDOWS = 1 << 5
 # A computed reciprocal window sum V' of a window whose true sum is V, on a
 # view of r - 1 members or blocks, has |V' - V| <= _REL * V + _ABS * r**2.
 # _REL holds the 1e-14 relative bound of ``numerics.power_sums`` (a block
-# view's block sums and cut parts) and a few roundings, 3u of them from
-# ``PrefixSums.range_sum``; _ABS * r**2 is the second-order term of the
-# compensated prefix sums, 8 (r u)**2 S, where u = 2**-53 and S, the sum of
-# the table's rows, is below 1 + 63 ln 2 for reciprocals of integers below
-# 2**63 (see ``PrefixSums``).
+# view's block sums and cut parts) and a few roundings, 3u of them from the
+# difference of two ``PrefixSums`` rows; _ABS * r**2 is the second-order
+# term of the compensated prefix sums, 8 (r u)**2 S, where u = 2**-53 and S,
+# the sum of the table's rows, is below 1 + 63 ln 2 for reciprocals of
+# integers below 2**63 (see ``PrefixSums``).
 _U = 2.0**-53
 _REL = 1e-14 + 8 * _U
 _ABS = 8 * _U * _U * (1 + 63 * math.log(2))
@@ -246,48 +256,74 @@ def _window_max(view, kmax: int, tops, sums: bool = False):
     most the best so far.  The margin, 3 (_REL * value + _ABS * r**2),
     covers the error of both computed sums; counts are exact, so theirs is
     0.  It decides only what is skipped: an evaluated block sums its windows
-    as a full scan does.  A block starts at _FIRST_BLOCK candidates and
-    doubles up to _CHUNK while the scan skips it or it raises the best; a
-    block evaluated without raising the best had too wide an enclosing
-    window, so the next starts again at _FIRST_BLOCK.  At worst, windows
-    that rise with k, nothing is skipped, and each block costs one more
-    window sum.
+    as a full scan does.  A block starts at _FIRST_WINDOWS candidates and
+    doubles up to _CHUNK while the scan skips it or it raises the best.
+    Unless the last evaluated block raised the best, a block that is not
+    skipped is halved, and its first half tested again, down to
+    _FIRST_WINDOWS candidates before it is evaluated: a narrower enclosing
+    window rules out more, and a test costs two rows where an evaluation
+    costs two per window.  A block evaluated without raising the best
+    starts the next again at _FIRST_WINDOWS.  At worst, windows that rise
+    with k, nothing is skipped, and each block costs one more window sum.
 
     The view counts the members below each block start (an element view's
-    rows lo to hi - 1, read as a slice, kmax's being j), so only the window
-    tops (and a block view's kmax) need a search.  On an element view the
-    enclosing window is summed from two scalar rows, with the bits of the
-    elementwise sum.  A later block replaces
-    the best only when strictly larger, so k is the first maximizing
-    candidate; a window's value does not depend on its block.
+    rows lo to hi - 1, kmax's being j), so only the window tops (and a block
+    view's kmax) need a search.  On an element view the enclosing window is
+    widened to the kept rows at or outside it (``_row``): its sum is larger,
+    which keeps the skip sound, and it carries no weights unless its top
+    passes the last kept row.  A later block replaces the best only when
+    strictly larger, so k is the first maximizing candidate; a window's
+    value does not depend on its block.
     """
     starts, element = view.starts, isinstance(view, ElementView)
     beta = 1.0 if sums else None
     rel, err = (_REL, _ABS * (len(starts) + 1) ** 2) if sums else (0, 0)
     j = int(np.searchsorted(starts, kmax, side="right"))
     count = j if j and starts[j - 1] == kmax else j + 1  # the candidates: j block starts, then kmax
-    best, lo, size = -1, 0, _FIRST_BLOCK  # every value is at least 0
+    best, lo, size, rising = -1, 0, _FIRST_WINDOWS, True  # every value is at least 0
+    if element:
+        table, stride = view.sums_table(beta), numerics.STRIDE
     while lo < count:
         hi = min(lo + min(size, _CHUNK), count)
-        cands, below = starts[lo : min(hi, j)], slice(lo, hi) if element else view.below(lo, min(hi, j))
+        cands = starts[lo : min(hi, j)]
         if hi > j:  # the last candidate is kmax
             cands = np.append(cands, kmax)
-            if not element:
-                below = np.append(below, view.count_le(kmax - 1))
-        if element:  # two scalar rows
-            cover = view.window_sums(cands[0], tops(int(cands[-1])), beta, lo)
+        if element:  # from the kept rows at or outside the enclosing window
+            t = -(-int(view.count_le(tops(int(cands[-1])))) // stride) * stride
+            (s0, c0), (s1, c1) = _row(table, starts, lo - lo % stride), _row(table, starts, min(t, len(starts)))
+            cover = (s1 - s0) + (c1 - c0)
         else:
+            below = view.below(lo, min(hi, j))
+            if hi > j:
+                below = np.append(below, view.count_le(kmax - 1))
             cover = view.window_sums(cands[:1], tops(cands[-1:]), beta, below[:1])[0]
-        size *= 2
-        if cover + 3 * (rel * cover + err) > best:  # a window of the block may beat the best
-            values = view.window_sums(cands, tops(cands), beta, below)
+        if cover + 3 * (rel * cover + err) <= best:  # no window of the block beats the best
+            lo, size = hi, size * 2
+        elif not rising and hi - lo > _FIRST_WINDOWS:  # try the narrower enclosing window of its first half
+            size = (hi - lo) // 2
+        else:
+            values = view.window_sums(cands, tops(cands), beta, np.arange(lo, hi) if element else below)
             i = int(np.argmax(values))
-            if values[i] > best:
+            rising = bool(values[i] > best)
+            if rising:
                 best, k = values[i], int(cands[i])
-            else:  # its enclosing window was too wide: the next one is narrower
-                size = _FIRST_BLOCK
-        lo = hi
+            lo, size = hi, size * 2 if rising else _FIRST_WINDOWS
     return best, k
+
+
+def _row(table, a: np.ndarray, r: int) -> tuple[float, float]:
+    """The reciprocal sums (s, c) after the first r members a, carried on
+    from the kept row of ``ElementView.sums_table`` below r in Python
+    floats, with the float operations of a ``PrefixSums`` pass: the same
+    bits as a table row."""
+    q = r // numerics.STRIDE
+    s, c = table._s.item(q), table._c.item(q)
+    for x in a[q * numerics.STRIDE : r].tolist():
+        w = 1.0 / float(x)
+        t = s + w
+        e = t - s
+        s, c = t, c + ((w - e) + (s - (t - e)))
+    return s, c
 
 
 def _count_max(view, kmax: int, n: int) -> tuple[int, int]:
@@ -342,7 +378,7 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
     if n > horizon:
         raise DomainError("need n <= horizon")
     view = spec.view(horizon)
-    value, k1 = _window_max(view, (horizon + 1) // n, lambda k: k * n - 1, sums=True)
+    value, k1 = _window_max(view, (horizon + 1) // n, lambda k: (k - 1) * n + (n - 1), sums=True)
     i = int(np.searchsorted(view.starts, k1 * n - 1, side="right"))
     p = min(int(view.ends[i - 1]), k1 * n - 1) if i else 0
     return float(value), p // n + 1

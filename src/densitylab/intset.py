@@ -15,8 +15,7 @@ A set's view up to a horizon counts and sums its members in windows; the
 largest view of each set is cached here with its sum tables (``_VIEWS``).
 A sieve kind's view grows with the horizon: the larger view copies the
 smaller one's sieve words, counts and members below its last whole word,
-and keeps the tables that extend (bd_m's sums at the perfect powers); the
-per-member tables are dropped and built again.
+and keeps its sum tables, which extend.
 """
 
 from __future__ import annotations
@@ -175,30 +174,24 @@ class _View:
         return self._tables[key][1]
 
     def window_sums(self, lo, hi, beta=None, below=None):
-        """The members in each window [lo, hi] (int64 arrays, or scalars on
-        an element view): their count when ``beta`` is None, else their
-        x**(-beta) sum, from ``PrefixSums`` over the members (beta = 1: the
-        log profile and Banach) read at the member counts.  ``below``, when
-        given, is |A cap [1, lo - 1]|."""
-        if beta is not None:
-            table = self.table(beta, self.horizon, lambda: _member_sums(self.starts, beta))
+        """The members in each window [lo, hi] (int64 arrays; scalars on an
+        element view count): their count when ``beta`` is None, else their
+        x**(-beta) sum, read at both ends at once from ``sums_table``.
+        ``below``, when given, is |A cap [1, lo - 1]|."""
         if below is None:
             below = self.count_le(lo - 1)
         top = self.count_le(hi)
-        del hi  # the caller passed the tops without a name: they are not held while range_sum gathers
-        return top - below if beta is None else table.range_sum(below, top)
-
-
-def _member_sums(a: np.ndarray, beta: float):
-    """The ``PrefixSums`` of x**(-beta) over the members a, one row each."""
-    from .numerics import PrefixSums
-    return PrefixSums(a, _member_weights(a, beta))
+        del hi  # the caller passed the tops without a name: they are not held while the sums are read
+        if beta is None:
+            return top - below
+        s, c = self.sums_table(beta).carried(np.concatenate((below, top)), _member_weights(self.starts, beta))
+        return (s[len(top) :] - s[: len(top)]) + (c[len(top) :] - c[: len(top)])
 
 
 def _member_weights(a: np.ndarray, beta: float):
     """``weights_of`` for a ``PrefixSums`` pass over the members a."""
     from .numerics import _powers
-    return lambda lo, hi: _powers(a[lo:hi].astype(np.float64), beta)
+    return lambda i: _powers(a[i].astype(np.float64), beta)
 
 
 class ElementView(_View):
@@ -220,6 +213,15 @@ class ElementView(_View):
     def clip(self, horizon: int) -> "ElementView":
         """The view up to a smaller horizon, sharing this one's arrays and tables."""
         return ElementView(horizon, self.starts[: self.count_le(horizon)], self._words, self._counts, self._tables)
+
+    def sums_table(self, beta: float):
+        """The ``PrefixSums`` of x**(-beta) over the members kept at every
+        STRIDE-th member count: holding no members, it extends as they grow."""
+        def build(old=None):
+            from .numerics import STRIDE, PrefixSums
+            counts = np.arange(0, len(self.starts) + 1, STRIDE)
+            return PrefixSums.at_counts(counts, _member_weights(self.starts, beta), old)
+        return self.table(beta, self.horizon, build, extend=build)
 
     def count_le(self, x):
         """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
@@ -407,9 +409,8 @@ class IntegerSetSpec:
         and the cached one is taken out of the cache and handed to the build,
         so no frame here holds it.  A sieve kind's view grows from it
         (``_sieve_members``): its sieve arrays are held only until they are
-        copied, and of its tables only those that extend are kept; every
-        per-member table is dropped before the new view builds.  The other
-        kinds drop the cached view and build anew.  An explicit view holds
+        copied, and its tables, which extend, are kept.  The other kinds
+        drop the cached view and build anew.  An explicit view holds
         its elements below 2^63: it never grows."""
         horizon = int(horizon)
         if horizon < 1:
@@ -658,8 +659,7 @@ def _sieve_members(kind: str, hi: int, old: ElementView | None = None) -> Elemen
     sieved and decoded; the size cap counts the whole new view.  Each old
     array is held only until it is copied.  Of old's tables, the ones that
     extend (``_View.table``) are kept, and the others are dropped before
-    anything is sieved, so a caller that hands ``old`` over unnamed holds
-    no per-member table while the larger view builds."""
+    anything is sieved."""
     if old is None:  # the view of nothing, up to 0
         old = ElementView(0, np.empty(0, dtype=np.int64), np.zeros(1, dtype="<u8"), np.zeros(1, dtype=np.uint32))
     base = old.horizon // 64  # old's whole words

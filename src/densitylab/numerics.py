@@ -26,12 +26,10 @@ Accuracy notes
   weights: the correction kept at row k has gathered at most (k u)**2 S of
   rounding, and the two differences and their sum add at most
   3u V + 4 r u**2 S more.  The Banach scan's skip margin
-  (``density._window_max``) is built from this bound.  The build runs in chunks of
-  _CHUNK weights, each carrying the running sums on from the last, so its
-  temporaries are one chunk long and both tables are bit-identical to one
-  sequential cumulative sum.  A table kept only at chosen entry counts
-  (``PrefixSums.at_counts``) is the same pass, keeping fewer rows; it grows
-  by carrying the pass on from its last row, with the same bits.
+  (``density._window_max``) is built from this bound.  A table is one pass
+  in chunks of _CHUNK weights, carried from chunk to chunk, that keeps the
+  rows at chosen entry counts: every row has the bits of one sequential
+  cumulative sum, and so does a row carried on from a kept one.
 * ``power_sums`` is within 1e-14 relative of the true sum of every range,
   at any distance from 1: its Euler-Maclaurin tail starts at
   x >= EXACT_TERMS, where the truncation error is below 4e-15 relative, and
@@ -65,59 +63,39 @@ EXACT_TERMS = 256
 # Rows summed term by term at once: a chunk's terms are one
 # _ROWS x EXACT_TERMS matrix, so memory does not grow with the range count.
 _ROWS = 1 << 10
-# Weights per chunk of a ``PrefixSums`` pass: its temporaries are one chunk
-# long.
+# Weights per chunk of a ``PrefixSums`` pass, so its temporaries are one chunk long.
 _CHUNK = 1 << 16
+# Entry counts between the kept rows of a table read by ``carried``.
+STRIDE = 16
 
 
 class PrefixSums:
-    """Compensated prefix sums of positive weights, one per entry of
-    ``entries`` (only its length is read): ``weights_of(lo, hi)`` returns the
-    weights of entries lo to hi - 1.
+    """Compensated prefix sums of positive weights kept after the sorted entry
+    counts of ``at_counts(counts, weights_of)``, where ``weights_of(index)``
+    gives the weights of the entries a slice or an index array names:
+    ``range_sum(i, j)`` sums weights[counts[i]:counts[j]] with the rounding
+    of the cumulative sum corrected for, to ~1e-13 relative over 1e7+ terms."""
 
-    ``range_sum(i, j)`` returns ``sum(weights[i:j])`` with the first-order
-    rounding of the cumulative sum corrected for, so differences of far-apart
-    prefixes stay accurate to ~1e-13 relative even over 1e7+ terms.
-
-    ``PrefixSums.at_counts(counts, weights_of)`` keeps the sums only after
-    the sorted entry counts ``counts``: its ``range_sum(i, j)`` is the sum of
-    weights[counts[i]:counts[j]], bit for bit the full table's
-    ``range_sum(counts[i], counts[j])``, and it holds one row per count, not
-    one per entry.  Both come from one chunked pass, ``_running_sums``, which
-    an ``at_counts`` table can carry on from its last row to grow.
-    """
-
-    def __init__(self, entries, weights_of):
-        n = len(entries)
-
-        def rows(lo, hi):  # every count in (lo, hi]: the whole chunk
-            return slice(lo + 1, hi + 1), slice(1, None)
-
-        self._s, self._c = _running_sums(weights_of, n, n + 1, rows)
+    def __init__(self, s: np.ndarray, c: np.ndarray):
+        self._s, self._c = s, c
 
     @classmethod
     def at_counts(cls, counts: np.ndarray, weights_of, old: PrefixSums | None = None) -> PrefixSums:
         """The table kept at the sorted entry counts ``counts`` (int64, at
-        least one); the pass reads the weights of the first counts[-1]
-        entries.  ``old``, when given, is the table kept at a prefix of
-        ``counts`` over the same weights: its rows are copied, and the pass
-        carries on from its last row, reading only the weights past that
-        row's count.  Every row has the bits of a fresh table's, since the
-        carry is the running sums of one sequential pass."""
-
-        def rows(lo, hi):  # the counts in (lo, hi], as offsets into the chunk
-            r0, r1 = np.searchsorted(counts, (lo, hi), side="right")
-            return slice(r0, r1), counts[r0:r1] - lo
-
-        table, r = cls.__new__(cls), 0 if old is None else len(old._s)
+        least one), from the weights of the first counts[-1] entries.
+        ``old``, the table kept at a prefix of ``counts`` over the same
+        weights, is copied, and the pass carries on from its last row,
+        reading only the weights past it, with the bits of a fresh pass."""
+        r = 0 if old is None else len(old._s)
         carry = (0, 0.0, 0.0) if old is None else (int(counts[r - 1]), old._s[-1], old._c[-1])
-        table._s, table._c = _running_sums(weights_of, int(counts[-1]), len(counts), rows, carry)
+        table = cls(*_running_sums(weights_of, counts, carry))
         if r:
             table._s[:r], table._c[:r] = old._s, old._c
         return table
 
     def range_sum(self, i, j):
-        """Sum of weights[i:j]; i, j may be scalars, index arrays or slices."""
+        """Sum of weights[counts[i]:counts[j]]; i, j may be scalars, index
+        arrays or slices."""
         s, c = self._s, self._c
         return (s[j] - s[i]) + (c[j] - c[i])
 
@@ -125,52 +103,65 @@ class PrefixSums:
     def total(self) -> float:
         return float(self._s[-1] + self._c[-1])
 
+    def carried(self, counts: np.ndarray, weights_of) -> tuple[np.ndarray, np.ndarray]:
+        """The sums (s, c) after each entry count of ``counts`` (int64, any
+        order) from this table, kept at every STRIDE-th count.  Counts that
+        span at most STRIDE entries each take one pass in sorted order from
+        the kept row below the least; others each carry the kept row below
+        them over fewer than STRIDE weights, along axis 0 of a (depth,
+        counts) array, _CHUNK // STRIDE counts at a time."""
+        s, c, step = np.empty(len(counts)), np.empty(len(counts)), max(1, _CHUNK // STRIDE)
+        if len(counts) and counts.max() - (least := int(counts.min())) <= STRIDE * len(counts):
+            order, q = np.argsort(counts, kind="stable"), least // STRIDE
+            s[order], c[order] = _running_sums(weights_of, counts[order], (q * STRIDE, self._s[q], self._c[q]))
+            return s, c
+        for p in range(0, len(counts), step):
+            r = counts[p : p + step]
+            (k, d), cols = np.divmod(r, STRIDE), np.arange(len(r))
+            seg_s, seg_c = np.empty((int(d.max()) + 1, len(r))), np.empty((int(d.max()) + 1, len(r)))
+            seg_s[0], seg_c[0] = self._s[k], self._c[k]
+            if len(seg_s) > 1:  # entry max(r) - 1 exists; the entries past it, which no row reads, are clipped
+                idx = np.minimum(k * STRIDE + np.arange(len(seg_s) - 1)[:, None], r.max() - 1)
+                _two_sum(seg_s, seg_c, weights_of(idx))
+            s[p : p + step], c[p : p + step] = seg_s[d, cols], seg_c[d, cols]
+        return s, c
 
-def _running_sums(weights_of, n: int, size: int, rows, carry=(0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
-    """The compensated running sums (s, c) of the weights of entries
-    start to n - 1, carried on from ``carry`` = (start, s, c), the sums after
-    the first start weights (0 by default), and kept in ``size`` rows (a row
-    no chunk names keeps the carried sums).
 
-    The pass asks for _CHUNK weights at a time.  A chunk of entries lo to
-    hi - 1 writes its running sums after lo to hi weights into one
-    chunk-long buffer whose first slot carries them on from the last chunk,
-    so every sum has the bits of one sequential cumulative sum over all the
-    weights, wherever the chunks start; ``rows(lo, hi)`` gives the rows that
-    keep the sums after lo + 1 to hi weights and their offsets into the
-    buffer.
-    """
-    start, carry_s, carry_c = carry
-    s, c = np.zeros(size), np.zeros(size)
-    if start:
-        s[:], c[:] = carry_s, carry_c
-    buf_s, buf_c = np.zeros(min(n - start, _CHUNK) + 1), np.zeros(min(n - start, _CHUNK) + 1)
+def _running_sums(weights_of, counts: np.ndarray, carry=(0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+    """The compensated running sums (s, c) after each of the sorted entry
+    counts ``counts``, carried on from ``carry`` = (start, s, c), the sums
+    after the first start <= counts[0] weights.  A chunk of entries lo to
+    hi - 1 carries them on in one chunk-long buffer whose first slot holds
+    the sums after lo weights, so every sum has the bits of one sequential
+    cumulative sum, wherever the chunks start."""
+    (start, carry_s, carry_c), n = carry, int(counts[-1])
+    s, c = np.full(len(counts), carry_s), np.full(len(counts), carry_c)
+    buf_s, buf_c = np.empty(min(n - start, _CHUNK) + 1), np.empty(min(n - start, _CHUNK) + 1)
     buf_s[0], buf_c[0] = carry_s, carry_c
     for lo in range(start, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        w = weights_of(lo, hi)
         seg_s, seg_c = buf_s[: hi - lo + 1], buf_c[: hi - lo + 1]
-        seg_s[1:] = w
-        _carry_cumsum(seg_s)
-        # TwoSum error of each step seg_s[i + 1] = seg_s[i] + w[i], in seg_c[1:]
-        s0, s1, e = seg_s[:-1], seg_s[1:], seg_c[1:]
-        np.subtract(s1, s0, out=e)
-        t = s1 - e
-        np.subtract(s0, t, out=t)
-        np.subtract(w, e, out=e)
-        e += t
-        _carry_cumsum(seg_c)
-        kept, at = rows(lo, hi)
-        s[kept], c[kept] = seg_s[at], seg_c[at]
+        _two_sum(seg_s, seg_c, weights_of(slice(lo, hi)))
+        r0, r1 = np.searchsorted(counts, (lo, hi), side="right")  # the counts in (lo, hi]
+        at = counts[r0:r1] - lo
+        s[r0:r1], c[r0:r1] = seg_s[at], seg_c[at]
         buf_s[0], buf_c[0] = seg_s[-1], seg_c[-1]
     return s, c
 
 
-def _carry_cumsum(seg: np.ndarray) -> None:
-    """seg[1:] = seg[0] + cumsum(seg[1:]), in place, with the bits of one
-    sequential cumulative sum carried on from seg[0]."""
-    seg[1] += seg[0]
-    np.cumsum(seg[1:], out=seg[1:])
+def _two_sum(seg_s: np.ndarray, seg_c: np.ndarray, w: np.ndarray) -> None:
+    """Carry the running sums in seg_s[0] and seg_c[0] on over the weights w,
+    in place along axis 0: row i gets the sums after i weights (TwoSum)."""
+    seg_s[1:] = w
+    np.cumsum(seg_s, axis=0, out=seg_s)
+    # TwoSum error of each step seg_s[i + 1] = seg_s[i] + w[i], in seg_c[1:]
+    s0, s1, e = seg_s[:-1], seg_s[1:], seg_c[1:]
+    np.subtract(s1, s0, out=e)
+    t = s1 - e
+    np.subtract(s0, t, out=t)
+    np.subtract(w, e, out=e)
+    e += t
+    np.cumsum(seg_c, axis=0, out=seg_c)
 
 
 def power_sums(lo, hi, beta: float) -> np.ndarray:
@@ -245,7 +236,7 @@ class BlockSums:
         starts = self._starts = np.asarray(starts, dtype=np.int64)
         ends = self._ends = np.asarray(ends, dtype=np.int64)
         self._beta = beta
-        self._whole = PrefixSums(starts, lambda lo, hi: power_sums(starts[lo:hi], ends[lo:hi], beta))
+        self._whole = PrefixSums.at_counts(np.arange(len(starts) + 1), lambda i: power_sums(starts[i], ends[i], beta))
 
     def _parts(self, lo, hi):
         """The covered whole blocks' sum of each window [lo, hi], and its

@@ -276,6 +276,7 @@ def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, size):
     want = [banach_window_sup_at(spec, n, H) for spec, n, H, _ in cases]
     bd_want = [bd_estimate_at(spec, n, H) for spec, n, H, _ in cases if spec.kind != "explicit"]
     monkeypatch.setattr(density_module, "_FIRST_BLOCK", size)
+    monkeypatch.setattr(density_module, "_FIRST_WINDOWS", size)
     monkeypatch.setattr(density_module, "_CHUNK", size)
     monkeypatch.setattr(intset, "_VIEWS", {})
     bd_got = []
@@ -300,23 +301,90 @@ def test_banach_chunked_scan_vs_oracle(rng, monkeypatch, size):
                                 8000) == (0.25, 3)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+@pytest.mark.parametrize("stride", [1, 3, 16])
+def test_strided_reads_have_the_bits_of_a_row_per_member(rng, monkeypatch, chunk, stride):
+    # an element view keeps its reciprocal sums at every stride-th member
+    # count and carries any other row on from the kept row below it: in
+    # one pass for rows close together, each on its own for rows far apart,
+    # in Python floats for the scan's enclosing windows. Every read has the
+    # bits of a table with a row per member, on an empty view, on one
+    # shorter than a stride and on a sieve view that grew, whose extended
+    # table equals a fresh build; the Banach scans agree with the brute scan
+    monkeypatch.setattr(numerics, "_CHUNK", chunk)
+    monkeypatch.setattr(numerics, "STRIDE", stride)
+    views = {}
+    monkeypatch.setattr(intset, "_VIEWS", views)
+    sf = IntegerSetSpec.squarefree()
+    sf.view(1000)
+    grown = sf.view(1000).sums_table(1.0)
+    for spec, H in ((EMPTY, 100), (IntegerSetSpec.explicit([3, 5, 8, 13, 21]), 30), (sf, 5000)):
+        view = spec.view(H)
+        assert spec is not sf or view._tables[1.0][1] is grown  # carried over from the view at 1000
+        a = view.starts
+        table = view.sums_table(1.0)
+        full = numerics.PrefixSums.at_counts(np.arange(len(a) + 1), lambda i: 1.0 / a[i].astype(np.float64))
+        rows = sorted({r for r in (0, 1, 15, 16, 17, len(a) - 1, len(a)) if 0 <= r <= len(a)})
+        for r in rows:  # one row each, then pairs far apart, then all at once in reverse
+            assert density_module._row(table, a, r) == (full._s[r], full._c[r]), (spec, r)
+        for ask in [[r] for r in rows] + [[0, r] for r in rows] + [rows[::-1]]:
+            s, c = table.carried(np.array(ask, dtype=np.int64), intset._member_weights(a, 1.0))
+            assert np.array_equal(s.view(np.int64), full._s[ask].view(np.int64)), (spec, ask)
+            assert np.array_equal(c.view(np.int64), full._c[ask].view(np.int64)), (spec, ask)
+        assert len(table._s) == len(a) // stride + 1
+    views.clear()
+    fresh = sf.view(5000).sums_table(1.0)
+    assert np.array_equal(table._s.view(np.int64), fresh._s.view(np.int64))  # the table extended to 5000
+    assert np.array_equal(table._c.view(np.int64), fresh._c.view(np.int64))
+    els = (np.flatnonzero(rng.random_sample(3000) < 0.2) + 1).tolist()
+    for spec, H in ((IntegerSetSpec.explicit(els), 3000), (sf, 3000), (IntegerSetSpec.primes(), 4000)):
+        members = spec.members(1, H).tolist()
+        for n in (2, 3, 10, 97):
+            got, got_k = banach_window_sup_at(spec, n, H)
+            best, k_star = brute_banach_sup(members, n, H)
+            assert got_k == k_star and got == pytest.approx(best, abs=1e-12), (spec, n)
+
+
+def test_banach_tops_stay_below_2_63_where_kmax_n_reaches_it(monkeypatch):
+    # at H = 2**63 - 1 and n = 2**59, kmax * n = 2**63: the tops
+    # (k - 1) n + (n - 1) stay in int64 on the scalar and the array path,
+    # where k n - 1 wrapped twice (scalars raise under errstate), and the
+    # scan agrees with the brute scan of every k <= kmax = 16
+    H, n = 2**63 - 1, 2**59
+    els = [1, 3, 7, 2**59 - 1, 2**60 + 7, 2**62, 3 * 2**61, 2**63 - 2]
+    seen, window_max = [], density_module._window_max
+    monkeypatch.setattr(density_module, "_window_max", lambda view, kmax, tops, sums=False: (
+        seen.append((kmax, tops)) or window_max(view, kmax, tops, sums)))
+    got = banach_window_sup_at(IntegerSetSpec.explicit(els), n, H)
+    [(kmax, tops)] = seen
+    assert kmax * n == 2**63
+    ks = np.arange(1, kmax + 1, dtype=np.int64)
+    with np.errstate(over="raise"):
+        assert tops(np.int64(kmax)) == tops(kmax) == 2**63 - 1
+        assert tops(ks).tolist() == [k * n - 1 for k in range(1, kmax + 1)]
+    best, k_star = brute_banach_sup(els, n, H)
+    assert got[1] == k_star and got[0] == pytest.approx(best, abs=1e-12)
+
+
 def test_banach_grid_reads_few_window_rows(monkeypatch):
     # squarefree's windows peak at k = 1 and later blocks sum below the
-    # best, so the enclosing windows rule out almost every block: a grid of
-    # scans over 607,926 members hands range_sum under |A|/8 window rows
-    # (a full scan of every candidate hands it about 1.7 |A|)
+    # best, so the enclosing windows, read at kept rows, rule out almost
+    # every block: a grid of scans over 607,926 members reads under |A|/512
+    # windows (two rows each) and carries its sums over under |A|/32
+    # weights (a full scan of every candidate reads about 1.7 |A| windows)
     spec, H = IntegerSetSpec.squarefree(), 10**6
     monkeypatch.setattr(intset, "_VIEWS", {})
     size = len(spec.view(H).starts)
-    rows, range_sum = [], numerics.PrefixSums.range_sum
+    rows, weights, carried = [], [], numerics.PrefixSums.carried
 
-    def spy_range_sum(table, i, j):
-        rows.append(np.size(j))
-        return range_sum(table, i, j)
+    def spy_carried(table, counts, weights_of):
+        rows.append(len(counts))
+        return carried(table, counts, lambda i: weights.append(np.size(i)) or weights_of(i))
 
-    monkeypatch.setattr(numerics.PrefixSums, "range_sum", spy_range_sum)
+    monkeypatch.setattr(numerics.PrefixSums, "carried", spy_carried)
     lbd_profile(spec, 1000, H)
-    assert rows and sum(rows) <= size / 8
+    assert rows and sum(rows) / 2 <= size / 512
+    assert sum(weights) <= size / 32
 
 
 def test_banach_subadditivity_exact(canonical_specs):
@@ -663,7 +731,7 @@ def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
         els = (np.flatnonzero(rng.random_sample(H) < rng.choice([0.02, 0.3, 0.9])) + 1).tolist()
         spec = IntegerSetSpec.explicit(els)
         a = spec.view(H).starts
-        full = numerics.PrefixSums(a, lambda lo, hi: a[lo:hi].astype(np.float64) ** -beta)
+        full = numerics.PrefixSums.at_counts(np.arange(len(a) + 1), lambda i: a[i].astype(np.float64) ** -beta)
         big = numerics.floor_nth_root(H, m)
         for h in (H, int(rng.randint(1, H + 1)), H):
             root = numerics.floor_nth_root(h, m)
@@ -700,7 +768,7 @@ def test_grown_root_sums_equal_a_fresh_pass(kind, m, monkeypatch):
     spec, beta, read = IntegerSetSpec(kind), (m - 1) / m, []
     weights = density_module._member_weights
     monkeypatch.setattr(density_module, "_member_weights",
-                        lambda a, b: (lambda lo, hi: read.append((lo, hi)) or weights(a, b)(lo, hi)))
+                        lambda a, b: (lambda i: read.append((i.start, i.stop)) or weights(a, b)(i)))
     last, horizons, grown = 0, (1000, 1001, 4096, 4159, 30_000, 70_001), []
     for h in horizons:
         root, read[:] = numerics.floor_nth_root(h, m), []
@@ -720,9 +788,12 @@ def test_grown_root_sums_equal_a_fresh_pass(kind, m, monkeypatch):
 
 def test_a_sieve_view_grows_without_its_per_member_table(monkeypatch):
     # test_a_larger_table_is_built_without_the_smaller_one for a view that
-    # grows: the reciprocal sums per member at H/2 (4.9 MB) are dropped
-    # before the larger sieve view builds, so the growth peaks that much
-    # below a fresh build at H, above what was held before it
+    # grows: the reciprocal sums at H/2, kept at every STRIDE-th member
+    # (0.3 MB; one row per member took 4.9 MB), are carried over to the
+    # larger sieve view and extended there, so the growth and the log
+    # profile at H peak no more above what was held before them than a
+    # fresh build at H less that table, and the extended table has the bits
+    # of a fresh one
     spec, H, slack = IntegerSetSpec.squarefree(), 10**6, 2**20
     views = {}
     monkeypatch.setattr(intset, "_VIEWS", views)
@@ -734,14 +805,22 @@ def test_a_sieve_view_grows_without_its_per_member_table(monkeypatch):
         base = tracemalloc.get_traced_memory()[0]
         log_profile(spec, H // 2, [H // 2])
         table = views[spec]._tables[1.0][1]
-        size, table = table._s.nbytes + table._c.nbytes, None
+        size = table._s.nbytes + table._c.nbytes
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         spec.view(H)
-        assert views[spec]._tables == {}
+        assert views[spec]._tables[1.0][1] is table  # carried over, not dropped
+        table = None
+        log_profile(spec, H, [H])
         assert tracemalloc.get_traced_memory()[1] - held <= fresh - base - size + slack
     finally:
         tracemalloc.stop()
+    grown = views[spec]._tables[1.0][1]
+    views.clear()
+    rebuilt = spec.view(H).sums_table(1.0)
+    assert len(grown._s) == len(spec.view(H).starts) // numerics.STRIDE + 1
+    assert np.array_equal(grown._s.view(np.int64), rebuilt._s.view(np.int64))
+    assert np.array_equal(grown._c.view(np.int64), rebuilt._c.view(np.int64))
 
 
 @pytest.mark.parametrize("spec", [IntegerSetSpec.squarefree(),
@@ -866,11 +945,29 @@ def test_element_view_temporaries_are_bounded(monkeypatch):
         assert peak - base <= table._s.nbytes + table._c.nbytes + slack
         tracemalloc.reset_peak()
         lbd_profile(spec, 1000, H)
-        assert tracemalloc.get_traced_memory()[1] - held <= slack
+        assert tracemalloc.get_traced_memory()[1] - held <= 2**20  # blocks of few windows: no chunk is long
         # bd_m keeps 1,001 sums at the perfect squares, not a second table
         tracemalloc.reset_peak()
         bdm_window_sup_at(spec, 2, 16, H)
         assert tracemalloc.get_traced_memory()[1] - held <= slack
+    finally:
+        tracemalloc.stop()
+
+
+def test_reciprocal_sums_hold_one_byte_per_member(monkeypatch):
+    # the log profile and a grid of Banach scans keep the reciprocal sums
+    # only at every STRIDE-th member count, 16 bytes per STRIDE members: on
+    # squarefree at 1e6 they hold |A| bytes beyond the members, where one
+    # row per member held 16 |A|
+    spec, H, slack = IntegerSetSpec.squarefree(), 10**6, 2**16
+    monkeypatch.setattr(intset, "_VIEWS", {})
+    size = len(spec.view(H).starts)  # the members are held before tracing starts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        log_profile(spec, H)
+        lbd_profile(spec, 1000, H)
+        assert tracemalloc.get_traced_memory()[0] - base <= size + slack
     finally:
         tracemalloc.stop()
 

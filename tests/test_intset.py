@@ -257,9 +257,9 @@ def test_grown_sieve_view_equals_a_fresh_build(kind):
 
 
 def test_grown_sieve_view_keeps_only_the_tables_that_extend(empty_view_cache):
-    # the cached view of a larger horizon grows from the smaller one: bd_m's
-    # root sums, which extend, are carried over, and the reciprocal sums per
-    # member are dropped
+    # the cached view of a larger horizon grows from the smaller one: a table
+    # that extends (bd_m's root sums, the strided reciprocal sums) is carried
+    # over, and one that does not is dropped
     spec = IntegerSetSpec.squarefree()
     view = spec.view(10**4)
     root_sums = view.table(2, 100, lambda: "root sums", extend=lambda old: None)

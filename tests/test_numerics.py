@@ -21,7 +21,7 @@ from oracles import brute_harmonic
 
 
 def _prefix(w):
-    return PrefixSums(w, lambda lo, hi: w[lo:hi])
+    return PrefixSums.at_counts(np.arange(len(w) + 1), lambda i: w[i])
 
 
 def test_prefix_sums_match_fsum():
@@ -63,7 +63,7 @@ def test_prefix_sums_chunked_build_matches_one_cumsum(rng, monkeypatch, chunk):
         c = np.zeros(len(w) + 1)
         np.cumsum(e, out=c[1:])
         asked = []
-        built = PrefixSums(w, lambda lo, hi: asked.append(hi - lo) or w[lo:hi])
+        built = PrefixSums.at_counts(np.arange(len(w) + 1), lambda i: asked.append(i.stop - i.start) or w[i])
         assert np.array_equal(built._s, s) and np.array_equal(built._c, c)
         assert all(0 < k <= chunk for k in asked) and sum(asked) == len(w)
 
@@ -77,15 +77,15 @@ def test_prefix_sums_at_counts_extend_with_the_bits_of_a_fresh_pass(rng, monkeyp
     monkeypatch.setattr(numerics, "_CHUNK", chunk)
     x = np.cumsum(rng.randint(1, 9, size=3000)).astype(np.float64)
     for w in (np.reciprocal(x), x**-0.5, x ** (-2 / 3)):
-        def weights_of(lo, hi, w=w):
-            return w[lo:hi]
+        def weights_of(i, w=w):
+            return w[i]
 
         counts = np.unique(np.concatenate(([0], rng.randint(0, len(w) + 1, size=40))))
         counts = np.sort(np.concatenate((counts, counts[rng.randint(0, len(counts), size=10)])))
         for r in (1, 2, len(counts) // 2, len(counts) - 1, len(counts)):
             old = PrefixSums.at_counts(counts[:r], weights_of)
             read = []
-            grown = PrefixSums.at_counts(counts, lambda lo, hi: read.append((lo, hi)) or w[lo:hi], old)
+            grown = PrefixSums.at_counts(counts, lambda i: read.append((i.start, i.stop)) or w[i], old)
             fresh = PrefixSums.at_counts(counts, weights_of)
             assert np.array_equal(grown._s.view(np.int64), fresh._s.view(np.int64)), r
             assert np.array_equal(grown._c.view(np.int64), fresh._c.view(np.int64)), r
