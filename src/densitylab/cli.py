@@ -137,7 +137,7 @@ def _run_density(config: RunConfig):
         if n < horizon:
             value, k_star = density.bd_estimate_at(spec, n, horizon)
             rows.append(("banach", "", n, k_star, _fmt_value(value)))
-    for n, k_star, value in density.lbd_profile(spec, p["nmax"], horizon, grid):
+    for n, k_star, value in density.lbd_profile(spec, p["nmax"], horizon):
         rows.append(("banach_log", "", n, k_star, _fmt_value(value)))
     if p["m"] is not None:
         for n in grid:

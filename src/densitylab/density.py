@@ -146,11 +146,11 @@ def _root_sums(root: int, m: int, view: ElementView) -> PrefixSums:
     it extends root r's table, reading only the members above r**m, also
     when the view has grown since (``IntegerSetSpec.view``)."""
 
-    def build(old=None):
+    def build(old):
         counts = view.count_le(np.arange(root + 1, dtype=np.int64) ** m)
         return PrefixSums.at_counts(counts, _member_weights(view.starts, (m - 1) / m), old)
 
-    return view.table(m, root, build, extend=build)
+    return view.table(m, root, build)
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +389,21 @@ def banach_window_sup(spec: IntegerSetSpec, n: int, horizon: int) -> float:
     return banach_window_sup_at(spec, n, horizon)[0]
 
 
-def lbd_profile(spec: IntegerSetSpec, n_max: int, horizon: int, grid=None) -> list[tuple[int, int, float]]:
+def lbd_profile(spec: IntegerSetSpec, n_max: int, horizon: int) -> list[tuple[int, int, float]]:
     """Rows (n, k_star, g_H(n)/ln n) over a geometric n-grid in [2, n_max]."""
     if not 2 <= n_max <= horizon:
         raise DomainError("need 2 <= n_max <= horizon")
-    ns = grid if grid is not None else geometric_grid(2, n_max)
     rows = []
-    for n in ns:
+    for n in geometric_grid(2, n_max):
         g, k_star = banach_window_sup_at(spec, n, horizon)
         rows.append((n, k_star, g / math.log(n)))
     return rows
 
 
-def lbd_estimate(spec: IntegerSetSpec, n_max: int, horizon: int, grid=None) -> float:
+def lbd_estimate(spec: IntegerSetSpec, n_max: int, horizon: int) -> float:
     """min over the n-grid of g_H(n)/ln n: an upper estimate of the Banach
     log density whose bias shrinks as n_max and the horizon grow."""
-    rows = lbd_profile(spec, n_max, horizon, grid)
+    rows = lbd_profile(spec, n_max, horizon)
     return min(v for _, _, v in rows)
 
 

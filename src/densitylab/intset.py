@@ -14,8 +14,8 @@ u -> floor(N/u).
 A set's view up to a horizon counts and sums its members in windows; the
 largest view of each set is cached here with its sum tables (``_VIEWS``).
 A sieve kind's view grows with the horizon: the larger view copies the
-smaller one's sieve words, counts and members below its last whole word,
-and keeps its sum tables, which extend.
+smaller one's members, sieves only the integers above them, and keeps its
+sum tables, which extend.
 """
 
 from __future__ import annotations
@@ -160,17 +160,12 @@ class _View:
     """What both views share: the horizon, and the sum tables that a view
     and its clips hold in one dict."""
 
-    def table(self, key, size: int, build, extend=None):
-        """The table of ``key`` if built at ``size`` or above, else one kept at
-        ``size``: ``extend(smaller)`` from the smaller one when the caller can
-        extend it, else ``build()``, the smaller one not held while the
-        larger builds.  A table that extends is carried over when a sieve
-        view grows (``_sieve_members``); the others are dropped."""
+    def table(self, key, size: int, build):
+        """The table of ``key`` if built at ``size`` or above, else
+        ``build(old)`` kept at ``size``, where ``old`` is the smaller table or
+        None: an element view's tables extend it, a block view's ignore it."""
         if self._tables.get(key, (-1,))[0] < size:
-            old = self._tables.pop(key, (0, None))[1]
-            if extend is None:
-                old = None  # not held while the larger one builds
-            self._tables[key] = (size, build() if old is None else extend(old), extend is not None)
+            self._tables[key] = (size, build(self._tables.pop(key, (0, None))[1]))
         return self._tables[key][1]
 
     def window_sums(self, lo, hi, beta=None, below=None):
@@ -196,57 +191,30 @@ def _member_weights(a: np.ndarray, beta: float):
 
 class ElementView(_View):
     """The members of a set up to a horizon as a sorted int64 array, each a
-    block of its own: ``starts`` and ``ends`` are that array.
+    block of its own: ``starts`` and ``ends`` are that array.  It holds
+    nothing else but its sum tables, and counts by binary search."""
 
-    A sieve kind's view also holds the sieve's rank directory: ``words``,
-    its bits (bit p of words[p >> 6] is the integer p + 1), and ``counts``,
-    the members in the words before each word (uint32).  ``count_le`` then
-    reads one count and one masked word per query instead of a binary
-    search over the members; both give the same integers."""
-
-    def __init__(self, horizon: int, members: np.ndarray, words: np.ndarray | None = None,
-                 counts: np.ndarray | None = None, tables: dict | None = None):
+    def __init__(self, horizon: int, members: np.ndarray, tables: dict | None = None):
         self.horizon, self._tables = horizon, {} if tables is None else tables
         self.starts = self.ends = members
-        self._words, self._counts = words, counts
 
     def clip(self, horizon: int) -> "ElementView":
-        """The view up to a smaller horizon, sharing this one's arrays and tables."""
-        return ElementView(horizon, self.starts[: self.count_le(horizon)], self._words, self._counts, self._tables)
+        """The view up to a smaller horizon, sharing this one's members and tables."""
+        return ElementView(horizon, self.starts[: self.count_le(horizon)], self._tables)
 
     def sums_table(self, beta: float):
         """The ``PrefixSums`` of x**(-beta) over the members kept at every
         STRIDE-th member count: holding no members, it extends as they grow."""
-        def build(old=None):
+        def build(old):
             from .numerics import STRIDE, PrefixSums
             counts = np.arange(0, len(self.starts) + 1, STRIDE)
             return PrefixSums.at_counts(counts, _member_weights(self.starts, beta), old)
-        return self.table(beta, self.horizon, build, extend=build)
+        return self.table(beta, self.horizon, build)
 
     def count_le(self, x):
         """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
-        horizon.  By rank, a scalar (a Python int, a numpy integer or a 0-d
-        array) reads one word in Python and gives an int, and an array query
-        holds at most three temporaries of its length at once."""
-        if self._counts is None:
-            return np.searchsorted(self.starts, x, side="right")
-        if getattr(x, "ndim", 0) == 0:
-            x = int(x)
-            w = x >> 6
-            return self._counts.item(w) + (self._words.item(w) & ((1 << (x & 63)) - 1)).bit_count()
-        w = x >> 6
-        bits = _low_masks()[x & 63]
-        bits &= self._words[w]
-        np.bitwise_count(bits, out=bits)  # in place: a separate uint8 result raised peak RSS
-        bits += self._counts[w]
-        return bits.view(np.int64)
-
-
-@lru_cache(maxsize=1)
-def _low_masks() -> np.ndarray:
-    """The 64 words with their r lowest bits set, r = 0..63: built on first
-    use, so importing this module loads no numpy."""
-    return np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)
+        horizon."""
+        return np.searchsorted(self.starts, x, side="right")
 
 
 class BlockView(_View):
@@ -270,7 +238,7 @@ class BlockView(_View):
         if beta is None:
             return super().window_sums(lo, hi, below=below)
         from .numerics import BlockSums
-        return self.table(beta, self.horizon, lambda: BlockSums(self.starts, self.ends, beta)).window_sums(lo, hi)
+        return self.table(beta, self.horizon, lambda old: BlockSums(self.starts, self.ends, beta)).window_sums(lo, hi)
 
     def count_le(self, x):
         """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
@@ -398,8 +366,8 @@ class IntegerSetSpec:
         """The set capped at [1, horizon]: a ``BlockView`` of its blocks for
         ``full``, ``interval_union`` and ``example2``, an ``ElementView`` of
         its sorted members for the other kinds, ``even`` and ``explicit``
-        included; ``squarefree`` and ``primes`` views count by the rank
-        directory of their sieve.  The blocks are the cached endpoints
+        included: 8 bytes per member plus its sum tables, nothing sized by
+        the horizon.  The blocks are the cached endpoints
         clipped to the horizon by bisection before any int64 array is built
         (example2 block ends pass int64 at depth 4), so a block view never
         materializes and ``density`` sums it in closed form, also above the
@@ -408,7 +376,7 @@ class IntegerSetSpec:
         a clip sharing its arrays and tables.  A larger one makes a new view,
         and the cached one is taken out of the cache and handed to the build,
         so no frame here holds it.  A sieve kind's view grows from it
-        (``_sieve_members``): its sieve arrays are held only until they are
+        (``_sieve_members``): its members are held only until they are
         copied, and its tables, which extend, are kept.  The other kinds
         drop the cached view and build anew.  An explicit view holds
         its elements below 2^63: it never grows."""
@@ -649,54 +617,42 @@ def _sieve_segment(kind: str, lo: int, hi: int) -> np.ndarray:
 
 
 def _sieve_members(kind: str, hi: int, old: ElementView | None = None) -> ElementView:
-    """The view of a sieve kind up to hi, with the rank directory of its bits
-    in hi // 64 + 1 uint64 words (x >> 6 names a word for every x <= hi).
+    """The view of a sieve kind up to hi.
 
     It grows from ``old``, the kind's view up to a smaller horizon h0, or
-    from nothing (h0 = 0), so a fresh build takes the same path: the words
-    below word h0 // 64 (the integers up to 64 * (h0 // 64)), their counts
-    and their members are copied, and only the integers above them are
-    sieved and decoded; the size cap counts the whole new view.  Each old
-    array is held only until it is copied.  Of old's tables, the ones that
-    extend (``_View.table``) are kept, and the others are dropped before
-    anything is sieved."""
+    from nothing (h0 = 0), so a fresh build takes the same path: old's
+    members are copied, and only the integers in (h0, hi] are sieved and
+    decoded; the size cap counts the whole new view.  Old's members are held
+    only until they are copied.  Its tables, which extend (``_View.table``),
+    are carried over in a copy of its dict, so old itself is not changed."""
     if old is None:  # the view of nothing, up to 0
-        old = ElementView(0, np.empty(0, dtype=np.int64), np.zeros(1, dtype="<u8"), np.zeros(1, dtype=np.uint32))
-    base = old.horizon // 64  # old's whole words
-    tables = {key: entry for key, entry in old._tables.items() if entry[2]}
-    words = np.zeros(hi // 64 + 1, dtype="<u8")
-    words[:base] = old._words[:base]
-    counts_below = old._counts[: base + 1]
-    members_below = old.starts[: int(counts_below[base])]
-    old = None  # its words and its other tables are dropped here
-    # Pass 1 sieves and counts each segment and packs it into the words (a
-    # segment is a whole number of words); pass 2 writes the members into
-    # one buffer of the exact size, unpacking 2^16 integers at a time, so
-    # the peak is the words, that buffer, one segment and the old members.
-    octets = words.view(np.uint8)
+        old = ElementView(0, np.empty(0, dtype=np.int64))
+    h0, members_below, tables = old.horizon, old.starts, dict(old._tables)
+    old = None
+    # Pass 1 sieves and counts each segment and packs it into one temporary
+    # of bits over (h0, hi] (bit p is h0 + 1 + p; a segment is a whole
+    # number of bytes); pass 2 writes the members into one buffer of the
+    # exact size, unpacking 2^16 integers at a time, and drops the bits, so
+    # the peak is the bits, that buffer, one segment and the old members.
+    octets = np.zeros(-(-(hi - h0) // 8), dtype=np.uint8)
     total = len(members_below)
-    for lo in range(64 * base + 1, hi + 1, _SEGMENT):
+    for lo in range(h0 + 1, hi + 1, _SEGMENT):
         seg = _sieve_segment(kind, lo, min(hi, lo + _SEGMENT - 1))
         total += int(np.count_nonzero(seg))
         _check_size(total)  # trip before the build grows any further
         packed = np.packbits(seg, bitorder="little")
         del seg  # not held while the next one is sieved
-        b0 = (lo - 1) // 8
+        b0 = (lo - h0 - 1) // 8
         octets[b0 : b0 + len(packed)] = packed
-    counts = np.empty(len(words), dtype=np.uint32)
-    counts[: base + 1], counts_below = counts_below, None
-    np.cumsum(np.bitwise_count(words[base:-1]), dtype=np.uint32, out=counts[base + 1 :])
-    counts[base + 1 :] += counts[base]
     arr = np.empty(total, dtype=np.int64)
     pos = len(members_below)
     arr[:pos], members_below = members_below, None
-    for b0 in range(8 * base, len(octets), 1 << 13):  # the bits past hi are zero
+    for b0 in range(0, len(octets), 1 << 13):  # the bits past hi are zero
         offsets = np.flatnonzero(np.unpackbits(octets[b0 : b0 + (1 << 13)], bitorder="little"))
-        np.add(offsets, 8 * b0 + 1, out=arr[pos : pos + len(offsets)])
+        np.add(offsets, h0 + 1 + 8 * b0, out=arr[pos : pos + len(offsets)])
         pos += len(offsets)
-    for a in (words, counts, arr):
-        a.flags.writeable = False
-    return ElementView(hi, arr, words, counts, tables)
+    arr.flags.writeable = False
+    return ElementView(hi, arr, tables)
 
 
 # Point membership is pure Python and builds no array.  A squarefree test

@@ -583,9 +583,9 @@ def test_bd_rising_counts_take_one_count_per_block(monkeypatch, first, m, n):
 
 def test_bd_element_view_sends_no_bulk_search(monkeypatch, rng):
     # an element view counts only the members whose window beats the best
-    # count so far, and kmax's window: no count queries every member.  A
-    # sieve view counts by rank; an explicit view (about 1e5 members) still
-    # searches, and each of its searches must reach the spy
+    # count so far, and kmax's window: no count queries every member.  Every
+    # element view counts by binary search, so on the sieve view and on an
+    # explicit one (about 1e5 members) each search must reach the spy
     H = 10**6
     squarefree, explicit = IntegerSetSpec.squarefree(), random_explicit(rng, H, 0.1)
     squarefree.view(H)
@@ -611,11 +611,10 @@ def test_bd_element_view_sends_no_bulk_search(monkeypatch, rng):
             del searched[:], counted[:], missed[:]
             bd_estimate_at(spec, n, H)
             assert counted and sum(counted) <= size / 4, (spec.kind, n)
-            if spec is explicit:
-                # count_le searches through intset's numpy handle: one that
-                # kept the function it saw first would send its searches
-                # past the spy unchecked
-                assert searched and sum(searched) <= size / 4 and not any(missed), n
+            # count_le searches through intset's numpy handle: one that kept
+            # the function it saw first would send its searches past the spy
+            # unchecked
+            assert searched and sum(searched) <= size / 4 and not any(missed), (spec.kind, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import pickle
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitylab import intset
+from densitylab import intset, numerics
 from densitylab.errors import CapacityError, DomainError, ValidationError
 from densitylab.intset import (
     BlockView,
@@ -171,103 +172,115 @@ def test_sieve_build_cap_trips_before_allocation(monkeypatch, empty_view_cache):
     assert intset._VIEWS == {}
 
 
-def _check_rank_counts(view, members, horizon):
-    # every x in [0, horizon] as arrays, a chunk at a time; as scalars every
-    # x within 130 of 0, the horizon and each segment edge, and a random sample
-    for lo in range(0, horizon + 1, 1 << 20):
-        xs = np.arange(lo, min(lo + (1 << 20), horizon + 1), dtype=np.int64)
-        got = view.count_le(xs)
-        assert got.dtype == np.int64 and np.array_equal(got, np.searchsorted(members, xs, "right")), lo
-    edges = [0, horizon] + list(range(0, horizon + 1, intset._SEGMENT))
-    near = {x for e in edges for x in range(e - 130, e + 131) if 0 <= x <= horizon}
-    near.update(np.random.RandomState(horizon % 1000).randint(0, horizon + 1, size=2000).tolist())
-    for x in sorted(near):
-        assert view.count_le(x) == np.searchsorted(members, x, "right"), x
-    assert view.count_le(0) == 0
+_BRUTE = {"squarefree": brute_squarefree, "primes": brute_primes}
+
+
+def _check_members(view, want):
+    # the view holds exactly the oracle's members up to its horizon, read only,
+    # and counts the members up to every x in [0, horizon] as the oracle does,
+    # as one array and, within 130 of 0, the horizon and each segment edge,
+    # as scalars
+    want = [x for x in want if x <= view.horizon]
+    assert view.starts.dtype == np.int64 and view.starts.tolist() == want and not view.starts.flags.writeable
+    xs = np.arange(view.horizon + 1, dtype=np.int64)
+    oracle = [bisect_right(want, x) for x in xs.tolist()]
+    assert view.count_le(xs).tolist() == oracle
+    edges = [0, view.horizon] + list(range(0, view.horizon + 1, intset._SEGMENT))
+    for x in sorted({x for e in edges for x in range(e - 130, e + 131) if 0 <= x <= view.horizon}):
+        assert view.count_le(x) == oracle[x], x
 
 
 @pytest.mark.parametrize("kind", ["squarefree", "primes"])
-def test_sieve_view_counts_by_rank(kind, empty_view_cache):
-    # a sieve view counts by its rank directory: the same integers as a
-    # binary search over its members, at horizons on and around word and
-    # segment edges
-    spec, seg = IntegerSetSpec(kind), intset._SEGMENT
-    for horizon in (1, 2, 63, 64, 65, 127, seg - 1, seg + 1, 2 * seg + 1):
+def test_sieve_view_holds_the_oracle_members(kind, monkeypatch, empty_view_cache):
+    # at horizons on and around byte, word and segment edges, with segments
+    # of 1000 integers: a whole number of bytes but not of 64-bit words
+    monkeypatch.setattr(intset, "_SEGMENT", 1000)
+    spec, seg = IntegerSetSpec(kind), 1000
+    want = _BRUTE[kind](3 * seg + 5)
+    for horizon in (1, 2, 7, 8, 9, 63, 64, 65, 127, seg - 1, seg, seg + 1, 2 * seg + 1, 3 * seg + 5):
         intset._VIEWS.clear()
         view = spec.view(horizon)
-        assert type(view) is ElementView and view._counts is not None
-        _check_rank_counts(view, view.starts, horizon)
+        assert type(view) is ElementView and view.horizon == horizon
+        _check_members(view, want)
 
 
 @pytest.mark.parametrize("kind", ["squarefree", "primes"])
 def test_sieve_view_of_a_smaller_horizon_reads_the_larger_cache(kind, empty_view_cache):
-    # a later, smaller horizon reads the directory built at the larger one
+    # a later, smaller horizon clips the view built at the larger one: its
+    # members are a slice of the cached array, and its tables are the same dict
     spec = IntegerSetSpec(kind)
-    spec.view(10**6)
-    view = spec.view(5 * 10**5)
+    spec.view(10**5)
+    view = spec.view(5 * 10**4)
     cached = intset._VIEWS[IntegerSetSpec(kind)]  # an equal spec finds the same view
-    assert cached.horizon == 10**6 and view._words is cached._words and view._counts is cached._counts
-    _check_rank_counts(view, spec.members(1, 5 * 10**5), 5 * 10**5)
+    assert cached.horizon == 10**5 and view.starts.base is cached.starts and view._tables is cached._tables
+    _check_members(view, _BRUTE[kind](5 * 10**4))
 
 
 @pytest.mark.parametrize("kind", ["squarefree", "primes"])
-def test_sieve_scalar_count_le_reads_one_word(kind, empty_view_cache):
-    # a scalar query reads one count and one word in Python: the same
-    # integer as a binary search, as an int, for Python ints, numpy integers
+def test_sieve_scalar_count_le(kind, empty_view_cache):
+    # a scalar query counts as the oracle does for Python ints, numpy integers
     # and 0-d arrays, on a view and on its clip
     horizon = 10**4 + 37
+    want = _BRUTE[kind](horizon)
     view = IntegerSetSpec(kind).view(horizon)
     for v in (view, view.clip(5000)):
-        for x in (0, 1, 63, 64, 65, 127, 128, v.horizon - 1, v.horizon):
-            want = int(np.searchsorted(v.starts, x, side="right"))
+        for x in (0, 1, 7, 8, 63, 64, 65, 127, 128, v.horizon - 1, v.horizon):
             for q in (x, np.int64(x), np.uint32(x), np.array(x)):
-                got = v.count_le(q)
-                assert type(got) is int and got == want, (v.horizon, repr(q))
+                assert int(v.count_le(q)) == bisect_right(want, x), (v.horizon, repr(q))
 
 
-def _sieve_arrays(view):
-    return view._words, view._counts, view.starts
+def test_sieve_view_holds_nothing_sized_by_the_horizon(empty_view_cache):
+    # an element view's arrays are its members, 8 bytes each, and its sum
+    # tables, kept at every STRIDE-th member: no array grows with the horizon
+    view = IntegerSetSpec.squarefree().view(10**6)
+    view.sums_table(1.0)
+    arrays = {id(a): a for a in vars(view).values() if isinstance(a, np.ndarray)}
+    assert sum(a.nbytes for a in arrays.values()) == 8 * len(view.starts) == 8 * 607_926
+    rows = len(view.starts) // numerics.STRIDE + 1
+    assert [(len(t._s), len(t._c)) for _, t in view._tables.values()] == [(rows, rows)]
 
 
 def _assert_same_sieve(grown, fresh):
     assert grown.horizon == fresh.horizon
-    for g, f in zip(_sieve_arrays(grown), _sieve_arrays(fresh)):
-        assert g.dtype == f.dtype and np.array_equal(g, f) and not g.flags.writeable
+    assert np.array_equal(grown.starts, fresh.starts) and not grown.starts.flags.writeable
 
 
 @pytest.mark.parametrize("kind", ["squarefree", "primes"])
 def test_grown_sieve_view_equals_a_fresh_build(kind):
-    # a view grown from a smaller one copies its whole words, their counts
-    # and their members, and sieves only the rest: the same words, counts
-    # and members as a build from nothing, with old horizons on both sides
-    # of a word edge (0 and 63 mod 64) and of a segment edge, one integer
-    # more, and a chain of five steps; the old view is left as it was
+    # a view grown from a smaller one copies its members and sieves only the
+    # integers above them: the members of a build from nothing, with old
+    # horizons off the byte and word edges (639, 63, 9), on both sides of a
+    # segment edge, one integer more, and a chain of five steps checked
+    # against the oracle; the old view is left as it was
     seg = intset._SEGMENT
-    steps = [(640, 5000), (639, 5000), (64, 65), (63, 64), (1, 2), (seg - 1, seg + 70),
+    steps = [(640, 5000), (639, 5000), (64, 65), (63, 64), (9, 17), (1, 2), (seg - 1, seg + 70),
              (seg + 1, seg + 64), (seg - 1, seg), (seg, seg + 1), (seg + 1, 2 * seg + 1)]
     for h0, h in steps:
         old = intset._sieve_members(kind, h0)
-        before = [a.copy() for a in _sieve_arrays(old)]
+        before = old.starts.copy()
         _assert_same_sieve(intset._sieve_members(kind, h, old), intset._sieve_members(kind, h))
-        assert all(np.array_equal(a, b) for a, b in zip(_sieve_arrays(old), before))
-    view = None
+        assert old.horizon == h0 and np.array_equal(old.starts, before)
+    view, want = None, _BRUTE[kind](2 * 10**5 + 63)
     for h in (100, 4097, 4160, 70_001, 2 * 10**5 + 63):
         view = intset._sieve_members(kind, h, view)
-        _assert_same_sieve(view, intset._sieve_members(kind, h))
+        assert view.starts.tolist() == want[: bisect_right(want, h)], h
 
 
-def test_grown_sieve_view_keeps_only_the_tables_that_extend(empty_view_cache):
-    # the cached view of a larger horizon grows from the smaller one: a table
-    # that extends (bd_m's root sums, the strided reciprocal sums) is carried
-    # over, and one that does not is dropped
+def test_grown_sieve_view_keeps_its_tables_and_the_old_view_is_unchanged(empty_view_cache):
+    # the cached view of a larger horizon grows from the smaller one and
+    # carries its tables over in a dict of its own; a table asked for at the
+    # larger size is built from the smaller one, and the old view keeps its own
     spec = IntegerSetSpec.squarefree()
     view = spec.view(10**4)
-    root_sums = view.table(2, 100, lambda: "root sums", extend=lambda old: None)
-    view.table(1.0, 10**4, lambda: "per member")
+    root_sums = view.table(2, 100, lambda old: "root sums")
+    view.table(1.0, 10**4, lambda old: "reciprocal sums")
     grown = spec.view(2 * 10**4)
-    assert grown.horizon == 2 * 10**4 and grown is not view
-    assert sorted(grown._tables) == [2] and grown.table(2, 100, None) is root_sums
-    assert view._tables[1.0][1] == "per member"  # the old view itself is not changed
+    assert grown.horizon == 2 * 10**4 and grown is not view and grown._tables is not view._tables
+    assert sorted(grown._tables, key=str) == [1.0, 2] and grown.table(2, 100, None) is root_sums
+    olds = []
+    assert grown.table(1.0, 2 * 10**4, lambda old: olds.append(old) or "grown sums") == "grown sums"
+    assert olds == ["reciprocal sums"]
+    assert view._tables == {2: (100, "root sums"), 1.0: (10**4, "reciprocal sums")}
 
 
 @given(st.sampled_from(["full", "even", "squarefree", "primes"]),
