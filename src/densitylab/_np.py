@@ -12,10 +12,10 @@ loaded already (that process keeps its pool).
 
 ``numpy`` is the real module, for the modules that build arrays at import
 (``from ._np import numpy as np``).  ``np`` stands for it in the modules whose
-point queries build no array (intset, numerics, progressions), so a process
-that only asks point queries never imports numpy.  ``np`` reads each
-attribute from the real module when it is looked up, so a numpy function
-replaced at run time reaches them.
+point queries and closed forms build no array (intset, monad, numerics,
+productset, progressions), so a process that only asks those never imports
+numpy.  ``np`` reads each attribute from the real module when it is looked
+up, so a numpy function replaced at run time reaches them.
 """
 
 import os

@@ -410,12 +410,12 @@ def lbd_estimate(spec: IntegerSetSpec, n_max: int, horizon: int) -> float:
 def bd_estimate_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
     """(max over k <= H-n of |A cap [k, k+n]|/(n+1), k*).
 
-    ``_count_max`` evaluates the members (on an element view, by spans of
-    consecutive members; on a block view, at the block starts) and H-n, so
-    k* is the smallest member k reaching the maximum, or H-n when none
-    does.  That is not always the smallest maximizing k: a window starting
-    below the first member of its best window reaches the same count
-    (primes, n = 2, H = 1000: k* = 2, and k = 1 counts the same two primes).
+    ``_count_max`` evaluates the members (on a block view, at the block
+    starts) and H-n, so k* is the smallest member k reaching the maximum, or
+    H-n when none does.  That is not always the smallest maximizing k: a
+    window starting below the first member of its best window reaches the
+    same count (primes, n = 2, H = 1000: k* = 2, and k = 1 counts the same
+    two primes).
     """
     n = int(n)
     if not 1 <= n < horizon:

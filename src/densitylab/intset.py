@@ -214,7 +214,7 @@ class ElementView(_View):
     def count_le(self, x):
         """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
         horizon."""
-        return np.searchsorted(self.starts, x, side="right")
+        return self.starts.searchsorted(x, side="right")
 
 
 class BlockView(_View):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._np import numpy as np
+from ._np import np
 from .errors import DomainError, ValidationError
 from .intset import IntervalSet, Window, classify, invert_intervals
 from .numerics import ceil_nth_root, harmonic_range, power_sum_range, round12
@@ -122,7 +122,7 @@ def nu(window: Window, s) -> WindowMeasureReport:
     """
     comps = _as_components(window, s)
     log_n = window.log_span
-    if isinstance(comps, np.ndarray):
+    if not isinstance(comps, tuple):  # an element array
         if comps.size == 0:
             return WindowMeasureReport(window, 0.0, 0.0)
         raw = float(np.sum(np.reciprocal(comps.astype(np.float64))))

@@ -6,9 +6,10 @@ Everything downstream reduces to sums of the form
     sum_{x in S, lo <= x <= hi} x**(-beta),   0 <= beta <= 1,
 
 either over explicit element arrays (compensated prefix sums, queried by
-difference) or over full integer ranges, which one kernel, ``power_sums``,
-answers in O(1) per range: at most EXACT_TERMS terms term by term, a longer
-range as an exact head below EXACT_TERMS plus an Euler-Maclaurin tail.
+difference) or over full integer ranges, which ``power_sums`` answers in
+O(1) per range, vectorized, and ``power_sum_range`` for one range alone: at
+most EXACT_TERMS terms term by term, a longer range as an exact head below
+EXACT_TERMS plus an Euler-Maclaurin tail.
 ``BlockSums`` answers windows over a union of integer blocks from it: each
 whole block once, then only the parts of the blocks a window cuts.
 
@@ -36,6 +37,11 @@ Accuracy notes
   its integral is taken in difference form (log1p, expm1), so no two large
   values cancel.  A range's float depends only on the range, not on the
   other ranges of the call or its place among them.
+* ``power_sum_range`` is its scalar twin for one range, with the same
+  formula and bound in Python floats.  It uses only ``math`` operations and
+  float arithmetic, none of which numpy picks a kernel for by CPU, so it
+  builds no array and gives the same bits whatever CPU features numpy
+  finds; it may differ from ``power_sums`` in the last place.
 """
 
 from __future__ import annotations
@@ -165,9 +171,8 @@ def _two_sum(seg_s: np.ndarray, seg_c: np.ndarray, w: np.ndarray) -> None:
 
 
 def power_sums(lo, hi, beta: float) -> np.ndarray:
-    """sum_{x=lo}^{hi} x**(-beta) for each pair of integer arrays lo, hi
-    (int64, or object arrays of Python ints of any size), 1 <= lo,
-    0 <= beta <= 1; an empty range (hi < lo) sums to 0.
+    """sum_{x=lo}^{hi} x**(-beta) for each pair of int64 arrays lo, hi,
+    1 <= lo, 0 <= beta <= 1; an empty range (hi < lo) sums to 0.
 
     A range of at most EXACT_TERMS terms is summed term by term, as one
     zero-padded row of EXACT_TERMS terms, in chunks of _ROWS rows.  A longer
@@ -209,17 +214,33 @@ def _powers(x: np.ndarray, beta: float) -> np.ndarray:
 
 
 def power_sum_range(lo: int, hi: int, beta: float) -> float:
-    """sum_{x=lo}^{hi} x**(-beta) for integers 1 <= lo <= hi, 0 <= beta <= 1:
-    ``power_sums`` of the one range, within 1e-14 relative.  The endpoints
-    may be Python ints of any size (they are passed as object arrays);
-    beta = 0 counts the range exactly."""
+    """sum_{x=lo}^{hi} x**(-beta) for integers 1 <= lo <= hi, 0 <= beta <= 1,
+    within 1e-14 relative: the scalar twin of ``power_sums``, with its formula
+    in Python floats.  The head of at most EXACT_TERMS terms is summed by
+    ``math.fsum``, so the float may differ from ``power_sums`` in the last
+    place.  The endpoints may be Python ints of any size; beta = 0 counts the
+    range exactly."""
     if hi < lo:
         return 0.0
     if lo < 1:
         raise ValueError("range must start at 1 or above")
     if beta == 0.0:
         return float(hi - lo + 1)
-    return float(power_sums(np.array([lo], dtype=object), np.array([hi], dtype=object), beta)[0])
+    top = EXACT_TERMS - 1 if hi - lo >= EXACT_TERMS else hi  # the last term summed term by term
+    head = math.fsum(_power(float(x), beta) for x in range(lo, top + 1))
+    if top == hi:
+        return head
+    a_int = max(lo, EXACT_TERMS)
+    a, b = float(a_int), float(hi)
+    ratio = math.log1p(float(hi - a_int) / a)  # log(b / a)
+    integral = ratio if beta == 1.0 else a ** (1.0 - beta) * math.expm1((1.0 - beta) * ratio) / (1.0 - beta)
+    fa, fb = _power(a, beta), _power(b, beta)
+    return head + (integral + 0.5 * (fa + fb) + (beta / 12.0) * (fa / a - fb / b)
+                   - (beta * (beta + 1.0) * (beta + 2.0) / 720.0) * (fa / a**3 - fb / b**3))
+
+
+def _power(x: float, beta: float) -> float:
+    return 1.0 / x if beta == 1.0 else x ** -beta
 
 
 class BlockSums:

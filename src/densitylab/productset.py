@@ -7,21 +7,24 @@ the sequence whenever the first product exceeds it).  With that convention
 m is sound by construction: every interval [u, m*u] inside [x, n*x] whose
 start does not exceed the last product meets A*B.
 
-``gap_witness`` scans window starts and reports the x minimizing m.  Once a
-window with m = 2 is on record only singleton windows (m = 1) can improve
-the report, so later candidates are probed for a second distinct product
-instead of enumerated in full; the result is identical to evaluating every
-candidate in full.  The probe is a leapfrog join of A and B by point queries
-(``next_member``/``prev_member``): nothing is materialized, so a sieve kind
-answers by its pure-Python membership test near each window and is never
-sieved for it.
+``gap_witness`` scans window starts and reports the x minimizing m.  Each
+window is enumerated by a probe, a leapfrog join of A and B by point queries
+(``next_member``/``prev_member``) that gives up past a budget of distinct
+products: nothing is materialized, so a sieve kind answers by its
+pure-Python membership test near each window and is never sieved for it,
+and a scan of small windows loads no numpy.  The first window past
+EXACT_SCAN_MAX_PRODUCTS products, and every later window of the scan that
+is enumerated in full, takes the array path (``products_in``) instead.
+Once a window with m = 2 is on record only singleton windows (m = 1) can
+improve the report, so later candidates are probed for a second distinct
+product only; the result is identical to evaluating every candidate in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._np import numpy as np
+from ._np import np
 from .errors import CapacityError, DomainError
 from .intset import IntegerSetSpec
 from .numerics import geometric_grid
@@ -30,7 +33,8 @@ __all__ = ["GapReport", "products_in", "max_gap_ratio", "gap_witness"]
 
 PRODUCT_HORIZON = 10**9
 _CHUNK = 1 << 23
-# explicit-by-explicit pairs get an exact window scan up to this many products
+# explicit-by-explicit pairs get an exact window scan up to this many
+# products, and the probe enumerates a window up to this many
 EXACT_SCAN_MAX_PRODUCTS = 4096
 
 
@@ -144,32 +148,35 @@ def max_gap_ratio(products) -> int:
     return int(np.max(-((-c[1:]) // c[:-1])))
 
 
-def _window_gap(products: np.ndarray, x: int) -> int:
-    """Gap statistic with the leading gap from x included."""
+def _window_gap(products, x: int) -> int:
+    """Gap statistic with the leading gap from x included, of a sorted list
+    of Python ints or a sorted int64 array."""
+    if isinstance(products, list):
+        return max(-(-q // p) for p, q in zip([x, *products], products))
     if products[0] > x:
         return max(-(-int(products[0]) // x), max_gap_ratio(products))
     return max_gap_ratio(products)
 
 
-def _probe_upto2(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int):
-    """(count of distinct products in [lo, hi] capped at 2, the product
-    when there is one), by a leapfrog join over point queries.
+def _probe(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int, cap: int) -> list[int] | None:
+    """The sorted distinct products in [lo, hi] when there are at most cap,
+    else None, by a leapfrog join over point queries.
 
-    Walks a upward over A cap [1, hi // min(B)] and asks B for its first two
-    members in [ceil(lo/a), hi // a]; a second b or a second distinct
-    product decides 2.  When a has no partner, a leaps to the least member
-    of A at or above ceil(lo / bp), bp the greatest member of B at most
-    hi // a: every a'' below that has a''*bp < lo, and no b above bp pairs
-    with a'' >= a, so the leap skips no pair.  The bp of successive leaps
-    strictly decrease, so the walk takes at most min(|A'|, |B'| + P + 1)
+    Walks a upward over A cap [1, hi // min(B)] and asks B for its members
+    in [ceil(lo/a), hi // a] one by one; the walk stops as soon as it has
+    more than cap distinct products.  When a has no partner, a leaps to the
+    least member of A at or above ceil(lo / bp), bp the greatest member of B
+    at most hi // a: every a'' below that has a''*bp < lo, and no b above bp
+    pairs with a'' >= a, so the leap skips no pair.  The bp of successive
+    leaps strictly decrease, so the walk takes at most min(|A'|, |B'| + P + 1)
     steps over the factors A', B' that can pair and the P pairs in the window.
     """
     b_min = b_spec.next_member(1, hi)
     if b_min is None:
-        return 0, None
+        return []
     a_top = hi // b_min
     a = a_spec.next_member(1, a_top)
-    seen: int | None = None
+    seen: set[int] = set()
     while a is not None:
         b = b_spec.next_member(-(-lo // a), hi // a)
         if b is None:
@@ -178,11 +185,13 @@ def _probe_upto2(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: in
                 break
             a = a_spec.next_member(max(a + 1, -(-lo // bp)), a_top)
             continue
-        if b_spec.next_member(b + 1, hi // a) is not None or seen not in (None, a * b):
-            return 2, None
-        seen = a * b
+        while b is not None:
+            seen.add(a * b)
+            if len(seen) > cap:
+                return None
+            b = b_spec.next_member(b + 1, hi // a)
         a = a_spec.next_member(a + 1, a_top)
-    return (0, None) if seen is None else (1, seen)
+    return sorted(seen)
 
 
 def _exact_products(a_spec, b_spec, horizon: int) -> list[int] | None:
@@ -227,8 +236,11 @@ def _exact_candidates(prods: list[int], n: int, x_max: int) -> list[int]:
 def _best_window(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, cands) -> GapReport | None:
     """The start x in ``cands`` (sorted) with the least gap statistic of
     A*B over [x, n*x], ties to the smallest x; None when every window is
-    empty."""
+    empty.  Windows are probed for their products until one holds more than
+    EXACT_SCAN_MAX_PRODUCTS; that window and every later one enumerated in
+    full take ``products_in``."""
     best: GapReport | None = None
+    dense = False
     for x in cands:
         lo, hi = x, n * x
         if best is not None and best.m <= 1:
@@ -236,12 +248,17 @@ def _best_window(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, cands) 
         if best is not None and best.m == 2:
             # multi-product windows cannot beat m = 2; only a singleton
             # window whose product equals x (m = 1) improves the report
-            count, prod = _probe_upto2(a_spec, b_spec, lo, hi)
-            if count == 1 and prod == x:
+            if _probe(a_spec, b_spec, lo, hi, 1) == [x]:
                 best = GapReport(n, x, 1, 1, (lo, hi))
                 break
             continue
-        prods = products_in(a_spec, b_spec, lo, hi)
+        top = _capped_top(a_spec, b_spec, hi)
+        if lo > top:
+            continue
+        prods = None if dense else _probe(a_spec, b_spec, lo, top, EXACT_SCAN_MAX_PRODUCTS)
+        if prods is None:
+            dense = True
+            prods = products_in(a_spec, b_spec, lo, top)
         if len(prods) == 0:
             continue
         m = _window_gap(prods, x)
@@ -263,9 +280,9 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
     first reaches m*, and the least (m, x) of both passes is reported.
     Full enumeration runs until a window with the multi-product floor m = 2
     is found; afterwards candidates are probed for singleton windows only,
-    which is equivalent and far cheaper: the leapfrog ``_probe_upto2``
-    decides each by point queries.  Windows enumerated in full cap their
-    products at PRODUCT_HORIZON; probed windows on sieve kinds cap at
+    which is equivalent and far cheaper: the leapfrog ``_probe`` decides
+    each by point queries.  Windows enumerated in full cap their products
+    at PRODUCT_HORIZON; windows probed for singletons on sieve kinds cap at
     MEMBERSHIP_HORIZON.
     """
     n = int(n)

@@ -2,7 +2,9 @@
 
 ``import densitylab`` loads no submodule, ``densitylab.cli`` loads each
 command's modules when the command runs, and the searches and certify
-answer by point queries, so those runs never import numpy.  numpy is
+answer by point queries, so those runs never import numpy.  Neither do
+``productset`` on windows within the probe's budget, which it enumerates
+by point queries, nor ``monad`` on intervals, which it sums in closed form.  numpy is
 imported in one module, ``densitylab._np``, which loads it without OpenBLAS's
 worker threads.  Each check runs in a fresh interpreter, since this test
 process has numpy loaded already."""
@@ -20,13 +22,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 OPENBLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 EX2 = "example2:j=2,depth=4"
+MONAD_INTERVALS = "[[216, 1731], [5194, 41554], [249326, 991492]]"
+# key: (argv, exit code, the command's module, which must show in the trace)
 POINT_QUERY_RUNS = {
     "pap-example2": (["search-pap", "--set", EX2, "--m", "2", "--l", "3", "--n", "2", "--min", "16",
-                      "--horizon", "1e8"], 0),
-    "gp-example2": (["search-gp", "--set", EX2, "--l", "3", "--n", "2", "--min", "16", "--horizon", "1e9"], 3),
+                      "--horizon", "1e8"], 0, "densitylab.progressions"),
+    "gp-example2": (["search-gp", "--set", EX2, "--l", "3", "--n", "2", "--min", "16", "--horizon", "1e9"], 3,
+                    "densitylab.progressions"),
     "gp-squarefree": (["search-gp", "--set", "squarefree", "--l", "3", "--n", "2", "--min", "16",
-                       "--horizon", "1e7"], 0),
-    "certify": (["certify", "gp-free", "--set", "squarefree", "--horizon", "3e4"], 0),
+                       "--horizon", "1e7"], 0, "densitylab.progressions"),
+    "certify": (["certify", "gp-free", "--set", "squarefree", "--horizon", "3e4"], 0, "densitylab.progressions"),
+    "productset-primes": (["productset", "--set-a", "primes", "--set-b", "primes", "--n", "4,16,64,256",
+                           "--horizon", "1e8"], 0, "densitylab.productset"),
+    "productset-mixed": (["productset", "--set-a", EX2, "--set-b", "squarefree", "--n", "2,4,16,64",
+                          "--horizon", "1e8"], 0, "densitylab.productset"),
+    "monad": (["monad", "--k", "1", "--N", "1000000000", "--intervals", MONAD_INTERVALS, "--scale", "9",
+               "--invert"], 0, "densitylab.monad"),
 }
 
 
@@ -56,12 +67,12 @@ def test_density_loads_numpy():
 
 @pytest.mark.parametrize("key", sorted(POINT_QUERY_RUNS))
 def test_point_query_commands_leave_numpy_out(key):
-    argv, exit_code = POINT_QUERY_RUNS[key]
+    argv, exit_code, module = POINT_QUERY_RUNS[key]
     done = _python("-X", "importtime", "-m", "densitylab.cli", *argv)
     assert done.returncode == exit_code, done.stderr
     assert done.stdout
     imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
-    assert "densitylab.progressions" in imported  # the command's module shows in the trace
+    assert module in imported  # the command's module shows in the trace
     assert "numpy" not in imported
 
 

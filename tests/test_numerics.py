@@ -182,6 +182,22 @@ def test_power_sum_range_vs_exact(lo, hi, beta):
     assert power_sum_range(lo, hi, beta) == pytest.approx(exact, rel=1e-12)
 
 
+_T = numerics.EXACT_TERMS
+
+
+@given(st.sampled_from([1.0, 0.5, 2 / 3, 0.75]),
+       st.one_of(st.integers(1, 2 * _T), st.integers(1, 10**18)),
+       st.one_of(st.integers(0, _T - 2), st.sampled_from([_T - 1, _T, _T + 1]), st.integers(0, 10**12)))
+@settings(max_examples=400)
+def test_power_sum_range_agrees_with_power_sums(beta, lo, span):
+    # the scalar kernel and the vectorized one take the same formula, with
+    # the head summed by math.fsum in one and row by row in the other, so
+    # their floats may differ in the last place, within the 1e-14 bound of
+    # both; span < _T is a range summed term by term, span >= _T a long one
+    want = float(numerics.power_sums(np.array([lo], dtype=np.int64), np.array([lo + span], dtype=np.int64), beta)[0])
+    assert abs(power_sum_range(lo, lo + span, beta) - want) <= 1e-14 * want
+
+
 def test_harmonic_vs_fsum():
     assert harmonic_number(9) == pytest.approx(brute_harmonic(1, 9), abs=1e-14)
     assert harmonic_range(10, 100) == pytest.approx(brute_harmonic(10, 100), abs=1e-13)

@@ -311,7 +311,7 @@ def test_exact_candidates_many_factors_decide_at_once(monkeypatch):
     assert calls == []
 
 
-def _walk(monkeypatch, a_spec, b_spec, lo, hi):
+def _walk(monkeypatch, a_spec, b_spec, lo, hi, cap):
     """(the probe's answer, the factors a its walk visited)."""
     visited = []
     next_member = IntegerSetSpec.next_member
@@ -324,7 +324,7 @@ def _walk(monkeypatch, a_spec, b_spec, lo, hi):
 
     with monkeypatch.context() as patch:
         patch.setattr(IntegerSetSpec, "next_member", spy)
-        return productset._probe_upto2(a_spec, b_spec, lo, hi), visited
+        return productset._probe(a_spec, b_spec, lo, hi, cap), visited
 
 
 def _random_explicit_pair(rng, size_max=400, top=3000):
@@ -341,19 +341,22 @@ def _window_products(all_products, lo, hi):
 
 def test_probe_stress_vs_brute_oracle(rng, monkeypatch):
     # the leapfrog walk has no step cap: long walks over narrow windows, where
-    # most factors a have no partner, answer like the brute product list
-    longest = 0
+    # most factors a have no partner, answer like the brute product list: the
+    # window's products when there are at most cap, else None, with cap 1
+    # (a singleton probe) and caps on both sides of the window's count
+    longest, gave_up = 0, 0
     for _ in range(12):
         a, b, a_spec, b_spec = _random_explicit_pair(rng)
         every = brute_products(a, b, 1, a[-1] * b[-1])
         for _ in range(25):
             lo = int(rng.randint(1, a[-1] * b[-1] + 2))
             hi = lo + int(rng.choice([0, 1, 5, 50, lo // 100, lo]))
-            (count, prod), visited = _walk(monkeypatch, a_spec, b_spec, lo, hi)
             prods = _window_products(every, lo, hi)
-            assert (count, prod) == (min(len(prods), 2), prods[0] if len(prods) == 1 else None), (lo, hi)
-            longest = max(longest, len(visited))
-    assert longest > 64
+            for cap in {1, max(1, len(prods) - 1), max(1, len(prods))}:
+                got, visited = _walk(monkeypatch, a_spec, b_spec, lo, hi, cap)
+                assert got == (prods if len(prods) <= cap else None), (lo, hi, cap)
+                longest, gave_up = max(longest, len(visited)), gave_up + (got is None)
+    assert longest > 64 and gave_up
     # whole reports, singleton windows probed after an m = 2 window included
     for size_max, n in ((400, 2), (60, 3), (30, 2), (30, 16)):
         a, b, a_spec, b_spec = _random_explicit_pair(rng, size_max)
@@ -377,7 +380,8 @@ def test_probe_step_bound(rng, monkeypatch):
             for _ in range(20):
                 lo = int(rng.randint(1, a[-1] * b[-1] + 2))
                 hi = lo + int(rng.choice([0, 3, 40, lo // 50, lo]))
-                _, visited = _walk(monkeypatch, a_spec, b_spec, lo, hi)
+                cap = int(rng.choice([1, productset.EXACT_SCAN_MAX_PRODUCTS]))
+                _, visited = _walk(monkeypatch, a_spec, b_spec, lo, hi, cap)
                 a_can = [x for x in a if x * b[0] <= hi]
                 b_can = [y for y in b if a[0] * y <= hi]
                 pairs = sum(lo <= x * y <= hi for x in a_can for y in b_can)
@@ -386,16 +390,16 @@ def test_probe_step_bound(rng, monkeypatch):
 
 
 def test_gap_witness_sieves_only_before_m2(monkeypatch):
-    # after the first window with m = 2 the probe asks every kind for
-    # members by point queries; only the full enumerations before it sieve
-    # or materialize factor sets
+    # every window of these scans holds at most EXACT_SCAN_MAX_PRODUCTS
+    # products, so the probe enumerates each by point queries, before the
+    # first window with m = 2 and after it: no set is sieved or materialized
     calls, events = [], []
     sieve = intset._sieve_members
     monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi, old=None: calls.append(hi) or sieve(kind, hi, old))
     members = IntegerSetSpec.members
     monkeypatch.setattr(IntegerSetSpec, "members", lambda self, lo, hi: events.append("members") or members(self, lo, hi))
-    probe = productset._probe_upto2
-    monkeypatch.setattr(productset, "_probe_upto2", lambda *args: events.append("probe") or probe(*args))
+    probe = productset._probe
+    monkeypatch.setattr(productset, "_probe", lambda *args: events.append("probe") or probe(*args))
     primes, ex2 = IntegerSetSpec.primes(), IntegerSetSpec.example2(2, 4)
     sparse = EXPL([3, 1000003, 7000000019])
     for a, b, n, horizon, want in ((primes, primes, 4, 10**8, (2, 2, 2)),
@@ -405,5 +409,35 @@ def test_gap_witness_sieves_only_before_m2(monkeypatch):
         events.clear()
         r = gap_witness(a, b, n, horizon)
         assert (r.x, r.m, r.products_examined) == want
-        assert "probe" in events and "members" not in events[events.index("probe"):]
-    assert calls and max(calls) <= 10**3
+        assert "probe" in events and "members" not in events
+    assert calls == []
+
+
+def test_gap_witness_past_the_probe_budget_takes_the_array_path(monkeypatch):
+    # [10^4, 2*10^4] x full: the windows [x, 4x] on the grid hold 0, then 37,
+    # 1041, 2145 and 3361 products, which the probe enumerates; the next
+    # holds 4697, past the budget, so it and every later window enumerated
+    # in full take products_in, and the probe spends its budget once
+    a_spec = IntegerSetSpec.interval_union(IntervalSet(((10**4, 2 * 10**4),)))
+    probed, arrays = [], []
+    probe, array = productset._probe, productset.products_in
+
+    def spy_probe(a, b, lo, hi, cap):
+        got = probe(a, b, lo, hi, cap)
+        probed.append((lo, cap, got))
+        return got
+
+    monkeypatch.setattr(productset, "_probe", spy_probe)
+    monkeypatch.setattr(productset, "products_in", lambda a, b, lo, hi: arrays.append(lo) or array(a, b, lo, hi))
+    horizon, n = 10**5, 4
+    r = gap_witness(a_spec, FULL, n, horizon)
+    # the factors b <= horizon // 10^4 are every b that can pair
+    want = brute_gap_witness(range(10**4, 2 * 10**4 + 1), range(1, horizon // 10**4 + 1), n,
+                             geometric_grid(1, horizon // n, 1.1))
+    assert (r.x, r.m, r.products_examined) == want == (5379, 2, 10759)
+    full = [(lo, got) for lo, cap, got in probed if cap == productset.EXACT_SCAN_MAX_PRODUCTS]
+    assert [lo for lo, got in full if got is None] == [3674] == [full[-1][0]]
+    assert [len(got) for _, got in full if got] == [37, 1041, 2145, 3361]
+    assert arrays == [3674, 4041, 4445, 4890, 5379]
+    # past the m = 2 window, the probe asks for singletons only
+    assert all(cap == 1 for lo, cap, _ in probed if lo > 5379) and len(probed) > len(full)
