@@ -197,20 +197,24 @@ def log_profile(spec: IntegerSetSpec, horizon: int, checkpoints=None, kind: str 
 def count_extremes(spec: IntegerSetSpec, horizon: int) -> tuple[float, float]:
     """Exact (min, max) of |A cap [1,n]| / n over every n in [1, horizon].
 
-    The ratio has local maxima exactly at n = a_i (i-th element) and local
-    minima just before the next element and at the horizon, so both extremes
-    are computed from the element array alone.
+    The ratio never falls inside a block and falls across a gap, so its
+    local maxima sit at block ends (on an element view, its members) and
+    its local minima just before the next block start and at the horizon:
+    both extremes come from the view's blocks and the members up to each
+    block end (``below``), and a block view is never materialized.
     """
-    elems = spec.members(1, horizon)
-    total = len(elems)
-    if total == 0:
+    view = spec.view(horizon)
+    starts = view.starts
+    if len(starts) == 0:
         return 0.0, 0.0
-    idx = np.arange(1, total + 1, dtype=np.float64)
-    hi = float(np.max(idx / elems))
-    lows = [0.0] if elems[0] > 1 else []
-    if total > 1:
-        lows.append(float(np.min(idx[:-1] / (elems[1:] - 1))))
-    lows.append(total / horizon)
+    upto = view.below(1, len(starts) + 1)  # the members up to each block end
+    ratios = upto / view.ends
+    hi = float(ratios.max())
+    lows = [0.0] if starts[0] > 1 else []
+    if len(starts) > 1:  # before each next block, written over the ratios
+        gaps = np.subtract(starts[1:], 1, out=ratios[:-1])
+        lows.append(float(np.divide(upto[:-1], gaps, out=gaps).min()))
+    lows.append(int(upto[-1]) / horizon)
     return min(lows), hi
 
 

@@ -216,6 +216,11 @@ class ElementView(_View):
         horizon."""
         return self.starts.searchsorted(x, side="right")
 
+    def below(self, i: int, j: int) -> np.ndarray:
+        """The members below starts[i], ..., starts[j - 1], all of them
+        below index len(starts): i, ..., j - 1."""
+        return np.arange(i, j, dtype=np.int64)
+
 
 class BlockView(_View):
     """A set up to a horizon as sorted disjoint blocks [starts[b], ends[b]]
@@ -247,7 +252,8 @@ class BlockView(_View):
         return self._below[i] - np.maximum(self._ends0[i] - x, 0)  # the last may run past x
 
     def below(self, i: int, j: int) -> np.ndarray:
-        """The members below starts[i], ..., starts[j - 1]."""
+        """The members below starts[i], ..., starts[j - 1], all of them
+        below index len(starts)."""
         return self._below[i:j]
 
 

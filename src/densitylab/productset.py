@@ -12,16 +12,20 @@ window is enumerated by a probe, a leapfrog join of A and B by point queries
 (``next_member``/``prev_member``) that gives up past a budget of distinct
 products: nothing is materialized, so a sieve kind answers by its
 pure-Python membership test near each window and is never sieved for it,
-and a scan of small windows loads no numpy.  The first window past
-EXACT_SCAN_MAX_PRODUCTS products, and every later window of the scan that
-is enumerated in full, takes the array path (``products_in``) instead.
-Once a window with m = 2 is on record only singleton windows (m = 1) can
-improve the report, so later candidates are probed for a second distinct
-product only; the result is identical to evaluating every candidate in full.
+and a scan of small windows loads no numpy.  The probe has one budget,
+EXACT_SCAN_MAX_PRODUCTS distinct products.  The first window past it, and
+every later window of the scan that is enumerated in full, takes the array
+path (``products_in``) instead.  Two explicit sets whose products up to the
+horizon fit it are scanned exactly, at the starts where the statistic can
+change, from the products the same probe lists over [1, horizon].  Once a
+window with m = 2 is on record only singleton windows (m = 1) can improve
+the report, so later candidates are probed for a second distinct product
+only; the result is identical to evaluating every candidate in full.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._np import np
@@ -33,8 +37,8 @@ __all__ = ["GapReport", "products_in", "max_gap_ratio", "gap_witness"]
 
 PRODUCT_HORIZON = 10**9
 _CHUNK = 1 << 23
-# explicit-by-explicit pairs get an exact window scan up to this many
-# products, and the probe enumerates a window up to this many
+# the probe's budget of distinct products: for the product list of an
+# explicit-by-explicit pair's exact scan, and for each window it enumerates
 EXACT_SCAN_MAX_PRODUCTS = 4096
 
 
@@ -65,17 +69,6 @@ class GapReport:
         }
 
 
-def _factor_members(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, hi: int):
-    """(A cap [1, hi // min(B)], B cap [1, hi // min(A)]): the members that
-    have a partner with product at most hi; None when A or B has no member
-    up to hi."""
-    a_min = a_spec.next_member(1, hi)
-    b_min = b_spec.next_member(1, hi)
-    if a_min is None or b_min is None:
-        return None
-    return a_spec.members(1, hi // b_min), b_spec.members(1, hi // a_min)
-
-
 def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int) -> np.ndarray:
     """Sorted distinct {a*b : a in A, b in B, lo <= a*b <= hi}.
 
@@ -91,10 +84,10 @@ def products_in(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int
     if lo > hi or lo < 1:
         raise DomainError("need 1 <= lo <= hi")
     hi = _capped_top(a_spec, b_spec, hi)
-    factors = _factor_members(a_spec, b_spec, hi) if lo <= hi else None
-    if factors is None:
+    a_min, b_min = a_spec.next_member(1, hi), b_spec.next_member(1, hi)
+    if lo > hi or a_min is None or b_min is None:
         return np.empty(0, dtype=np.int64)
-    a_elems, b_elems = factors
+    a_elems, b_elems = a_spec.members(1, hi // b_min), b_spec.members(1, hi // a_min)
     b_lo = np.searchsorted(b_elems, -(-lo // a_elems), side="left")
     b_hi = np.searchsorted(b_elems, hi // a_elems, side="right")
     nz = np.flatnonzero(b_hi > b_lo)
@@ -194,33 +187,6 @@ def _probe(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, lo: int, hi: int, cap
     return sorted(seen)
 
 
-def _exact_products(a_spec, b_spec, horizon: int) -> list[int] | None:
-    """The distinct products up to the horizon of two explicit sets, for the
-    exact scan; None when it does not apply (another kind, or more than
-    EXACT_SCAN_MAX_PRODUCTS products).
-
-    The products a*min(B) are distinct, so more factors a than that decide
-    None at once; otherwise the distinct products are gathered row by row of
-    a, each row cut at that many plus one (its products are distinct too),
-    and the gathering stops as soon as there are more.  The horizon is capped
-    as ``products_in`` caps it."""
-    if a_spec.kind != "explicit" or b_spec.kind != "explicit":
-        return None
-    hi = _capped_top(a_spec, b_spec, horizon)
-    factors = _factor_members(a_spec, b_spec, hi)
-    prods: set[int] = set()
-    if factors is not None:
-        a_elems, b_elems = factors
-        if len(a_elems) > EXACT_SCAN_MAX_PRODUCTS:
-            return None
-        for a in a_elems.tolist():
-            row = b_elems[: np.searchsorted(b_elems, hi // a, side="right")][: EXACT_SCAN_MAX_PRODUCTS + 1]
-            prods.update((row * a).tolist())
-            if len(prods) > EXACT_SCAN_MAX_PRODUCTS:
-                return None
-    return sorted(prods)
-
-
 def _exact_candidates(prods: list[int], n: int, x_max: int) -> list[int]:
     """The window starts in [1, x_max] where the gap statistic can change:
     1, x_max, and p - 1, p, p + 1, ceil(p/n) and ceil(p/n) - 1 for each
@@ -236,9 +202,9 @@ def _exact_candidates(prods: list[int], n: int, x_max: int) -> list[int]:
 def _best_window(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, cands) -> GapReport | None:
     """The start x in ``cands`` (sorted) with the least gap statistic of
     A*B over [x, n*x], ties to the smallest x; None when every window is
-    empty.  Windows are probed for their products until one holds more than
-    EXACT_SCAN_MAX_PRODUCTS; that window and every later one enumerated in
-    full take ``products_in``."""
+    empty.  Windows are probed for their products, each within the budget
+    EXACT_SCAN_MAX_PRODUCTS, until one holds more; that window and every
+    later one enumerated in full take ``products_in``."""
     best: GapReport | None = None
     dense = False
     for x in cands:
@@ -273,9 +239,12 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
     statistic m of A*B over [x, n*x] (ties to the smallest x); None when
     every candidate window is empty.
 
-    Candidate starts lie on a geometric grid.  Small explicit productsets
-    get an exact change-point scan instead, in two passes: the first finds
-    the least statistic m* over the starts near each product p, the second
+    Candidate starts lie on a geometric grid of ratio ``grid_ratio``, a
+    finite number above 1 (DomainError otherwise, for every pair).  Two
+    explicit sets get an exact change-point scan instead when ``_probe``
+    lists their products up to the horizon within its budget,
+    EXACT_SCAN_MAX_PRODUCTS.  It runs in two passes: the first finds the
+    least statistic m* over the starts near each product p, the second
     scans the starts ceil(p/m*) it did not, where the leading gap ceil(p/x)
     first reaches m*, and the least (m, x) of both passes is reported.
     Full enumeration runs until a window with the multi-product floor m = 2
@@ -285,13 +254,17 @@ def gap_witness(a_spec: IntegerSetSpec, b_spec: IntegerSetSpec, n: int, horizon:
     at PRODUCT_HORIZON; windows probed for singletons on sieve kinds cap at
     MEMBERSHIP_HORIZON.
     """
+    if not (math.isfinite(grid_ratio) and grid_ratio > 1):
+        raise DomainError(f"grid ratio must be a finite number above 1, got {grid_ratio!r}")
     n = int(n)
     if n < 2:
         raise DomainError("need n >= 2")
     x_max = horizon // n
     if x_max < 1:
         raise DomainError("horizon admits no window")
-    prods = _exact_products(a_spec, b_spec, horizon)
+    prods = None
+    if a_spec.kind == b_spec.kind == "explicit":
+        prods = _probe(a_spec, b_spec, 1, _capped_top(a_spec, b_spec, horizon), EXACT_SCAN_MAX_PRODUCTS)
     if prods is None:
         return _best_window(a_spec, b_spec, n, geometric_grid(1, x_max, grid_ratio))
     cands = _exact_candidates(prods, n, x_max)

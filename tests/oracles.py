@@ -97,6 +97,15 @@ def brute_bdm(elements, m, n, horizon):
     return best
 
 
+def brute_count_extremes(elements, horizon):
+    """(min, max) over every n in [1, horizon] of |A cap [1, n]| / n."""
+    members, count, ratios = set(elements), 0, []
+    for n in range(1, horizon + 1):
+        count += n in members
+        ratios.append(count / n)
+    return min(ratios), max(ratios)
+
+
 def brute_window_count_max(elements, n, horizon):
     """max over k of |A cap [k, k+n]| / n (the m=1 weighted form)."""
     best = 0

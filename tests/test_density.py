@@ -29,6 +29,7 @@ from oracles import (
     brute_bd,
     brute_bd_at,
     brute_bdm,
+    brute_count_extremes,
     brute_harmonic,
     brute_log_value,
     brute_window_count_max,
@@ -109,6 +110,27 @@ def test_count_extremes_exact():
     assert cmin == 0.0
     cmin2, cmax2 = count_extremes(FULL, 50)
     assert (cmin2, cmax2) == (1.0, 1.0)
+
+
+def test_count_extremes_vs_brute(rng):
+    # block views read their block ends and the members below each block
+    # start, element views their members: both give the brute float bits
+    # over every n up to H, blocks starting at 1 and cut by H included
+    specs = [_random_union(rng, 3000) for _ in range(30)]
+    specs += [IntegerSetSpec.interval_union(IntervalSet(((1, 5), (9, 9), (40, 70)))),
+              IntegerSetSpec.example2(2, 2), IntegerSetSpec.example2(3, 4), FULL, EVEN,
+              random_explicit(rng, 10**4, 0.05)]
+    for spec in specs:
+        for H in (1, 64, 3000, 10**4):
+            members = [x for x in range(1, H + 1) if spec.contains(x)]
+            assert count_extremes(spec, H) == brute_count_extremes(members, H), (spec, H)
+
+
+def test_count_extremes_blocks_never_materialize():
+    # past the materialization cap: one block, or one far from 1
+    assert count_extremes(FULL, 10**9) == (1.0, 1.0)
+    far = IntegerSetSpec.interval_union(IntervalSet(((10**12, 2 * 10**12),)))
+    assert count_extremes(far, 4 * 10**12) == (0.0, (10**12 + 1) / (2 * 10**12))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 command's modules when the command runs, and the searches and certify
 answer by point queries, so those runs never import numpy.  Neither do
 ``productset`` on windows within the probe's budget, which it enumerates
-by point queries, nor ``monad`` on intervals, which it sums in closed form.  numpy is
+by point queries, and on two explicit sets whose products up to the
+horizon fit that budget, which the same probe lists for the exact scan,
+nor ``monad`` on intervals, which it sums in closed form.  numpy is
 imported in one module, ``densitylab._np``, which loads it without OpenBLAS's
 worker threads.  Each check runs in a fresh interpreter, since this test
 process has numpy loaded already."""
@@ -36,6 +38,9 @@ POINT_QUERY_RUNS = {
                            "--horizon", "1e8"], 0, "densitylab.productset"),
     "productset-mixed": (["productset", "--set-a", EX2, "--set-b", "squarefree", "--n", "2,4,16,64",
                           "--horizon", "1e8"], 0, "densitylab.productset"),
+    "productset-explicit": (["productset", "--set-a", "explicit:3,5,7,11,13,101,1009", "--set-b",
+                             "explicit:7,11,12,30,1000,4001", "--n", "2,3,16", "--horizon", "1e8"], 0,
+                            "densitylab.productset"),
     "monad": (["monad", "--k", "1", "--N", "1000000000", "--intervals", MONAD_INTERVALS, "--scale", "9",
                "--invert"], 0, "densitylab.monad"),
 }

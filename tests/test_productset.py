@@ -151,6 +151,15 @@ def test_gap_witness_validation():
         gap_witness(FULL, FULL, 1, 100)
 
 
+@pytest.mark.parametrize("ratio", [0.5, 1, 1.0, -2.0, float("nan"), float("inf")])
+def test_gap_witness_checks_grid_ratio(ratio):
+    # a finite number above 1, as the CLI's --grid-ratio, for every pair:
+    # the exact scan of two explicit sets reads no grid, yet checks it too
+    for a, b in ((EXPL([2, 3]), EXPL([5, 7])), (FULL, SQUAREFREE)):
+        with pytest.raises(DomainError, match="grid ratio"):
+            gap_witness(a, b, 2, 100, ratio)
+
+
 def test_gap_witness_squarefree_small_m():
     for n in (4, 16):
         r = gap_witness(SQUAREFREE, SQUAREFREE, n, 10**6)
@@ -279,35 +288,60 @@ def _brute_candidates(a, b, n, horizon, cap):
     return sorted(cands)
 
 
+def _exact_scan_products(a_spec, b_spec, horizon):
+    """The product list of an explicit pair's exact scan, as ``gap_witness``
+    takes it: the probe over [1, horizon] capped, within its budget."""
+    top = productset._capped_top(a_spec, b_spec, horizon)
+    return productset._probe(a_spec, b_spec, 1, top, productset.EXACT_SCAN_MAX_PRODUCTS)
+
+
 def test_exact_candidates_vs_brute(rng, monkeypatch):
-    # the product count is decided row by row of a, and past the cap without
-    # gathering every product; pairs fall on both sides of the cap
+    # the probe gives up past the budget without gathering every product;
+    # pairs fall on both sides of the budget, and no set is materialized
+    calls = []
+    monkeypatch.setattr(productset, "products_in", lambda *args: calls.append(args))
     seen = set()
     for cap, size_max in ((productset.EXACT_SCAN_MAX_PRODUCTS, 150), (40, 12)):
         monkeypatch.setattr(productset, "EXACT_SCAN_MAX_PRODUCTS", cap)
         for _ in range(40):
             a, b, a_spec, b_spec = _random_explicit_pair(rng, size_max=size_max, top=int(rng.choice([300, 3000])))
             n, horizon = int(rng.choice([2, 3, 16])), int(rng.choice([1000, 10**5, 2 * 10**9]))
-            prods = productset._exact_products(a_spec, b_spec, horizon)
+            prods = _exact_scan_products(a_spec, b_spec, horizon)
             got = None if prods is None else productset._exact_candidates(prods, n, horizon // n)
             assert got == _brute_candidates(a, b, n, horizon, cap), (a, b, n, horizon)
             seen.add((cap, got is None))
     assert len(seen) == 4
-    assert productset._exact_products(EXPL([2]), IntegerSetSpec.primes(), 100) is None
-    assert productset._exact_products(EXPL([200]), EXPL([300]), 100) == []
+    assert _exact_scan_products(EXPL([200]), EXPL([300]), 100) == []
     assert productset._exact_candidates([], 2, 50) == [1, 50]
+    assert calls == []
     # a product past the cap raises as products_in does
     with pytest.raises(CapacityError):
-        productset._exact_products(EXPL([3, 10**6]), EXPL([7, 10**4]), 2 * 10**10)
+        gap_witness(EXPL([3, 10**6]), EXPL([7, 10**4]), 2, 2 * 10**10)
+    # gap_witness takes the exact scan for two explicit sets whose list is
+    # within the budget, and for no other pair
+    monkeypatch.undo()
+    monkeypatch.setattr(productset, "EXACT_SCAN_MAX_PRODUCTS", 40)
+    scanned = []
+    candidates = productset._exact_candidates
+    monkeypatch.setattr(productset, "_exact_candidates", lambda *args: scanned.append(args) or candidates(*args))
+    for a_spec, b_spec, exact in ((EXPL([1]), EXPL(list(range(1, 41))), True),
+                                  (EXPL([1]), EXPL(list(range(1, 42))), False),
+                                  (EXPL([2]), IntegerSetSpec.primes(), False)):
+        scanned.clear()
+        gap_witness(a_spec, b_spec, 2, 100)
+        assert bool(scanned) == exact, (a_spec, b_spec)
 
 
 def test_exact_candidates_many_factors_decide_at_once(monkeypatch):
-    # 5,000 factors a each give a distinct product a*min(B) up to the horizon
+    # 5,000 factors a each give a distinct product a*min(B) up to the horizon:
+    # the first factor's row passes the budget, and the walk stops there
     rng = np.random.RandomState(17)
     a, b = (EXPL(rng.choice(np.arange(1, 10**5), size=5000, replace=False).tolist()) for _ in range(2))
     calls = []
     monkeypatch.setattr(productset, "products_in", lambda *args: calls.append(args))
-    assert productset._exact_products(a, b, 10**9) is None
+    assert _exact_scan_products(a, b, 10**9) is None
+    got, visited = _walk(monkeypatch, a, b, 1, 10**9, productset.EXACT_SCAN_MAX_PRODUCTS)
+    assert got is None and visited == [a.elements[0]]
     assert calls == []
 
 
