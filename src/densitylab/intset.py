@@ -26,7 +26,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 
 from ._np import np
 from .errors import CapacityError, DomainError, ValidationError
@@ -50,6 +50,9 @@ SIEVE_HORIZON = 10**9
 MEMBERSHIP_HORIZON = 10**12
 # Refuse to materialize element arrays beyond this many entries.
 MATERIALIZE_LIMIT = 1 << 27
+# The largest uint32: the sieve kinds' and even's members, below
+# SIEVE_HORIZON and 2 * MATERIALIZE_LIMIT, are held as uint32.
+_UINT32_TOP = 2**32 - 1
 
 _SIEVE_KINDS = ("squarefree", "primes")
 _KINDS = ("explicit", "interval_union", "squarefree", "primes", "full", "even", "example2")
@@ -190,9 +193,13 @@ def _member_weights(a: np.ndarray, beta: float):
 
 
 class ElementView(_View):
-    """The members of a set up to a horizon as a sorted int64 array, each a
-    block of its own: ``starts`` and ``ends`` are that array.  It holds
-    nothing else but its sum tables, and counts by binary search."""
+    """The members of a set up to a horizon as a sorted array, each a block
+    of its own: ``starts`` and ``ends`` are that array, uint32 for the sieve
+    kinds and ``even`` (4 bytes per member; their horizons stay below 2^32)
+    and int64 for ``explicit``.  It holds nothing else but its sum tables,
+    and counts by binary search in ``count_le``, the one place that searches
+    the members.  Arithmetic on members widens them to int64 first: uint32
+    sums wrap past 2^32."""
 
     def __init__(self, horizon: int, members: np.ndarray, tables: dict | None = None):
         self.horizon, self._tables = horizon, {} if tables is None else tables
@@ -212,9 +219,23 @@ class ElementView(_View):
         return self.table(beta, self.horizon, build)
 
     def count_le(self, x):
-        """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
-        horizon."""
-        return self.starts.searchsorted(x, side="right")
+        """|A cap [1, x]| for each x (int64 array or scalar).  On uint32
+        members the keys are clipped to [0, 2^32 - 1] and cast to uint32
+        first: numpy converts the whole member array on every search with
+        keys of another dtype, and no member lies outside that range."""
+        a = self.starts
+        if a.dtype.kind == "u":  # a scalar key reads no attribute of the lazy np (0.5 µs each)
+            if getattr(x, "ndim", 0):
+                x = np.maximum(x, 0)
+                x = np.minimum(x, _UINT32_TOP, out=x).astype(a.dtype)
+            else:
+                x = int(x)
+                x = a.dtype.type(x if 0 <= x <= _UINT32_TOP else _UINT32_TOP if x > 0 else 0)
+        return a.searchsorted(x, side="right")
+
+    def blocks_le(self, x):
+        """The blocks starting at or below each x: the members, counted."""
+        return self.count_le(x)
 
     def below(self, i: int, j: int) -> np.ndarray:
         """The members below starts[i], ..., starts[j - 1], all of them
@@ -236,7 +257,7 @@ class BlockView(_View):
 
     def clip(self, horizon: int) -> "BlockView":
         """The view up to a smaller horizon, sharing this one's tables."""
-        i = np.searchsorted(self.starts, horizon, side="right")  # blocks starting at or below it
+        i = self.blocks_le(horizon)
         return BlockView(horizon, self.starts[:i], np.minimum(self.ends[:i], horizon), self._tables)
 
     def window_sums(self, lo, hi, beta=None, below=None):
@@ -248,8 +269,12 @@ class BlockView(_View):
     def count_le(self, x):
         """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
         horizon."""
-        i = np.searchsorted(self.starts, x, side="right")  # blocks starting at or below x
+        i = self.blocks_le(x)
         return self._below[i] - np.maximum(self._ends0[i] - x, 0)  # the last may run past x
+
+    def blocks_le(self, x):
+        """The blocks starting at or below each x (int64 array or scalar)."""
+        return np.searchsorted(self.starts, x, side="right")
 
     def below(self, i: int, j: int) -> np.ndarray:
         """The members below starts[i], ..., starts[j - 1], all of them
@@ -296,9 +321,10 @@ class IntegerSetSpec:
             raise ValidationError(f"unknown set kind {self.kind!r}")
         if self.kind == "explicit":
             elems = _integers(self.elements, "explicit elements")
-            if elems and min(elems) < 1:
+            increasing = all(map(operator.lt, elems, islice(elems, 1, None)))
+            if elems and (elems[0] if increasing else min(elems)) < 1:  # the least element
                 raise ValidationError("explicit elements must be positive")
-            if not all(map(operator.lt, elems, elems[1:])):
+            if not increasing:
                 raise ValidationError("explicit elements must be strictly increasing")
             object.__setattr__(self, "elements", elems)
         elif self.elements:
@@ -372,9 +398,9 @@ class IntegerSetSpec:
         """The set capped at [1, horizon]: a ``BlockView`` of its blocks for
         ``full``, ``interval_union`` and ``example2``, an ``ElementView`` of
         its sorted members for the other kinds, ``even`` and ``explicit``
-        included: 8 bytes per member plus its sum tables, nothing sized by
-        the horizon.  The blocks are the cached endpoints
-        clipped to the horizon by bisection before any int64 array is built
+        included: 4 bytes per member (8 for ``explicit``) plus its sum
+        tables, nothing sized by the horizon.  The blocks are the cached
+        endpoints clipped to the horizon by bisection before any int64 array is built
         (example2 block ends pass int64 at depth 4), so a block view never
         materializes and ``density`` sums it in closed form, also above the
         materialization cap.  Horizons above 2^63 - 1 raise CapacityError.
@@ -409,7 +435,7 @@ class IntegerSetSpec:
         _take_view(self)
         if self.kind == "even":
             _check_size(horizon // 2)
-            members = np.arange(2, horizon + 1, 2, dtype=np.int64)
+            members = np.arange(2, horizon + 1, 2, dtype=np.uint32)
         elif self.kind == "explicit":
             members, horizon = np.asarray(self.elements[: bisect_left(self.elements, 2**63)], dtype=np.int64), 2**63 - 1
         else:
@@ -440,14 +466,15 @@ class IntegerSetSpec:
         return _is_prime(x)
 
     def members(self, lo: int, hi: int) -> np.ndarray:
-        """Sorted int64 array of the set's members in [lo, hi], read from ``view(hi)``."""
+        """Sorted int64 array of the set's members in [lo, hi], read from
+        ``view(hi)``: a copy of that range, which callers may multiply."""
         lo, hi = int(lo), int(hi)
         if lo < 1 or hi < lo:
             raise ValidationError("need 1 <= lo <= hi")
         view = self.view(hi)
         if isinstance(view, BlockView):
             return IntervalSet(tuple(zip(view.starts.tolist(), view.ends.tolist()))).members(lo, hi)
-        return view.starts[int(np.searchsorted(view.starts, lo, side="left")) :]
+        return view.starts[int(view.count_le(lo - 1)) :].astype(np.int64)
 
     def next_member(self, x: int, limit: int) -> int | None:
         """Least member >= x, or None if there is none up to ``limit``."""
@@ -560,10 +587,13 @@ def _exact_number(text: str):
 def _integers(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints, each equal to its value, as an int or an
     integral float (1e6) is: NaN, infinities, fractions, strings and objects
-    raise ValidationError.  ``int`` returns an int as it is, so the one
-    C-speed comparison mostly checks identity."""
+    raise ValidationError.  A tuple of ints alone, found by one scan of the
+    types, is returned as it is."""
     try:
-        ints = tuple(map(int, values := tuple(values)))
+        values = tuple(values)
+        if set(map(type, values)) <= {int}:
+            return values
+        ints = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
         ints = None
     if ints is None or ints != values:
@@ -628,11 +658,12 @@ def _sieve_members(kind: str, hi: int, old: ElementView | None = None) -> Elemen
     It grows from ``old``, the kind's view up to a smaller horizon h0, or
     from nothing (h0 = 0), so a fresh build takes the same path: old's
     members are copied, and only the integers in (h0, hi] are sieved and
-    decoded; the size cap counts the whole new view.  Old's members are held
-    only until they are copied.  Its tables, which extend (``_View.table``),
+    decoded into uint32 members (every sieve horizon is below 2^32); the size
+    cap counts the whole new view.  Old's members are held only until they
+    are copied.  Its tables, which extend (``_View.table``),
     are carried over in a copy of its dict, so old itself is not changed."""
     if old is None:  # the view of nothing, up to 0
-        old = ElementView(0, np.empty(0, dtype=np.int64))
+        old = ElementView(0, np.empty(0, dtype=np.uint32))
     h0, members_below, tables = old.horizon, old.starts, dict(old._tables)
     old = None
     # Pass 1 sieves and counts each segment and packs it into one temporary
@@ -650,12 +681,12 @@ def _sieve_members(kind: str, hi: int, old: ElementView | None = None) -> Elemen
         del seg  # not held while the next one is sieved
         b0 = (lo - h0 - 1) // 8
         octets[b0 : b0 + len(packed)] = packed
-    arr = np.empty(total, dtype=np.int64)
+    arr = np.empty(total, dtype=np.uint32)
     pos = len(members_below)
     arr[:pos], members_below = members_below, None
     for b0 in range(0, len(octets), 1 << 13):  # the bits past hi are zero
         offsets = np.flatnonzero(np.unpackbits(octets[b0 : b0 + (1 << 13)], bitorder="little"))
-        np.add(offsets, h0 + 1 + 8 * b0, out=arr[pos : pos + len(offsets)])
+        np.add(offsets, h0 + 1 + 8 * b0, out=arr[pos : pos + len(offsets)], casting="unsafe")  # all below 2^32
         pos += len(offsets)
     arr.flags.writeable = False
     return ElementView(hi, arr, tables)

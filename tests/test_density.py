@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -354,6 +355,18 @@ def test_strided_reads_have_the_bits_of_a_row_per_member(rng, monkeypatch, chunk
             assert np.array_equal(s.view(np.int64), full._s[ask].view(np.int64)), (spec, ask)
             assert np.array_equal(c.view(np.int64), full._c[ask].view(np.int64)), (spec, ask)
         assert len(table._s) == len(a) // stride + 1
+    # counts spread far apart carry a (depth, counts) array on, by np.cumsum
+    # or row by row, depth - 1 being the most weights past a kept row: every
+    # depth up to STRIDE has the bits of the full table (a is sf's members
+    # up to 5000)
+    for depth, row_adds in itertools.product(range(1, stride + 1), (1, 1 << 30)):
+        monkeypatch.setattr(numerics, "_ROW_ADDS", row_adds)
+        ask = rng.randint(0, len(a) // stride, size=64) * stride + rng.randint(0, depth, size=64)
+        ask[:2] = depth - 1, (len(a) // stride - 1) * stride + depth - 1
+        assert ask.max() - ask.min() > stride * len(ask)  # not one sorted pass
+        s, c = table.carried(ask, intset._member_weights(a, 1.0))
+        assert np.array_equal(s.view(np.int64), full._s[ask].view(np.int64)), (depth, row_adds)
+        assert np.array_equal(c.view(np.int64), full._c[ask].view(np.int64)), (depth, row_adds)
     views.clear()
     fresh = sf.view(5000).sums_table(1.0)
     assert np.array_equal(table._s.view(np.int64), fresh._s.view(np.int64))  # the table extended to 5000
@@ -819,14 +832,16 @@ def test_a_sieve_view_grows_without_its_per_member_table(monkeypatch):
     # (0.3 MB; one row per member took 4.9 MB), are carried over to the
     # larger sieve view and extended there, so the growth and the log
     # profile at H peak no more above what was held before them than a
-    # fresh build at H less that table, and the extended table has the bits
-    # of a fresh one
+    # fresh build and log profile at H less that table, and the extended
+    # table has the bits of a fresh one.  (With 4-byte members the fresh
+    # build alone no longer outweighs the profile's chunk buffers.)
     spec, H, slack = IntegerSetSpec.squarefree(), 10**6, 2**20
     views = {}
     monkeypatch.setattr(intset, "_VIEWS", views)
     tracemalloc.start()
     try:
         spec.view(H)
+        log_profile(spec, H, [H])
         fresh = tracemalloc.get_traced_memory()[1]
         views.clear()
         base = tracemalloc.get_traced_memory()[0]
@@ -1001,7 +1016,7 @@ def test_reciprocal_sums_hold_one_byte_per_member(monkeypatch):
 
 def test_bd_temporaries_are_one_chunk_long(monkeypatch):
     # the count scan's blocks stop doubling at _CHUNK members, so its largest
-    # temporary is one int64 difference per member of a chunk (512 KiB), not
+    # temporary is one difference per member of a chunk (256 KiB in uint32), not
     # of all 607,926 members of squarefree at 1e6
     spec, H = IntegerSetSpec.squarefree(), 10**6
     monkeypatch.setattr(intset, "_VIEWS", {})
@@ -1034,3 +1049,96 @@ def test_a_larger_table_is_built_without_the_smaller_one():
 
     fresh = peak(IntegerSetSpec.explicit(range(2, H + 1, 2)), [H])
     assert peak(IntegerSetSpec.explicit(range(1, H + 1, 2)), [H // 2, H]) <= fresh + slack
+
+
+# ---------------------------------------------------------------------------
+# uint32 members
+# ---------------------------------------------------------------------------
+
+
+def _bits(value):
+    # floats by their bits, containers item by item, integers as ints
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    return float(value).hex() if isinstance(value, float) else int(value)
+
+
+def _every_functional(spec, H):
+    grid = (2, 3, 5, 11, 64)
+    return (counting_profile(spec, "upper", H).checkpoints, log_profile(spec, H).checkpoints,
+            count_extremes(spec, H), lbd_profile(spec, 64, H),
+            [banach_window_sup_at(spec, n, H) for n in grid], [bd_estimate_at(spec, n, H) for n in grid],
+            [bdm_window_sup_at(spec, m, n, H) for m in (1, 2, 3) for n in (1, 2, 5, 16)])
+
+
+@pytest.mark.parametrize("kind", ["squarefree", "primes", "even"])
+def test_uint32_views_give_the_bits_of_int64_members(kind, monkeypatch):
+    # every functional on the uint32 view of a sieve kind or even, and on
+    # its clips, gives the (value, k*) bits of an int64 array of the same
+    # members
+    spec, H = IntegerSetSpec(kind), 3000
+    views = {}
+    monkeypatch.setattr(intset, "_VIEWS", views)
+    got = [_bits(_every_functional(spec, h)) for h in (H, 1000, 97)]
+    members = views[spec].starts
+    assert members.dtype == np.uint32 and views[spec].horizon == H
+    views[spec] = ElementView(H, members.astype(np.int64))
+    assert [_bits(_every_functional(spec, h)) for h in (H, 1000, 97)] == got
+
+
+def test_every_member_search_gets_keys_of_the_member_dtype(monkeypatch, rng):
+    # numpy converts a whole uint32 member array to search it with int64 or
+    # Python-int keys, so every search of the members of a sieve kind or even
+    # gets uint32 keys; an explicit view's int64 members get int64 keys
+    keys = []
+
+    class SpiedMembers(np.ndarray):
+        # np.searchsorted calls the array's own method too
+        def searchsorted(self, v, *args, **kwargs):
+            keys.append((self.dtype, np.asarray(v).dtype))
+            return super().searchsorted(v, *args, **kwargs)
+
+    H, views = 10**5, {}
+    monkeypatch.setattr(intset, "_VIEWS", views)
+    specs = [IntegerSetSpec.squarefree(), IntegerSetSpec.primes(), EVEN, random_explicit(rng, H, 0.1)]
+    for spec, dtype in zip(specs, (np.uint32, np.uint32, np.uint32, np.int64)):
+        spec.view(H)
+        cached = views[spec]  # the views read are it or its clips
+        cached.starts = cached.ends = cached.starts.view(SpiedMembers)
+        del keys[:]
+        for h in (H, H // 3):
+            _every_functional(spec, h)
+            lbd_profile(spec, 1000, h)
+            spec.members(7, h)
+        assert keys and set(keys) == {(np.dtype(dtype), np.dtype(dtype))}, spec.kind
+
+
+def test_cli_functionals_hold_four_plus_one_bytes_per_member(monkeypatch):
+    # squarefree at 1e6 holds its 607,926 members at 4 bytes each, and each
+    # of the density CLI's functionals peaks within (4 + 1) bytes per member
+    # (the members and the reciprocal sums kept at every STRIDE-th member)
+    # and a few chunk-long temporaries: int64 members, or one search that
+    # converts the members to int64, goes past it
+    spec, H, slack = IntegerSetSpec.squarefree(), 10**6, 3 * 2**20
+    grid = numerics.geometric_grid(2, 1000)
+    monkeypatch.setattr(intset, "_VIEWS", {})
+    steps = {
+        "count": lambda: counting_profile(spec, "upper", H),
+        "log": lambda: log_profile(spec, H),
+        "bd": lambda: [bd_estimate_at(spec, n, H) for n in grid],
+        "banach": lambda: lbd_profile(spec, 1000, H),
+        "bd_m": lambda: [bdm_window_sup_at(spec, 2, n, H) for n in grid],
+    }
+    tracemalloc.start()
+    try:
+        members = spec.view(H).starts
+        assert members.nbytes == 4 * len(members) == 4 * 607_926
+        bound = 5 * len(members) + slack
+        members = None
+        assert tracemalloc.get_traced_memory()[1] <= bound  # the sieve build
+        for name, step in steps.items():
+            tracemalloc.reset_peak()
+            step()
+            assert tracemalloc.get_traced_memory()[1] <= bound, name
+    finally:
+        tracemalloc.stop()

@@ -140,7 +140,7 @@ def empty_view_cache(monkeypatch):
 def test_sieve_build_vs_trial_division(kind, brute):
     for hi in (1, 2, 3, 4, 9, 10, 97, 2000):
         got = intset._sieve_members(kind, hi).starts
-        assert got.dtype == np.int64 and got.tolist() == brute(hi)
+        assert got.dtype == np.uint32 and got.tolist() == brute(hi)
 
 
 @pytest.mark.parametrize("kind", ["squarefree", "primes"])
@@ -150,7 +150,7 @@ def test_sieve_build_at_segment_edges(kind, k, delta):
     hi = k * intset._SEGMENT + delta
     got = intset._sieve_members(kind, hi).starts
     want = np.flatnonzero(intset._sieve_segment(kind, 1, hi)) + 1
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert got.dtype == np.uint32 and np.array_equal(got, want)
     assert not got.flags.writeable
 
 
@@ -181,7 +181,7 @@ def _check_members(view, want):
     # as one array and, within 130 of 0, the horizon and each segment edge,
     # as scalars
     want = [x for x in want if x <= view.horizon]
-    assert view.starts.dtype == np.int64 and view.starts.tolist() == want and not view.starts.flags.writeable
+    assert view.starts.dtype == np.uint32 and view.starts.tolist() == want and not view.starts.flags.writeable
     xs = np.arange(view.horizon + 1, dtype=np.int64)
     oracle = [bisect_right(want, x) for x in xs.tolist()]
     assert view.count_le(xs).tolist() == oracle
@@ -229,13 +229,56 @@ def test_sieve_scalar_count_le(kind, empty_view_cache):
                 assert int(v.count_le(q)) == bisect_right(want, x), (v.horizon, repr(q))
 
 
+@pytest.mark.parametrize("kind", ["squarefree", "primes", "even"])
+def test_uint32_count_le_at_and_past_the_uint32_range(kind, empty_view_cache):
+    # keys are clipped to [0, 2^32 - 1] before the uint32 members are
+    # searched, so keys at and past 2^32 count every member instead of
+    # wrapping or raising, as scalars (Python ints and int64) and as arrays
+    H = 5000
+    view = IntegerSetSpec(kind).view(H)
+    size = len(view.starts)
+    assert view.starts.dtype == np.uint32 and size
+    xs = [0, H, 2**32 - 1, 2**32, 2**40]
+    want = [0, size, size, size, size]
+    assert [int(view.count_le(x)) for x in xs] == want
+    assert [int(view.count_le(np.int64(x))) for x in xs] == want
+    assert view.count_le(np.array(xs, dtype=np.int64)).tolist() == want
+    assert view.clip(H // 2).count_le(np.array(xs, dtype=np.int64)).tolist() == [0] + [view.count_le(H // 2)] * 4
+
+
+@pytest.mark.parametrize("spec", [IntegerSetSpec.squarefree(), IntegerSetSpec.primes(), IntegerSetSpec.even(),
+                                  IntegerSetSpec.explicit([3, 5, 8, 2**40]), IntegerSetSpec.full()])
+def test_materialize_returns_an_int64_copy(spec, empty_view_cache):
+    # uint32 members come out widened, so callers may multiply them; every
+    # kind returns a fresh int64 array of the members in [lo, hi]
+    got = materialize(spec, 3, 5000)
+    assert got.dtype == np.int64 and got.flags.writeable
+    assert got.tolist() == [x for x in range(3, 5001) if spec.contains(x)]
+    got[:] = 0
+    assert materialize(spec, 3, 5000).tolist() == [x for x in range(3, 5001) if spec.contains(x)]
+
+
+def test_explicit_elements_are_checked_without_copies():
+    # a tuple of ints is kept as it is, without a copy; a list that breaks
+    # both rules is named not positive before not increasing
+    elems = (1, 4, 9)
+    assert IntegerSetSpec("explicit", elements=elems).elements is elems
+    assert IntegerSetSpec("explicit", elements=[True, 2.0, 3]).elements == (1, 2, 3)
+    for bad, message in [((0, 1), "positive"), ((5, 0), "positive"), ((0, 0), "positive"), ((-1,), "positive"),
+                         ((3, 2), "strictly increasing"), ((1, 1), "strictly increasing"),
+                         ((1, 2.5), "must be integers"), ((1, "2"), "must be integers"), (5, "must be integers")]:
+        with pytest.raises(ValidationError, match=message):
+            IntegerSetSpec("explicit", elements=bad)
+
+
 def test_sieve_view_holds_nothing_sized_by_the_horizon(empty_view_cache):
-    # an element view's arrays are its members, 8 bytes each, and its sum
-    # tables, kept at every STRIDE-th member: no array grows with the horizon
+    # an element view's arrays are its members, 4 bytes each (uint32), and
+    # its sum tables, kept at every STRIDE-th member: no array grows with the
+    # horizon
     view = IntegerSetSpec.squarefree().view(10**6)
     view.sums_table(1.0)
     arrays = {id(a): a for a in vars(view).values() if isinstance(a, np.ndarray)}
-    assert sum(a.nbytes for a in arrays.values()) == 8 * len(view.starts) == 8 * 607_926
+    assert sum(a.nbytes for a in arrays.values()) == 4 * len(view.starts) == 4 * 607_926
     rows = len(view.starts) // numerics.STRIDE + 1
     assert [(len(t._s), len(t._c)) for _, t in view._tables.values()] == [(rows, rows)]
 
