@@ -248,9 +248,7 @@ def _window_max(view, kmax: int, tops, sums: bool = False):
     """The best window [k, tops(k)] over 1 <= k <= kmax on a set view, as
     (value, k): the value is the count of members in the window (block views
     only; ``_count_max`` answers element views), or, with ``sums``, their
-    reciprocal sum.  ``tops`` takes an int or an array of candidates, a
-    slice of the view's starts (uint32 on a sieve or ``even`` view), and
-    computes in int64, where uint32 would wrap.
+    reciprocal sum.
 
     The window functionals here never fall while k steps over a non-member
     and never rise while it steps over a member, so the maximum is attained
@@ -357,7 +355,7 @@ def _count_max(view, kmax: int, n: int) -> tuple[int, int]:
         idx = np.flatnonzero(a[lo + best : hi + best] - a[lo:hi] <= n) + lo
         size *= 2
         if len(idx):  # a[idx] <= kmax: the tops a[idx] + n stay within the horizon
-            counts = view.count_le(np.add(a[idx], n, dtype=np.int64)) - idx  # uint32 sums would wrap
+            counts = view.count_le(a[idx] + n) - idx
             i = int(np.argmax(counts))
             best, first, size = int(counts[i]), int(idx[i]), _FIRST_BLOCK
         lo = hi
@@ -384,8 +382,7 @@ def banach_window_sup_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[fl
     if n > horizon:
         raise DomainError("need n <= horizon")
     view = spec.view(horizon)
-    # the tops (k - 1) n + (n - 1) in int64, also from uint32 starts, stay below 2^63 where k n reaches it
-    value, k1 = _window_max(view, (horizon + 1) // n, lambda k: (k - np.int64(1)) * n + (n - 1), sums=True)
+    value, k1 = _window_max(view, (horizon + 1) // n, lambda k: (k - 1) * n + (n - 1), sums=True)
     i = int(view.blocks_le(k1 * n - 1))
     p = min(int(view.ends[i - 1]), k1 * n - 1) if i else 0
     return float(value), p // n + 1

@@ -50,9 +50,6 @@ SIEVE_HORIZON = 10**9
 MEMBERSHIP_HORIZON = 10**12
 # Refuse to materialize element arrays beyond this many entries.
 MATERIALIZE_LIMIT = 1 << 27
-# The largest uint32: the sieve kinds' and even's members, below
-# SIEVE_HORIZON and 2 * MATERIALIZE_LIMIT, are held as uint32.
-_UINT32_TOP = 2**32 - 1
 
 _SIEVE_KINDS = ("squarefree", "primes")
 _KINDS = ("explicit", "interval_union", "squarefree", "primes", "full", "even", "example2")
@@ -195,11 +192,9 @@ def _member_weights(a: np.ndarray, beta: float):
 class ElementView(_View):
     """The members of a set up to a horizon as a sorted array, each a block
     of its own: ``starts`` and ``ends`` are that array, uint32 for the sieve
-    kinds and ``even`` (4 bytes per member; their horizons stay below 2^32)
-    and int64 for ``explicit``.  It holds nothing else but its sum tables,
-    and counts by binary search in ``count_le``, the one place that searches
-    the members.  Arithmetic on members widens them to int64 first: uint32
-    sums wrap past 2^32."""
+    kinds and ``even`` (4 bytes per member) and int64 for ``explicit``.  It
+    holds nothing else but its sum tables, and counts by binary search in
+    ``count_le``, the one place that searches the members."""
 
     def __init__(self, horizon: int, members: np.ndarray, tables: dict | None = None):
         self.horizon, self._tables = horizon, {} if tables is None else tables
@@ -219,18 +214,19 @@ class ElementView(_View):
         return self.table(beta, self.horizon, build)
 
     def count_le(self, x):
-        """|A cap [1, x]| for each x (int64 array or scalar).  On uint32
-        members the keys are clipped to [0, 2^32 - 1] and cast to uint32
-        first: numpy converts the whole member array on every search with
-        keys of another dtype, and no member lies outside that range."""
+        """|A cap [1, x]| for each x (array or scalar).  On uint32 members
+        other keys are clipped to [0, horizon] and cast to uint32 first:
+        numpy converts the whole member array on every search with keys of
+        another dtype, and no member lies outside that range.  A uint32 view
+        exists only where the horizon is below 2^32, so neither its keys nor
+        the window tops computed from its members wrap."""
         a = self.starts
-        if a.dtype.kind == "u":  # a scalar key reads no attribute of the lazy np (0.5 µs each)
+        if a.dtype.kind == "u" and getattr(x, "dtype", None) != a.dtype:
             if getattr(x, "ndim", 0):
                 x = np.maximum(x, 0)
-                x = np.minimum(x, _UINT32_TOP, out=x).astype(a.dtype)
-            else:
-                x = int(x)
-                x = a.dtype.type(x if 0 <= x <= _UINT32_TOP else _UINT32_TOP if x > 0 else 0)
+                x = np.minimum(x, self.horizon, out=x).astype(a.dtype)
+            else:  # a scalar key reads no attribute of the lazy np (0.5 µs each)
+                x = a.dtype.type(min(max(int(x), 0), self.horizon))
         return a.searchsorted(x, side="right")
 
     def blocks_le(self, x):

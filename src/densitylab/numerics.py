@@ -73,10 +73,6 @@ _ROWS = 1 << 10
 _CHUNK = 1 << 16
 # Entry counts between the kept rows of a table read by ``carried``.
 STRIDE = 16
-# Counts from which ``carried`` adds its (depth, counts) array row by row:
-# at depth 16 on a 2-core x86 machine, np.cumsum took 22 µs and the rows
-# 25 µs at 256 counts, and 372 and 43 µs at 4,096.
-_ROW_ADDS = 256
 
 
 class PrefixSums:
@@ -163,7 +159,7 @@ def _two_sum(seg_s: np.ndarray, seg_c: np.ndarray, w: np.ndarray) -> None:
     """Carry the running sums in seg_s[0] and seg_c[0] on over the weights w,
     in place along axis 0: row i gets the sums after i weights (TwoSum)."""
     seg_s[1:] = w
-    _cumsum(seg_s)
+    np.cumsum(seg_s, axis=0, out=seg_s)
     # TwoSum error of each step seg_s[i + 1] = seg_s[i] + w[i], in seg_c[1:]
     s0, s1, e = seg_s[:-1], seg_s[1:], seg_c[1:]
     np.subtract(s1, s0, out=e)
@@ -171,18 +167,7 @@ def _two_sum(seg_s: np.ndarray, seg_c: np.ndarray, w: np.ndarray) -> None:
     np.subtract(s0, t, out=t)
     np.subtract(w, e, out=e)
     e += t
-    _cumsum(seg_c)
-
-
-def _cumsum(a: np.ndarray) -> None:
-    """The running sums of ``a`` along axis 0, in place.  ``np.cumsum`` runs
-    a (depth, counts) array down one column at a time, so one add per row,
-    with the same bits, is faster from _ROW_ADDS counts on."""
-    if a.ndim == 1 or a.shape[1] < _ROW_ADDS:
-        np.cumsum(a, axis=0, out=a)
-    else:
-        for i in range(1, len(a)):
-            np.add(a[i - 1], a[i], out=a[i])
+    np.cumsum(seg_c, axis=0, out=seg_c)
 
 
 def power_sums(lo, hi, beta: float) -> np.ndarray:

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -355,18 +354,16 @@ def test_strided_reads_have_the_bits_of_a_row_per_member(rng, monkeypatch, chunk
             assert np.array_equal(s.view(np.int64), full._s[ask].view(np.int64)), (spec, ask)
             assert np.array_equal(c.view(np.int64), full._c[ask].view(np.int64)), (spec, ask)
         assert len(table._s) == len(a) // stride + 1
-    # counts spread far apart carry a (depth, counts) array on, by np.cumsum
-    # or row by row, depth - 1 being the most weights past a kept row: every
-    # depth up to STRIDE has the bits of the full table (a is sf's members
-    # up to 5000)
-    for depth, row_adds in itertools.product(range(1, stride + 1), (1, 1 << 30)):
-        monkeypatch.setattr(numerics, "_ROW_ADDS", row_adds)
+    # counts spread far apart carry a (depth, counts) array on, depth - 1
+    # being the most weights past a kept row: every depth up to STRIDE has
+    # the bits of the full table (a is sf's members up to 5000)
+    for depth in range(1, stride + 1):
         ask = rng.randint(0, len(a) // stride, size=64) * stride + rng.randint(0, depth, size=64)
         ask[:2] = depth - 1, (len(a) // stride - 1) * stride + depth - 1
         assert ask.max() - ask.min() > stride * len(ask)  # not one sorted pass
         s, c = table.carried(ask, intset._member_weights(a, 1.0))
-        assert np.array_equal(s.view(np.int64), full._s[ask].view(np.int64)), (depth, row_adds)
-        assert np.array_equal(c.view(np.int64), full._c[ask].view(np.int64)), (depth, row_adds)
+        assert np.array_equal(s.view(np.int64), full._s[ask].view(np.int64)), depth
+        assert np.array_equal(c.view(np.int64), full._c[ask].view(np.int64)), depth
     views.clear()
     fresh = sf.view(5000).sums_table(1.0)
     assert np.array_equal(table._s.view(np.int64), fresh._s.view(np.int64))  # the table extended to 5000

@@ -231,7 +231,7 @@ def test_sieve_scalar_count_le(kind, empty_view_cache):
 
 @pytest.mark.parametrize("kind", ["squarefree", "primes", "even"])
 def test_uint32_count_le_at_and_past_the_uint32_range(kind, empty_view_cache):
-    # keys are clipped to [0, 2^32 - 1] before the uint32 members are
+    # keys are clipped to [0, horizon] before the uint32 members are
     # searched, so keys at and past 2^32 count every member instead of
     # wrapping or raising, as scalars (Python ints and int64) and as arrays
     H = 5000
