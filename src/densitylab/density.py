@@ -65,12 +65,11 @@ kept row instead of starting again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import numerics
 from ._np import numpy as np
 from .errors import DomainError, ValidationError
-from .intset import BlockView, ElementView, IntegerSetSpec, _member_weights
+from .intset import BlockView, ElementView, IntegerSetSpec, _member_weights, _Value
 from .numerics import PrefixSums, floor_nth_root, geometric_grid
 
 __all__ = [
@@ -92,23 +91,21 @@ __all__ = [
 FUNCTIONALS = ("upper_count", "lower_count", "upper_log", "lower_log", "banach", "banach_log", "bd_m")
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(_Value):
     """Checkpoint sequence (n, value) for one density functional."""
 
-    functional: str
-    horizon: int
-    checkpoints: tuple[tuple[int, float], ...]
-    m: int | None = None
+    _fields = ("functional", "horizon", "checkpoints", "m")
 
-    def __post_init__(self):
-        if self.functional not in FUNCTIONALS:
-            raise ValidationError(f"unknown functional {self.functional!r}")
-        ns = [n for n, _ in self.checkpoints]
+    def __init__(self, functional: str, horizon: int, checkpoints: tuple[tuple[int, float], ...],
+                 m: int | None = None):
+        if functional not in FUNCTIONALS:
+            raise ValidationError(f"unknown functional {functional!r}")
+        ns = [n for n, _ in checkpoints]
         if ns != sorted(ns):
             raise ValidationError("checkpoints must be sorted by n")
-        if any(v < 0 for _, v in self.checkpoints):
+        if any(v < 0 for _, v in checkpoints):
             raise ValidationError("density values are nonnegative")
+        self.__dict__.update(functional=functional, horizon=horizon, checkpoints=checkpoints, m=m)
 
     @property
     def final_value(self) -> float:
@@ -411,8 +408,10 @@ def lbd_estimate(spec: IntegerSetSpec, n_max: int, horizon: int) -> float:
     return min(v for _, _, v in rows)
 
 
-def bd_estimate_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, int]:
-    """(max over k <= H-n of |A cap [k, k+n]|/(n+1), k*).
+def bd_estimate_at(spec: IntegerSetSpec, n: int, horizon: int, *, count: bool = False) -> tuple[float, int]:
+    """(max over k <= H-n of |A cap [k, k+n]|/(n+1), k*), or with ``count``
+    (max |A cap [k, k+n]|, k*): the integer count, which bd_m at m = 1
+    divides by n, so the CLI's bd and bd_m rows share one pass.
 
     ``_count_max`` evaluates the members (on a block view, at the block
     starts) and H-n, so k* is the smallest member k reaching the maximum, or
@@ -425,7 +424,7 @@ def bd_estimate_at(spec: IntegerSetSpec, n: int, horizon: int) -> tuple[float, i
     if not 1 <= n < horizon:
         raise DomainError("need 1 <= n < horizon")
     best, k_star = _count_max(spec.view(horizon), horizon - n, n)
-    return best / (n + 1), k_star
+    return (best if count else best / (n + 1)), k_star
 
 
 def bd_estimate(spec: IntegerSetSpec, n: int, horizon: int) -> float:
@@ -441,7 +440,7 @@ def bd_estimate(spec: IntegerSetSpec, n: int, horizon: int) -> float:
 def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tuple[float, int]:
     """Maximum over k of (1/(m n)) sum_{x in A cap [k, (ceil(k^(1/m))+n)^m]} x^(-(m-1)/m).
 
-    m = 1 is the window count scan of ``bd_estimate_at`` (same k*), divided
+    m = 1 is the window count of ``bd_estimate_at`` (same k*), divided
     by n.  For m >= 2, integer m-th roots are exact (binary search); the value
     is non-increasing while ceil(k^(1/m)) stays fixed, so only the left
     endpoint of each root segment (plus k = 1) needs evaluation, which makes
@@ -459,10 +458,9 @@ def bdm_window_sup_at(spec: IntegerSetSpec, m: int, n: int, horizon: int) -> tup
         raise DomainError("horizon must be >= 1")
 
     if m == 1:
-        kmax = horizon - n
-        if kmax < 1:
+        if n >= horizon:  # no k <= H - n
             return 0.0, 0
-        best, k_star = _count_max(spec.view(horizon), kmax, n)
+        best, k_star = bd_estimate_at(spec, n, horizon, count=True)
         return best / n, k_star
 
     root = floor_nth_root(horizon, m)

@@ -24,7 +24,6 @@ import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 
@@ -57,8 +56,39 @@ _KINDS = ("explicit", "interval_union", "squarefree", "primes", "full", "even", 
 _PARAMS = {"explicit": ("elements",), "interval_union": ("intervals",), "example2": ("j", "depth")}
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class _Value:
+    """Field-wise ``==``, hash and repr over the names in ``_fields``, and no
+    attribute assignment: the set, interval and window types are cache keys
+    or parts of one, and the reports and witnesses built from them are
+    values too.  ``__init__`` writes the fields into the instance's
+    ``__dict__``, past ``__setattr__``, as a pickle restores them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntervalSet(_Value):
     """Sorted disjoint union of integer intervals [a_i, b_i].
 
     Components are normalized on construction: sorted, overlapping or
@@ -66,11 +96,11 @@ class IntervalSet:
     (a_{i+1} > b_i + 1).
     """
 
-    components: tuple[tuple[int, int], ...]
+    _fields = ("components",)
 
-    def __post_init__(self):
+    def __init__(self, components: tuple[tuple[int, int], ...]):
         merged: list[tuple[int, int]] = []
-        for a, b in sorted(_integers(pair, "interval endpoints") for pair in self.components):
+        for a, b in sorted(_integers(pair, "interval endpoints") for pair in components):
             if a < 1 or b < a:
                 raise ValidationError(f"bad interval [{a}, {b}]")
             if merged and a <= merged[-1][1] + 1:
@@ -78,7 +108,7 @@ class IntervalSet:
                 merged[-1] = (pa, max(pb, b))
             else:
                 merged.append((a, b))
-        object.__setattr__(self, "components", tuple(merged))
+        self.__dict__["components"] = tuple(merged)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -127,18 +157,17 @@ class IntervalSet:
         return cls(tuple(pairs))
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Value):
     """Scan window [k, N*k] with normalizer ln N."""
 
-    k: int
-    N: int
+    _fields = ("k", "N")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, N: int):
+        if k < 1:
             raise ValidationError("window start k must be >= 1")
-        if self.N < 2:
+        if N < 2:
             raise ValidationError("window span N must be >= 2 (ln N > 0)")
+        self.__dict__.update(k=k, N=N)
 
     @property
     def lo(self) -> int:
@@ -302,53 +331,48 @@ def _example2_blocks(j: int, depth: int) -> tuple[tuple[int, int], ...]:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class IntegerSetSpec:
+class IntegerSetSpec(_Value):
     """Declarative integer set: kind plus kind-dependent parameters."""
 
-    kind: str
-    elements: tuple[int, ...] = ()
-    intervals: IntervalSet | None = None
-    j: int = 0
-    depth: int = 0
+    _fields = ("kind", "elements", "intervals", "j", "depth")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown set kind {self.kind!r}")
-        if self.kind == "explicit":
-            elems = _integers(self.elements, "explicit elements")
-            increasing = all(map(operator.lt, elems, islice(elems, 1, None)))
-            if elems and (elems[0] if increasing else min(elems)) < 1:  # the least element
+    def __init__(self, kind: str, elements: tuple[int, ...] = (), intervals: IntervalSet | None = None,
+                 j: int = 0, depth: int = 0):
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown set kind {kind!r}")
+        if kind == "explicit":
+            elements = _integers(elements, "explicit elements")
+            increasing = all(map(operator.lt, elements, islice(elements, 1, None)))
+            if elements and (elements[0] if increasing else min(elements)) < 1:  # the least element
                 raise ValidationError("explicit elements must be positive")
             if not increasing:
                 raise ValidationError("explicit elements must be strictly increasing")
-            object.__setattr__(self, "elements", elems)
-        elif self.elements:
+        elif elements:
             raise ValidationError("elements only valid for kind 'explicit'")
-        if self.kind == "interval_union":
-            if self.intervals is None:
+        if kind == "interval_union":
+            if intervals is None:
                 raise ValidationError("interval_union requires intervals")
-        elif self.intervals is not None:
+        elif intervals is not None:
             raise ValidationError("intervals only valid for kind 'interval_union'")
-        if self.kind == "example2":
-            for name, value in zip(("j", "depth"), _integers((self.j, self.depth), "example2 j and depth")):
-                object.__setattr__(self, name, value)
-            if self.j < 2:
+        if kind == "example2":
+            j, depth = _integers((j, depth), "example2 j and depth")
+            if j < 2:
                 raise ValidationError("example2 requires j >= 2")
-            if self.depth < 0:
+            if depth < 0:
                 raise ValidationError("example2 requires depth >= 0")
-        elif self.j or self.depth:
+        elif j or depth:
             raise ValidationError("j/depth only valid for kind 'example2'")
+        self.__dict__.update(kind=kind, elements=elements, intervals=intervals, j=j, depth=depth)
         # Block starts and ends in Python ints, set once for every kind with
         # blocks: full is the one block [1, inf), explicit its singletons.
-        if self.kind == "full":
+        if kind == "full":
             blocks = ([1], [math.inf])
-        elif self.kind == "explicit":
-            blocks = (self.elements, self.elements)
+        elif kind == "explicit":
+            blocks = (elements, elements)
         else:
             union = self.block_union()
             blocks = union if union is None else ([a for a, _ in union.components], [b for _, b in union.components])
-        object.__setattr__(self, "_blocks", blocks)
+        self.__dict__["_blocks"] = blocks
 
     # -- constructors ------------------------------------------------------
 
@@ -553,7 +577,7 @@ class IntegerSetSpec:
             if key not in _PARAMS.get(kind, ()):
                 raise ValidationError(f"{kind} params take no key {key!r}")
         if kind == "explicit":
-            return cls("explicit", elements=params.get("elements", ()))  # __post_init__ converts them
+            return cls("explicit", elements=params.get("elements", ()))  # __init__ converts them
         if kind == "interval_union":
             return cls("interval_union", intervals=IntervalSet.from_json(params.get("intervals", [])))
         if kind == "example2":

@@ -22,12 +22,11 @@ derived from ln(s+1) - ln(r) <= sum_{i=r}^{s} 1/i <= ln(s) - ln(r-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._np import np
 from .errors import DomainError, ValidationError
-from .intset import IntervalSet, Window, classify, invert_intervals
+from .intset import IntervalSet, Window, _Value, classify, invert_intervals
 from .numerics import ceil_nth_root, harmonic_range, power_sum_range, round12
 
 __all__ = [
@@ -52,17 +51,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RatioCut:
+class RatioCut(_Value):
     """Multiplicative tolerance rho >= 1, kept exact as a Fraction."""
 
-    rho: Fraction
+    _fields = ("rho",)
 
-    def __post_init__(self):
-        rho = self.rho if isinstance(self.rho, Fraction) else Fraction(self.rho)
+    def __init__(self, rho: Fraction):
+        rho = rho if isinstance(rho, Fraction) else Fraction(rho)
         if rho < 1:
             raise ValidationError("ratio cut requires rho >= 1")
-        object.__setattr__(self, "rho", rho)
+        self.__dict__["rho"] = rho
 
     @property
     def log_rho(self) -> float:
@@ -72,8 +70,7 @@ class RatioCut:
         return RatioCut(self.rho * self.rho)
 
 
-@dataclass(frozen=True)
-class WindowMeasureReport:
+class WindowMeasureReport(_Value):
     """A window measure value together with its summation error bound.
 
     Values lie in [0, 1 + 5/ln N]: subsets of the window cannot exceed the
@@ -81,16 +78,15 @@ class WindowMeasureReport:
     correction (at most 5/ln N for every supported window).
     """
 
-    window: Window
-    value: float
-    error_bound: float
+    _fields = ("window", "value", "error_bound")
 
-    def __post_init__(self):
-        if self.error_bound < 0:
+    def __init__(self, window: Window, value: float, error_bound: float):
+        if error_bound < 0:
             raise ValidationError("error bound must be nonnegative")
-        cap = 1.0 + 5.0 / self.window.log_span
-        if not -self.error_bound <= self.value <= cap + self.error_bound:
+        cap = 1.0 + 5.0 / window.log_span
+        if not -error_bound <= value <= cap + error_bound:
             raise ValidationError("measure outside [0, 1 + 5/ln N]")
+        self.__dict__.update(window=window, value=value, error_bound=error_bound)
 
     def to_json(self) -> dict:
         return {
@@ -180,12 +176,11 @@ def equivalent(cut: RatioCut, a: int, b: int) -> bool:
     return hi * cut.rho.denominator <= lo * cut.rho.numerator
 
 
-@dataclass(frozen=True)
-class ScaleCheckReport:
-    nu_source: float
-    nu_image: float
-    discrepancy: float
-    bound: float
+class ScaleCheckReport(_Value):
+    _fields = ("nu_source", "nu_image", "discrepancy", "bound")
+
+    def __init__(self, nu_source: float, nu_image: float, discrepancy: float, bound: float):
+        self.__dict__.update(nu_source=nu_source, nu_image=nu_image, discrepancy=discrepancy, bound=bound)
 
     def to_json(self) -> dict:
         return {
@@ -225,12 +220,11 @@ def invert_point(n: int, u: int) -> int:
     return n // u
 
 
-@dataclass(frozen=True)
-class InversionCheckReport:
-    nu_set: float
-    nu_inverse: float
-    discrepancy: float
-    bound: float
+class InversionCheckReport(_Value):
+    _fields = ("nu_set", "nu_inverse", "discrepancy", "bound")
+
+    def __init__(self, nu_set: float, nu_inverse: float, discrepancy: float, bound: float):
+        self.__dict__.update(nu_set=nu_set, nu_inverse=nu_inverse, discrepancy=discrepancy, bound=bound)
 
     def to_json(self) -> dict:
         return {

@@ -26,11 +26,10 @@ only; the result is identical to evaluating every candidate in full.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._np import np
 from .errors import CapacityError, DomainError
-from .intset import IntegerSetSpec
+from .intset import IntegerSetSpec, _Value
 from .numerics import geometric_grid
 
 __all__ = ["GapReport", "products_in", "max_gap_ratio", "gap_witness"]
@@ -42,21 +41,17 @@ _CHUNK = 1 << 23
 EXACT_SCAN_MAX_PRODUCTS = 4096
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(_Value):
     """Gap analysis of A*B over the window [x, n*x]."""
 
-    n: int
-    x: int
-    m: int
-    products_examined: int
-    window: tuple[int, int]
+    _fields = ("n", "x", "m", "products_examined", "window")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, n: int, x: int, m: int, products_examined: int, window: tuple[int, int]):
+        if m < 1:
             raise DomainError("gap ratio bound must be >= 1")
-        if self.x * self.n > self.window[1]:
+        if x * n > window[1]:
             raise DomainError("window does not cover [x, n*x]")
+        self.__dict__.update(n=n, x=x, m=m, products_examined=products_examined, window=window)
 
     def to_json(self) -> dict:
         return {

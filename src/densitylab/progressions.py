@@ -14,11 +14,10 @@ fixed so results are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._np import np
 from .errors import CapacityError, DomainError, ValidationError
-from .intset import _SIEVE_KINDS, IntegerSetSpec
+from .intset import _SIEVE_KINDS, IntegerSetSpec, _Value
 from .numerics import ceil_nth_root
 
 __all__ = [
@@ -37,17 +36,15 @@ GP_CERTIFY_HORIZON = 10**6
 SEARCH_STEP_LIMIT = 2**18  # outer steps of each search order
 
 
-@dataclass(frozen=True)
-class GeoProgression:
+class GeoProgression(_Value):
     """Geometric progression a * r**i, i = 0, ..., l-1."""
 
-    a: int
-    r: int
-    l: int
+    _fields = ("a", "r", "l")
 
-    def __post_init__(self):
-        if self.a < 1 or self.r < 1 or self.l < 1:
+    def __init__(self, a: int, r: int, l: int):
+        if a < 1 or r < 1 or l < 1:
             raise DomainError("need a, r, l >= 1")
+        self.__dict__.update(a=a, r=r, l=l)
 
     @property
     def terms(self) -> list[int]:
@@ -57,19 +54,16 @@ class GeoProgression:
         return {"a": self.a, "r": self.r, "l": self.l}
 
 
-@dataclass(frozen=True)
-class PowerProgression:
+class PowerProgression(_Value):
     """m-th powers of an arithmetic progression of roots:
     (ceil(a^(1/m)) + i*d)^m, i = 0, ..., l-1."""
 
-    a: int
-    d: int
-    l: int
-    m: int
+    _fields = ("a", "d", "l", "m")
 
-    def __post_init__(self):
-        if self.a < 1 or self.d < 1 or self.l < 1 or self.m < 1:
+    def __init__(self, a: int, d: int, l: int, m: int):
+        if a < 1 or d < 1 or l < 1 or m < 1:
             raise DomainError("need a, d, l, m >= 1")
+        self.__dict__.update(a=a, d=d, l=l, m=m)
 
     @property
     def terms(self) -> list[int]:
@@ -80,18 +74,17 @@ class PowerProgression:
         return {"a": self.a, "d": self.d, "l": self.l, "m": self.m}
 
 
-@dataclass(frozen=True)
-class ApproxWitness:
+class ApproxWitness(_Value):
     """A pattern, the approximation quality n, and one match per term."""
 
-    progression: GeoProgression | PowerProgression | None
-    n: int
-    matches: tuple[tuple[int, int], ...]
+    _fields = ("progression", "n", "matches")
 
-    def __post_init__(self):
-        for x, a in self.matches:
-            if not is_n_approx(x, a, self.n):
-                raise DomainError(f"match ({x}, {a}) is not an {self.n}-approximation")
+    def __init__(self, progression: GeoProgression | PowerProgression | None, n: int,
+                 matches: tuple[tuple[int, int], ...]):
+        for x, a in matches:
+            if not is_n_approx(x, a, n):
+                raise DomainError(f"match ({x}, {a}) is not an {n}-approximation")
+        self.__dict__.update(progression=progression, n=n, matches=matches)
 
     def to_json(self) -> dict:
         out: dict = {"n": self.n, "matches": [[x, a] for x, a in self.matches]}

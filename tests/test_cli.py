@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from densitylab import cli
+from densitylab import cli, density
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.numerics import geometric_grid
 
@@ -115,6 +116,48 @@ def test_density_example2_m1_exit_ok(tmp_path):
     )
     assert code == 0
     assert sum(line.startswith("bd_m,1,") for line in text.splitlines()) == len(geometric_grid(2, 100))
+
+
+@pytest.mark.parametrize("spec", ["squarefree", "example2:j=2,depth=4", "explicit:3,4,16,40,41"])
+def test_density_m1_counts_each_grid_n_once(spec, tmp_path, monkeypatch):
+    # bd and bd_m at m = 1 are the same window count over n + 1 and over n
+    count_max, calls = density._count_max, []
+
+    def spy(view, kmax, n):
+        calls.append(n)
+        return count_max(view, kmax, n)
+
+    monkeypatch.setattr(density, "_count_max", spy)
+    horizon = 47  # on the grid: bd has no row there and bd_m reads 0
+    grid = geometric_grid(2, horizon)
+    code, text = run_cli(["density", "--set", spec, "--horizon", str(horizon), "--nmax", str(horizon), "--m", "1"],
+                         tmp_path, "m1.csv")
+    assert code == 0 and grid[-1] == horizon
+    assert calls == [n for n in grid if n < horizon]
+    monkeypatch.undo()
+    set_spec = cli.parse_set_spec(spec)
+    rows = {(r[0], int(r[2])): (int(r[3]), float(r[4])) for r in csv.reader(text.splitlines()[2:])
+            if r[0] in ("banach", "bd_m")}
+    for n in grid:
+        value, k_star = density.bdm_window_sup_at(set_spec, 1, n, horizon)
+        assert rows["bd_m", n] == (k_star, cli._fmt_value(value))
+        if n < horizon:
+            value, k_star = density.bd_estimate_at(set_spec, n, horizon)
+            assert rows["banach", n] == (k_star, cli._fmt_value(value))
+    assert ("banach", horizon) not in rows and rows["bd_m", horizon] == (0, 0.0)
+
+
+def test_run_config_keeps_its_signature_and_defaults():
+    config = cli.RunConfig("density")
+    assert (config.command, config.params, config.out, config.fmt) == ("density", {}, None, "csv")
+    assert cli.RunConfig("density").params is not config.params  # a dict of its own
+    params = {"set": IntegerSetSpec.full(), "horizon": 10}
+    config = cli.RunConfig("density", params, out="report.csv", fmt="json")
+    assert config.params is params and (config.out, config.fmt) == ("report.csv", "json")
+    assert config.header() == {"command": "density", "format": "json", "horizon": 10,
+                               "set": {"kind": "full", "params": {}}}
+    config.out = None  # a configuration is not a value: it may be changed
+    assert cli.RunConfig(command="monad", params=params, out=None, fmt="csv").command == "monad"
 
 
 def test_monad_json(tmp_path):

@@ -9,6 +9,7 @@ from densitylab import intset, numerics
 from densitylab.errors import DomainError, ValidationError
 from densitylab.intset import ElementView, IntegerSetSpec, IntervalSet
 from densitylab.density import (
+    DensityProfile,
     banach_window_sup,
     banach_window_sup_at,
     bd_estimate,
@@ -1139,3 +1140,35 @@ def test_cli_functionals_hold_four_plus_one_bytes_per_member(monkeypatch):
             assert tracemalloc.get_traced_memory()[1] <= bound, name
     finally:
         tracemalloc.stop()
+
+
+def test_bd_count_gives_bd_and_bd_m_at_m1():
+    # the CLI divides one integer count by n + 1 for bd and by n for bd_m
+    H = 600
+    sets = (IntegerSetSpec.squarefree(), IntegerSetSpec.example2(2, 2), IntegerSetSpec.explicit([3, 4, 16, 40, 41]))
+    for spec in sets:
+        els = spec.members(1, H).tolist()
+        for n in (1, 2, 7, 63, H - 1):
+            best, k_star = bd_estimate_at(spec, n, H, count=True)
+            assert type(best) is int and (best, k_star) == brute_bd_at(els, n, H)
+            assert bd_estimate_at(spec, n, H) == (best / (n + 1), k_star)
+            assert bdm_window_sup_at(spec, 1, n, H) == (best / n, k_star)
+        assert bdm_window_sup_at(spec, 1, H, H) == (0.0, 0)
+        with pytest.raises(DomainError):
+            bd_estimate_at(spec, H, H, count=True)
+
+
+def test_density_profile_is_a_value():
+    profile = DensityProfile("upper_count", 10, ((2, 0.5), (10, 0.4)))
+    same = DensityProfile(functional="upper_count", horizon=10, checkpoints=((2, 0.5), (10, 0.4)), m=None)
+    assert profile == same and hash(profile) == hash(same) and profile.m is None
+    assert (profile.final_value, profile.running_min, profile.running_max) == (0.4, 0.4, 0.5)
+    assert profile != DensityProfile("upper_count", 10, ((2, 0.5), (10, 0.4)), 1)
+    with pytest.raises(AttributeError):
+        profile.horizon = 11
+    with pytest.raises(ValidationError, match="unknown functional 'bd'"):
+        DensityProfile("bd", 10, ())
+    with pytest.raises(ValidationError, match="checkpoints must be sorted by n"):
+        DensityProfile("upper_log", 10, ((10, 0.4), (2, 0.5)))
+    with pytest.raises(ValidationError, match="density values are nonnegative"):
+        DensityProfile("lower_log", 10, ((2, -0.5),))

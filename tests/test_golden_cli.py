@@ -65,6 +65,20 @@ GOLDEN = {
         ["--set", INTERVALS, "--horizon", "1e5", "--nmax", "100", "--m", "2"],
         "3b8971d3e08c397e8e051bb87926cd1b3accb839882349b4925363c61a0637e6",
     ),
+    # captured while bd_m at m = 1 ran its own count pass, apart from bd's;
+    # the last has n = H on the grid, where bd has no row and bd_m is 0
+    "example2-m1": (
+        ["--set", "example2:j=2,depth=4", "--horizon", "1e5", "--nmax", "100", "--m", "1"],
+        "29f43d766e2246e6025fe08caa44de3be302719e7018279997b45d8da424ffb1",
+    ),
+    "squarefree-m1": (
+        ["--set", "squarefree", "--horizon", "1e5", "--m", "1"],
+        "3f3eee3116867a803cbbcea6d37af200c381d932af21d97bc728fce81fc88156",
+    ),
+    "explicit-m1-nmax-at-horizon": (
+        ["--set", "explicit:3,4,16,40,41", "--horizon", "47", "--nmax", "47", "--m", "1"],
+        "8f220e812296334684dd1c67dcecca3f6149bad47167c670e15b82e4d1ad03f3",
+    ),
 }
 
 

@@ -1,4 +1,5 @@
-"""The import contract: numpy is loaded only where an array is built.
+"""The import contract: numpy is loaded only where an array is built, and
+no command loads ``dataclasses``.
 
 ``import densitylab`` loads no submodule, ``densitylab.cli`` loads each
 command's modules when the command runs, and the searches and certify
@@ -8,7 +9,13 @@ by point queries, and on two explicit sets whose products up to the
 horizon fit that budget, which the same probe lists for the exact scan,
 nor ``monad`` on intervals, which it sums in closed form.  numpy is
 imported in one module, ``densitylab._np``, which loads it without OpenBLAS's
-worker threads.  Each check runs in a fresh interpreter, since this test
+worker threads.  The set, window, report and witness types are plain
+classes: ``dataclasses`` would load ``inspect``, ``ast``, ``dis`` and
+``tokenize`` and generate and compile the methods of every class at each
+start, about 10 ms and 1 ms a class before any work.  So no module of the
+package imports it, and the point-query runs import neither it nor
+``inspect``; a density run loads ``inspect`` with numpy, but not
+``dataclasses``.  Each check runs in a fresh interpreter, since this test
 process has numpy loaded already."""
 
 import ast
@@ -56,6 +63,14 @@ def _check(code):
     assert done.returncode == 0, done.stderr
 
 
+def _imported(argv, exit_code=0):
+    """The modules that a CLI run imports, read from its -X importtime trace."""
+    done = _python("-X", "importtime", "-m", "densitylab.cli", *argv)
+    assert done.returncode == exit_code, done.stderr
+    assert done.stdout
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+
+
 def test_package_import_loads_no_submodule():
     _check("import sys, densitylab\n"
            "assert [m for m in sys.modules if m.startswith('densitylab')] == ['densitylab']\n"
@@ -66,6 +81,10 @@ def test_cli_import_leaves_numpy_out():
     _check("import sys, densitylab.cli\nassert 'numpy' not in sys.modules")
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    _check("import sys, densitylab.cli\nassert not {'dataclasses', 'inspect'} & set(sys.modules)")
+
+
 def test_density_loads_numpy():
     _check("import sys, densitylab.density\nassert 'numpy' in sys.modules")
 
@@ -73,25 +92,38 @@ def test_density_loads_numpy():
 @pytest.mark.parametrize("key", sorted(POINT_QUERY_RUNS))
 def test_point_query_commands_leave_numpy_out(key):
     argv, exit_code, module = POINT_QUERY_RUNS[key]
-    done = _python("-X", "importtime", "-m", "densitylab.cli", *argv)
-    assert done.returncode == exit_code, done.stderr
-    assert done.stdout
-    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    imported = _imported(argv, exit_code)
     assert module in imported  # the command's module shows in the trace
     assert "numpy" not in imported
 
 
-@pytest.mark.parametrize("argv", [["--set", "squarefree", "--horizon", "1e4"],
-                                  ["--set", "full", "--horizon", "1e5", "--m", "2", "--nmax", "10"]])
+@pytest.mark.parametrize("key", sorted(POINT_QUERY_RUNS))
+def test_point_query_commands_leave_dataclasses_and_inspect_out(key):
+    argv, exit_code, module = POINT_QUERY_RUNS[key]
+    imported = _imported(argv, exit_code)
+    assert module in imported
+    assert not imported & {"dataclasses", "inspect"}
+
+
+DENSITY_RUNS = [["--set", "squarefree", "--horizon", "1e4"],
+                ["--set", "full", "--horizon", "1e5", "--m", "2", "--nmax", "10"]]
+
+
+@pytest.mark.parametrize("argv", DENSITY_RUNS)
 def test_density_leaves_monad_and_fractions_out(argv):
     # a density report rounds its values with numerics.round12; loading
     # densitylab.monad for it would also load fractions and decimal
-    done = _python("-X", "importtime", "-m", "densitylab.cli", "density", *argv)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout
-    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    imported = _imported(["density", *argv])
     assert "densitylab.density" in imported  # the command's module shows in the trace
     assert not imported & {"densitylab.monad", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv", DENSITY_RUNS + [["--set", "example2:j=2,depth=4", "--horizon", "1e4", "--m", "1"]])
+def test_density_leaves_dataclasses_out(argv):
+    # numpy imports inspect, but neither numpy nor densitylab dataclasses
+    imported = _imported(["density", *argv])
+    assert {"densitylab.density", "numpy"} <= imported
+    assert "dataclasses" not in imported
 
 
 def test_exports_resolve_and_star_import_works():
@@ -112,19 +144,28 @@ def test_exports_resolve_and_star_import_works():
     """))
 
 
-def _numpy_imports(path):
+def _imports_of(path, top):
+    """Lines of ``path`` that import the absolute module ``top`` or a submodule of it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
-            or isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "numpy"]
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == top for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == top]
+
+
+def _package_imports_of(top):
+    found = {path.name: _imports_of(path, top) for path in sorted((ROOT / "src" / "densitylab").rglob("*.py"))}
+    return {name: lines for name, lines in found.items() if lines}
 
 
 def test_numpy_is_imported_in_one_place():
     # every other module takes numpy from densitylab._np, so none loads it
     # around the thread setting there
-    found = {path.name: _numpy_imports(path) for path in sorted((ROOT / "src" / "densitylab").rglob("*.py"))}
-    assert {name: lines for name, lines in found.items() if lines} == {"_np.py": found["_np.py"]}
-    assert len(found["_np.py"]) == 1
+    found = _package_imports_of("numpy")
+    assert list(found) == ["_np.py"] and len(found["_np.py"]) == 1
+
+
+def test_no_module_imports_dataclasses():
+    assert _package_imports_of("dataclasses") == {}
 
 
 def _empty_dicts(path):

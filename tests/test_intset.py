@@ -22,6 +22,7 @@ from densitylab.intset import (
     invert_intervals,
     materialize,
 )
+from densitylab.monad import RatioCut
 
 from oracles import brute_primes, brute_squarefree, is_prime_td, is_squarefree_td
 
@@ -444,6 +445,79 @@ def test_spec_hash_is_kept_per_object():
     # string hashes differ between processes: a pickle carries no hash
     c = pickle.loads(pickle.dumps(b))
     assert "_hash" not in c.__dict__ and c == b and hash(c) == hash(b)
+
+
+def test_value_types_keep_their_constructor_signatures():
+    assert IntegerSetSpec("full") == IntegerSetSpec.full()
+    spec = IntegerSetSpec("explicit", (2, 3))
+    assert (spec.kind, spec.elements, spec.intervals, spec.j, spec.depth) == ("explicit", (2, 3), None, 0, 0)
+    assert IntegerSetSpec(kind="example2", j=2, depth=1) == IntegerSetSpec("example2", (), None, 2, 1)
+    intervals = IntervalSet(((5, 9),))
+    assert IntegerSetSpec("interval_union", intervals=intervals).intervals is intervals
+    assert IntervalSet(components=((5, 9),)) == intervals
+    assert Window(k=3, N=10) == Window(3, 10) and (Window(3, 10).k, Window(3, 10).N) == (3, 10)
+    assert RatioCut(rho=Fraction(3, 2)) == RatioCut(Fraction(3, 2)) == RatioCut(1.5)
+    with pytest.raises(TypeError):
+        IntegerSetSpec()
+    with pytest.raises(TypeError):
+        Window(1, 2, 3)
+    with pytest.raises(ValidationError, match="window start k must be >= 1"):
+        Window(0, 10)
+    with pytest.raises(ValidationError, match="explicit elements must be strictly increasing"):
+        IntegerSetSpec("explicit", (3, 2))
+    with pytest.raises(ValidationError, match="ratio cut requires rho >= 1"):
+        RatioCut(Fraction(1, 2))
+
+
+def test_equal_values_compare_and_hash_equal():
+    pairs = [
+        (IntervalSet(((5, 9), (10, 12))), IntervalSet(((5, 12),))),  # merged on construction
+        (Window(3, 10), Window(3, 10)),
+        (RatioCut(Fraction(10)), RatioCut(10)),
+        (IntegerSetSpec.explicit([5, 3]), IntegerSetSpec("explicit", (3, 5))),
+        (IntegerSetSpec.interval_union(IntervalSet(((1, 4),))), IntegerSetSpec.interval_union(IntervalSet(((1, 4),)))),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert Window(3, 10) != Window(3, 11) and IntervalSet(((5, 9),)) != IntervalSet(((5, 10),))
+    assert RatioCut(2) != RatioCut(3) and IntegerSetSpec.full() != IntegerSetSpec.even()
+    # a field-wise equal value of another type is not equal
+    assert Window(3, 10) != (3, 10) and IntervalSet(((5, 9),)) != ((5, 9),)
+
+
+def test_hashed_value_types_refuse_assignment():
+    values = [IntervalSet(((5, 9),)), Window(3, 10), RatioCut(2), IntegerSetSpec.example2(2, 1)]
+    for value, field in zip(values, ("components", "k", "rho", "kind")):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert getattr(value, field) is before and not hasattr(value, "extra")
+
+
+def test_interval_union_spec_survives_a_pickle():
+    spec = IntegerSetSpec.interval_union(IntervalSet(((7, 30), (100, 2500))))
+    assert spec.contains(100)
+    hash(spec)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec) and type(copy.intervals) is IntervalSet
+    assert copy.intervals == spec.intervals and copy.to_json() == spec.to_json()
+    assert copy.contains(100) and not copy.contains(31) and copy.next_member(31, 10**4) == 100
+    with pytest.raises(AttributeError):
+        copy.kind = "full"
+
+
+def test_value_reprs_name_the_class_and_its_fields():
+    assert repr(Window(3, 10)) == "Window(k=3, N=10)"
+    assert repr(IntervalSet(((5, 9),))) == "IntervalSet(components=((5, 9),))"
+    assert repr(RatioCut(Fraction(3, 2))) == "RatioCut(rho=Fraction(3, 2))"
+    assert repr(IntegerSetSpec.explicit([3, 5])) == (
+        "IntegerSetSpec(kind='explicit', elements=(3, 5), intervals=None, j=0, depth=0)"
+    )
 
 
 def test_interval_set_normalizes():

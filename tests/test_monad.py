@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitylab.errors import DomainError
+from densitylab.errors import DomainError, ValidationError
 from densitylab.intset import IntegerSetSpec, IntervalSet, Window
 from densitylab.monad import (
+    InversionCheckReport,
     RatioCut,
+    ScaleCheckReport,
+    WindowMeasureReport,
     big_estimate,
     density_minus,
     density_plus,
@@ -416,3 +419,23 @@ def test_root_shift_measure_invariance(rng):
         va = nu_m(n_root, m, IntervalSet(((a, b),)), k)
         vb = nu_m(n_root, m, IntervalSet(((sa, sb),)), k)
         assert abs(va - vb) <= (4 / a ** (1 / m) + 4 / m) / n_root
+
+
+def test_reports_are_values():
+    w = Window(1, 10**6)
+    report = WindowMeasureReport(w, value=0.5, error_bound=1e-9)
+    same = WindowMeasureReport(Window(1, 10**6), 0.5, 1e-9)
+    assert report == same and hash(report) == hash(same) and report != WindowMeasureReport(w, 0.25, 1e-9)
+    assert report.to_json() == {"window": {"k": 1, "N": 10**6}, "value": 0.5, "error_bound": 1e-09}
+    assert repr(report) == "WindowMeasureReport(window=Window(k=1, N=1000000), value=0.5, error_bound=1e-09)"
+    with pytest.raises(ValidationError, match="error bound must be nonnegative"):
+        WindowMeasureReport(w, 0.5, -1.0)
+    with pytest.raises(ValidationError, match=r"measure outside \[0, 1 \+ 5/ln N\]"):
+        WindowMeasureReport(w, 2.0, 0.0)
+    scale = ScaleCheckReport(0.25, nu_image=0.25, discrepancy=0.0, bound=1e-3)
+    inversion = InversionCheckReport(0.25, nu_inverse=0.25, discrepancy=0.0, bound=1e-3)
+    assert scale == ScaleCheckReport(0.25, 0.25, 0.0, 1e-3) and scale != inversion
+    assert inversion == InversionCheckReport(nu_set=0.25, nu_inverse=0.25, discrepancy=0.0, bound=1e-3)
+    for value in (report, scale, inversion):
+        with pytest.raises(AttributeError):
+            value.bound = 0.0

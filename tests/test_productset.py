@@ -475,3 +475,17 @@ def test_gap_witness_past_the_probe_budget_takes_the_array_path(monkeypatch):
     assert arrays == [3674, 4041, 4445, 4890, 5379]
     # past the m = 2 window, the probe asks for singletons only
     assert all(cap == 1 for lo, cap, _ in probed if lo > 5379) and len(probed) > len(full)
+
+
+def test_gap_report_is_a_value():
+    report = GapReport(4, 10, 2, products_examined=7, window=(10, 40))
+    same = GapReport(n=4, x=10, m=2, products_examined=7, window=(10, 40))
+    assert report == same and hash(report) == hash(same) and report != GapReport(4, 10, 3, 7, (10, 40))
+    assert repr(report) == "GapReport(n=4, x=10, m=2, products_examined=7, window=(10, 40))"
+    assert report.to_json() == {"n": 4, "x": 10, "m": 2, "products": 7, "lo": 10, "hi": 40}
+    with pytest.raises(AttributeError):
+        report.m = 1
+    with pytest.raises(DomainError, match="gap ratio bound must be >= 1"):
+        GapReport(4, 10, 0, 7, (10, 40))
+    with pytest.raises(DomainError, match=r"window does not cover \[x, n\*x\]"):
+        GapReport(4, 10, 2, 7, (10, 39))

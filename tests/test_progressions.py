@@ -103,6 +103,24 @@ def test_witness_validates_matches():
         ApproxWitness(None, 2, ((10, 20),))
 
 
+def test_witnesses_are_values():
+    geo = GeoProgression(a=3, r=2, l=3)
+    witness = ApproxWitness(geo, n=2, matches=((3, 4), (6, 6), (12, 11)))
+    same = ApproxWitness(GeoProgression(3, 2, 3), 2, ((3, 4), (6, 6), (12, 11)))
+    assert witness == same and hash(witness) == hash(same) and geo.terms == [3, 6, 12]
+    assert witness != ApproxWitness(geo, 3, witness.matches) and geo != PowerProgression(3, 2, 3, 1)
+    assert repr(geo) == "GeoProgression(a=3, r=2, l=3)"
+    assert PowerProgression(11, 6, 4, 2) == PowerProgression(a=11, d=6, l=4, m=2)
+    with pytest.raises(AttributeError):
+        witness.n = 3
+    with pytest.raises(DomainError, match="need a, r, l >= 1"):
+        GeoProgression(0, 2, 3)
+    with pytest.raises(DomainError, match="need a, d, l, m >= 1"):
+        PowerProgression(1, 1, 1, 0)
+    with pytest.raises(DomainError, match=r"match \(10, 20\) is not an 2-approximation"):
+        ApproxWitness(None, 2, ((10, 20),))
+
+
 # ---------------------------------------------------------------------------
 # _allowed point queries on the set view
 # ---------------------------------------------------------------------------
