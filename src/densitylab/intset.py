@@ -63,7 +63,6 @@ class _Value:
     values too.  ``__init__`` writes the fields into the instance's
     ``__dict__``, past ``__setattr__``, as a pickle restores them."""
 
-    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
