@@ -537,8 +537,7 @@ class IntegerSetSpec(_Value):
         # cache looks a spec up on every call, so the hash is kept per object.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.kind, self.elements, self.intervals, self.j, self.depth))
-            object.__setattr__(self, "_hash", h)
+            h = self.__dict__["_hash"] = super().__hash__()
         return h
 
     def __getstate__(self) -> dict:
