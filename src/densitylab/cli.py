@@ -23,6 +23,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 
 from .errors import CapacityError, DensityLabError, ValidationError
@@ -77,7 +78,21 @@ def parse_set_spec(text: str) -> IntegerSetSpec:
     raise ValidationError(f"unrecognized set spec {text!r}")
 
 
-def _jsonable(v):
+# An explicit set's element list in a report header stands as this marker,
+# numbered by set, until the report is written (no parameter's text holds a
+# NUL); the writer reads the elements from the spec, _HEADER_CHUNK at a time.
+_ELEMENTS = "\0elements {}"
+_ELEMENTS_JSON = r'"\\u0000elements (\d+)"'  # the marker in JSON text
+_HEADER_CHUNK = 1 << 14
+
+
+def _jsonable(v, elements: list | None = None):
+    """``v`` as a JSON value.  With ``elements``, an explicit set's element
+    tuple is appended to that list, and its element list in the value is the
+    marker ``_ELEMENTS.format(i)``, i the tuple's index there."""
+    if elements is not None and isinstance(v, IntegerSetSpec) and v.kind == "explicit":
+        elements.append(v.elements)
+        return {"kind": v.kind, "params": {"elements": _ELEMENTS.format(len(elements) - 1)}}
     if isinstance(v, (IntegerSetSpec, IntervalSet)):
         return v.to_json()
     return v if v is None or isinstance(v, (bool, int, float, str, list)) else str(v)
@@ -90,9 +105,11 @@ class RunConfig:
         self.command, self.out, self.fmt = command, out, fmt
         self.params = {} if params is None else params
 
-    def header(self) -> dict:
+    def header(self, elements: list | None = None) -> dict:
+        """The command, the format and every parameter, as JSON values; with
+        ``elements``, explicit sets' element lists are markers (``_jsonable``)."""
         items = {"command": self.command, "format": self.fmt}
-        items.update({k: _jsonable(v) for k, v in sorted(self.params.items())})
+        items.update({k: _jsonable(v, elements) for k, v in sorted(self.params.items())})
         return items
 
 
@@ -345,11 +362,13 @@ def run(config: RunConfig) -> int:
 def _write_report(fh, config: RunConfig, report):
     """Write the header and the report to ``fh`` piece by piece, without
     joining them into one text first: the header of an explicit set holds
-    all of its elements."""
-    header = config.header()
+    all of its elements, which are written a chunk at a time in place of
+    their marker (``_write_json``)."""
+    elements: list = []
+    header = config.header(elements)
     if isinstance(report, tuple) and config.fmt == "csv":
         fh.write("# ")
-        fh.write(json.dumps(header, sort_keys=True))
+        _write_json(fh, json.dumps(header, sort_keys=True), elements)
         fh.write("\n")
         csv.writer(fh, lineterminator="\n").writerows([report[0], *report[1]])
         return
@@ -357,9 +376,38 @@ def _write_report(fh, config: RunConfig, report):
         columns, rows = report
         report = [dict(zip(columns, row)) for row in rows]
     # one string: json.dump writes each indented element by a call of its own
-    # (0.3 s more for the 2e5 elements of an explicit set)
-    fh.write(json.dumps({"config": header, "report": report}, sort_keys=True, indent=2))
+    text = json.dumps({"config": header, "report": report}, sort_keys=True, indent=2)
+    _write_json(fh, text, elements, indent=2)
     fh.write("\n")
+
+
+def _write_json(fh, text: str, elements: list, indent: int | None = None):
+    """Write the JSON ``text`` with each element marker in it replaced by
+    its list, as ``json.dumps`` with ``indent`` writes that list.  The list
+    is encoded _HEADER_CHUNK elements at a time, each chunk by the C encoder
+    with the item separator of the list's depth, so no text of the whole
+    list is built."""
+    pieces = re.split(_ELEMENTS_JSON, text)
+    for k in range(0, len(pieces) - 1, 2):
+        before, values = pieces[k], elements[int(pieces[k + 1])]
+        fh.write(before)
+        if not values:
+            fh.write("[]")
+            continue
+        if indent is None:
+            sep, pad, end = ", ", "", ""
+        else:  # the items one level below the line of their key
+            line = before[before.rfind("\n") + 1 :]
+            depth = len(line) - len(line.lstrip(" "))
+            pad, end = "\n" + " " * (depth + indent), "\n" + " " * depth
+            sep = "," + pad
+        fh.write("[" + pad)
+        for c in range(0, len(values), _HEADER_CHUNK):
+            if c:
+                fh.write(sep)
+            fh.write(json.dumps(values[c : c + _HEADER_CHUNK], separators=(sep, ": "))[1:-1])
+        fh.write(end + "]")
+    fh.write(pieces[-1])
 
 
 # ---------------------------------------------------------------------------

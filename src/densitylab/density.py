@@ -12,7 +12,8 @@ density window maximum, and the weighted family
 
 All window maxima are exact over the truncated k-range, so no candidate
 maximum is sampled away.  Every functional reads the set through
-``IntegerSetSpec.view``: a ``BlockView`` of the blocks of ``full``,
+``IntegerSetSpec.view``, a view of the array layer ``densitylab.views``,
+which this module alone imports: a ``BlockView`` of the blocks of ``full``,
 ``interval_union`` and ``example2``, or an ``ElementView`` of the sorted
 members of the other kinds.  Both count the members up to x (``count_le``)
 and sum the counts or the x^(-beta) of the members in windows
@@ -48,11 +49,11 @@ Every window sum of x^(-beta) comes from a table held by the set's cached
 view, built once per size (``IntegerSetSpec.view``).  A block view is
 summed in closed form by ``BlockSums``, never materialized, so also above
 the materialization cap.  The closed form is one O(1) kernel,
-``numerics.power_sums``, within 1e-14 relative of each range, and a window's
+``views.power_sums``, within 1e-14 relative of each range, and a window's
 float does not depend on the other windows of the call.  An element view
 (``even`` too: its own closed form had no caller) reads compensated prefix
 sums.  The reciprocal sums of the log profile and Banach come from a table
-kept at every ``numerics.STRIDE``-th member count, 16 bytes per STRIDE
+kept at every ``views.STRIDE``-th member count, 16 bytes per STRIDE
 members (``ElementView.sums_table``): any other row is carried on from the
 kept row below it with the float operations of the pass, so it has the
 bits of a table with a row per member.  bd_m at m >= 2 reads sums kept only
@@ -66,11 +67,12 @@ from __future__ import annotations
 
 import math
 
-from . import numerics
+from . import views
 from ._np import numpy as np
 from .errors import DomainError, ValidationError
-from .intset import BlockView, ElementView, IntegerSetSpec, _member_weights, _Value
-from .numerics import PrefixSums, floor_nth_root, geometric_grid
+from .intset import IntegerSetSpec, _Value
+from .numerics import floor_nth_root, geometric_grid
+from .views import BlockView, ElementView, PrefixSums, _member_weights
 
 __all__ = [
     "DensityProfile",
@@ -230,7 +232,7 @@ _FIRST_BLOCK = 1 << 10
 _FIRST_WINDOWS = 1 << 5
 # A computed reciprocal window sum V' of a window whose true sum is V, on a
 # view of r - 1 members or blocks, has |V' - V| <= _REL * V + _ABS * r**2.
-# _REL holds the 1e-14 relative bound of ``numerics.power_sums`` (a block
+# _REL holds the 1e-14 relative bound of ``views.power_sums`` (a block
 # view's block sums and cut parts) and a few roundings, 3u of them from the
 # difference of two ``PrefixSums`` rows; _ABS * r**2 is the second-order
 # term of the compensated prefix sums, 8 (r u)**2 S, where u = 2**-53 and S,
@@ -283,7 +285,7 @@ def _window_max(view, kmax: int, tops, sums: bool = False):
     count = j if j and starts[j - 1] == kmax else j + 1  # the candidates: j block starts, then kmax
     best, lo, size, rising = -1, 0, _FIRST_WINDOWS, True  # every value is at least 0
     if element:
-        table, stride = view.sums_table(beta), numerics.STRIDE
+        table, stride = view.sums_table(beta), views.STRIDE
     while lo < count:
         hi = min(lo + min(size, _CHUNK), count)
         cands = starts[lo : min(hi, j)]
@@ -317,9 +319,9 @@ def _row(table, a: np.ndarray, r: int) -> tuple[float, float]:
     from the kept row of ``ElementView.sums_table`` below r in Python
     floats, with the float operations of a ``PrefixSums`` pass: the same
     bits as a table row."""
-    q = r // numerics.STRIDE
+    q = r // views.STRIDE
     s, c = table._s.item(q), table._c.item(q)
-    for x in a[q * numerics.STRIDE : r].tolist():
+    for x in a[q * views.STRIDE : r].tolist():
         w = 1.0 / float(x)
         t = s + w
         e = t - s

@@ -11,11 +11,14 @@ components; it doubles as the finite stand-in for internal sets decomposed
 into connected components, and carries the interval-inversion algebra
 u -> floor(N/u).
 
-A set's view up to a horizon counts and sums its members in windows; the
-largest view of each set is cached here with its sum tables (``_VIEWS``).
-A sieve kind's view grows with the horizon: the larger view copies the
-smaller one's members, sieves only the integers above them, and keeps its
-sum tables, which extend.
+This is the point layer: parsing, membership, and the walks
+``next_member``/``prev_member``, in Python ints.  A set's view up to a
+horizon counts and sums its members in windows; the views, their sum
+tables and the sieves are the array layer, ``densitylab.views``, which
+``IntegerSetSpec.view`` and ``members`` import on first use, so a process
+that only asks point queries never compiles it.  The largest view of each
+set is cached here with its sum tables (``_VIEWS``), the package's one
+cache.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ __all__ = [
     "SIEVE_HORIZON",
     "materialize",
     "contains",
-    "ElementView",
-    "BlockView",
     "example2_set",
     "classify",
     "invert_intervals",
@@ -184,135 +185,13 @@ class Window(_Value):
         return self.k <= x <= self.N * self.k
 
 
-class _View:
-    """What both views share: the horizon, and the sum tables that a view
-    and its clips hold in one dict."""
-
-    def table(self, key, size: int, build):
-        """The table of ``key`` if built at ``size`` or above, else
-        ``build(old)`` kept at ``size``, where ``old`` is the smaller table or
-        None: an element view's tables extend it, a block view's ignore it."""
-        if self._tables.get(key, (-1,))[0] < size:
-            self._tables[key] = (size, build(self._tables.pop(key, (0, None))[1]))
-        return self._tables[key][1]
-
-    def window_sums(self, lo, hi, beta=None, below=None):
-        """The members in each window [lo, hi] (int64 arrays; scalars on an
-        element view count): their count when ``beta`` is None, else their
-        x**(-beta) sum, read at both ends at once from ``sums_table``.
-        ``below``, when given, is |A cap [1, lo - 1]|."""
-        if below is None:
-            below = self.count_le(lo - 1)
-        top = self.count_le(hi)
-        del hi  # the caller passed the tops without a name: they are not held while the sums are read
-        if beta is None:
-            return top - below
-        s, c = self.sums_table(beta).carried(np.concatenate((below, top)), _member_weights(self.starts, beta))
-        return (s[len(top) :] - s[: len(top)]) + (c[len(top) :] - c[: len(top)])
-
-
-def _member_weights(a: np.ndarray, beta: float):
-    """``weights_of`` for a ``PrefixSums`` pass over the members a."""
-    from .numerics import _powers
-    return lambda i: _powers(a[i].astype(np.float64), beta)
-
-
-class ElementView(_View):
-    """The members of a set up to a horizon as a sorted array, each a block
-    of its own: ``starts`` and ``ends`` are that array, uint32 for the sieve
-    kinds and ``even`` (4 bytes per member) and int64 for ``explicit``.  It
-    holds nothing else but its sum tables, and counts by binary search in
-    ``count_le``, the one place that searches the members."""
-
-    def __init__(self, horizon: int, members: np.ndarray, tables: dict | None = None):
-        self.horizon, self._tables = horizon, {} if tables is None else tables
-        self.starts = self.ends = members
-
-    def clip(self, horizon: int) -> "ElementView":
-        """The view up to a smaller horizon, sharing this one's members and tables."""
-        return ElementView(horizon, self.starts[: self.count_le(horizon)], self._tables)
-
-    def sums_table(self, beta: float):
-        """The ``PrefixSums`` of x**(-beta) over the members kept at every
-        STRIDE-th member count: holding no members, it extends as they grow."""
-        def build(old):
-            from .numerics import STRIDE, PrefixSums
-            counts = np.arange(0, len(self.starts) + 1, STRIDE)
-            return PrefixSums.at_counts(counts, _member_weights(self.starts, beta), old)
-        return self.table(beta, self.horizon, build)
-
-    def count_le(self, x):
-        """|A cap [1, x]| for each x (array or scalar).  On uint32 members
-        other keys are clipped to [0, horizon] and cast to uint32 first:
-        numpy converts the whole member array on every search with keys of
-        another dtype, and no member lies outside that range.  A uint32 view
-        exists only where the horizon is below 2^32, so neither its keys nor
-        the window tops computed from its members wrap."""
-        a = self.starts
-        if a.dtype.kind == "u" and getattr(x, "dtype", None) != a.dtype:
-            if getattr(x, "ndim", 0):
-                x = np.maximum(x, 0)
-                x = np.minimum(x, self.horizon, out=x).astype(a.dtype)
-            else:  # a scalar key reads no attribute of the lazy np (0.5 µs each)
-                x = a.dtype.type(min(max(int(x), 0), self.horizon))
-        return a.searchsorted(x, side="right")
-
-    def blocks_le(self, x):
-        """The blocks starting at or below each x: the members, counted."""
-        return self.count_le(x)
-
-    def below(self, i: int, j: int) -> np.ndarray:
-        """The members below starts[i], ..., starts[j - 1], all of them
-        below index len(starts): i, ..., j - 1."""
-        return np.arange(i, j, dtype=np.int64)
-
-
-class BlockView(_View):
-    """A set up to a horizon as sorted disjoint blocks [starts[b], ends[b]]
-    (int64 arrays), with the members below each block counted once; their
-    x**(-beta) sums come from ``BlockSums``, in closed form."""
-
-    def __init__(self, horizon: int, starts: np.ndarray, ends: np.ndarray, tables: dict | None = None):
-        self.horizon, self._tables = horizon, {} if tables is None else tables
-        self.starts, self.ends = starts, ends
-        self._ends0 = np.concatenate(([0], ends))  # index 0: no block
-        self._below = np.zeros(len(starts) + 1, dtype=np.int64)  # then |A|
-        np.cumsum(ends - starts + 1, out=self._below[1:])
-
-    def clip(self, horizon: int) -> "BlockView":
-        """The view up to a smaller horizon, sharing this one's tables."""
-        i = self.blocks_le(horizon)
-        return BlockView(horizon, self.starts[:i], np.minimum(self.ends[:i], horizon), self._tables)
-
-    def window_sums(self, lo, hi, beta=None, below=None):
-        if beta is None:
-            return super().window_sums(lo, hi, below=below)
-        from .numerics import BlockSums
-        return self.table(beta, self.horizon, lambda old: BlockSums(self.starts, self.ends, beta)).window_sums(lo, hi)
-
-    def count_le(self, x):
-        """|A cap [1, x]| for each x >= 0 (int64 array or scalar) up to the
-        horizon."""
-        i = self.blocks_le(x)
-        return self._below[i] - np.maximum(self._ends0[i] - x, 0)  # the last may run past x
-
-    def blocks_le(self, x):
-        """The blocks starting at or below each x (int64 array or scalar)."""
-        return np.searchsorted(self.starts, x, side="right")
-
-    def below(self, i: int, j: int) -> np.ndarray:
-        """The members below starts[i], ..., starts[j - 1], all of them
-        below index len(starts)."""
-        return self._below[i:j]
-
-
 # The largest view of each set built so far, with its sum tables, for at
 # most _VIEW_SETS sets, so a long-lived process does not keep every set.
 _VIEWS: dict = {}
 _VIEW_SETS = 64
 
 
-def _take_view(spec) -> ElementView | BlockView | None:
+def _take_view(spec) -> views.ElementView | views.BlockView | None:
     """The cached view of ``spec``, taken out of the cache (None if there is
     none); the cache is emptied when it still holds _VIEW_SETS sets."""
     view = _VIEWS.pop(spec, None)
@@ -413,7 +292,7 @@ class IntegerSetSpec(_Value):
             return IntervalSet(_example2_blocks(self.j, self.depth))
         return None
 
-    def view(self, horizon: int) -> ElementView | BlockView:
+    def view(self, horizon: int) -> views.ElementView | views.BlockView:
         """The set capped at [1, horizon]: a ``BlockView`` of its blocks for
         ``full``, ``interval_union`` and ``example2``, an ``ElementView`` of
         its sorted members for the other kinds, ``even`` and ``explicit``
@@ -443,14 +322,16 @@ class IntegerSetSpec(_Value):
         _VIEWS[self] = view
         return view if view.horizon == horizon else view.clip(horizon)
 
-    def _build_view(self, horizon: int) -> ElementView | BlockView:
+    def _build_view(self, horizon: int) -> views.ElementView | views.BlockView:
         """The view up to ``horizon``, in place of the cached one: a sieve
         kind hands it to ``_sieve_members`` to grow from, unnamed, so only
         that frame holds it; the other kinds drop it before they build."""
+        from . import views
+
         if self.kind in _SIEVE_KINDS:
             if horizon > SIEVE_HORIZON:
                 raise CapacityError(f"sieve horizon capped at {SIEVE_HORIZON}")
-            return _sieve_members(self.kind, horizon, _take_view(self))
+            return views._sieve_members(self.kind, horizon, _take_view(self))
         _take_view(self)
         if self.kind == "even":
             _check_size(horizon // 2)
@@ -462,9 +343,9 @@ class IntegerSetSpec(_Value):
             starts, ends = self._blocks[0][:i], self._blocks[1][:i]
             if i and ends[-1] > horizon:
                 ends[-1] = horizon
-            return BlockView(horizon, np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64))
+            return views.BlockView(horizon, np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64))
         members.flags.writeable = False  # cached: every caller shares it
-        return ElementView(horizon, members)
+        return views.ElementView(horizon, members)
 
     # -- membership and materialization -------------------------------------
 
@@ -490,6 +371,8 @@ class IntegerSetSpec(_Value):
         lo, hi = int(lo), int(hi)
         if lo < 1 or hi < lo:
             raise ValidationError("need 1 <= lo <= hi")
+        from .views import BlockView
+
         view = self.view(hi)
         if isinstance(view, BlockView):
             return IntervalSet(tuple(zip(view.starts.tolist(), view.ends.tolist()))).members(lo, hi)
@@ -625,16 +508,15 @@ def _check_size(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Sieves
+# Point membership
 # ---------------------------------------------------------------------------
-
-_SEGMENT = 1 << 22
 
 
 @lru_cache(maxsize=1)
 def _small_primes() -> list[int]:
-    # the primes up to sqrt(SIEVE_HORIZON): they sieve every segment, and
-    # they pass the cube root of every x up to MEMBERSHIP_HORIZON
+    # the primes up to sqrt(SIEVE_HORIZON): they sieve every segment
+    # (``views._sieve_segment``), and they pass the cube root of every x up
+    # to MEMBERSHIP_HORIZON
     limit = math.isqrt(SIEVE_HORIZON)
     mask = bytearray([1]) * (limit + 1)
     mask[:2] = b"\0\0"
@@ -642,72 +524,6 @@ def _small_primes() -> list[int]:
         if mask[p]:
             mask[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return list(compress(range(limit + 1), mask))
-
-
-def _sieve_segment(kind: str, lo: int, hi: int) -> np.ndarray:
-    """Boolean mask over [lo, hi] for a sieve kind."""
-    size = hi - lo + 1
-    mask = np.ones(size, dtype=bool)
-    if lo < 1:
-        raise ValidationError("sieve range starts at 1")
-    primes = _small_primes()
-    primes = primes[: bisect_right(primes, math.isqrt(hi))]
-    if kind == "squarefree":
-        for p in primes:
-            q = p * p
-            start = ((lo + q - 1) // q) * q
-            if start <= hi:
-                mask[start - lo :: q] = False
-    else:  # primes
-        if lo == 1:
-            mask[0] = False
-        for p in primes:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start <= hi:
-                mask[start - lo :: p] = False
-        for p in primes[bisect_left(primes, lo) :]:  # small primes themselves stay marked
-            mask[p - lo] = True
-    return mask
-
-
-def _sieve_members(kind: str, hi: int, old: ElementView | None = None) -> ElementView:
-    """The view of a sieve kind up to hi.
-
-    It grows from ``old``, the kind's view up to a smaller horizon h0, or
-    from nothing (h0 = 0), so a fresh build takes the same path: old's
-    members are copied, and only the integers in (h0, hi] are sieved and
-    decoded into uint32 members (every sieve horizon is below 2^32); the size
-    cap counts the whole new view.  Old's members are held only until they
-    are copied.  Its tables, which extend (``_View.table``),
-    are carried over in a copy of its dict, so old itself is not changed."""
-    if old is None:  # the view of nothing, up to 0
-        old = ElementView(0, np.empty(0, dtype=np.uint32))
-    h0, members_below, tables = old.horizon, old.starts, dict(old._tables)
-    old = None
-    # Pass 1 sieves and counts each segment and packs it into one temporary
-    # of bits over (h0, hi] (bit p is h0 + 1 + p; a segment is a whole
-    # number of bytes); pass 2 writes the members into one buffer of the
-    # exact size, unpacking 2^16 integers at a time, and drops the bits, so
-    # the peak is the bits, that buffer, one segment and the old members.
-    octets = np.zeros(-(-(hi - h0) // 8), dtype=np.uint8)
-    total = len(members_below)
-    for lo in range(h0 + 1, hi + 1, _SEGMENT):
-        seg = _sieve_segment(kind, lo, min(hi, lo + _SEGMENT - 1))
-        total += int(np.count_nonzero(seg))
-        _check_size(total)  # trip before the build grows any further
-        packed = np.packbits(seg, bitorder="little")
-        del seg  # not held while the next one is sieved
-        b0 = (lo - h0 - 1) // 8
-        octets[b0 : b0 + len(packed)] = packed
-    arr = np.empty(total, dtype=np.uint32)
-    pos = len(members_below)
-    arr[:pos], members_below = members_below, None
-    for b0 in range(0, len(octets), 1 << 13):  # the bits past hi are zero
-        offsets = np.flatnonzero(np.unpackbits(octets[b0 : b0 + (1 << 13)], bitorder="little"))
-        np.add(offsets, h0 + 1 + 8 * b0, out=arr[pos : pos + len(offsets)], casting="unsafe")  # all below 2^32
-        pos += len(offsets)
-    arr.flags.writeable = False
-    return ElementView(hi, arr, tables)
 
 
 # Point membership is pure Python and builds no array.  A squarefree test

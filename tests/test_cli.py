@@ -508,3 +508,34 @@ def test_horizon_beyond_int64_exit_code(capsys):
         assert "2^63 - 1" in capsys.readouterr().err
     assert cli.main(["density", "--set", "full", "--horizon", str(2**63 - 1)]) == 0
     capsys.readouterr()
+
+
+class _Sink:
+    """A report file that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_header_writes_explicit_elements_in_chunks(fmt):
+    # the header's element list is written a chunk of 2^14 elements at a
+    # time, so the writer's peak is a few chunks of text, not 8 bytes and an
+    # int's text per element: joined first, 10^6 elements take over 20 MiB
+    import tracemalloc
+
+    spec = IntegerSetSpec("explicit", elements=tuple(range(1, 10**6 + 1)))
+    config = cli.RunConfig("density", {"set": spec, "horizon": 10}, fmt=fmt)
+    digits = sum(len(str(x)) for x in spec.elements)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        cli._write_report(sink, config, (["n", "value"], [(2, 0.5)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > digits + 2 * (10**6 - 1)  # every element and its separator
+    assert peak < 4 * 2**20

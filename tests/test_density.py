@@ -6,8 +6,9 @@ import pytest
 
 from densitylab import density as density_module
 from densitylab import intset, numerics
+from densitylab import views as views_module
 from densitylab.errors import DomainError, ValidationError
-from densitylab.intset import ElementView, IntegerSetSpec, IntervalSet
+from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.density import (
     DensityProfile,
     banach_window_sup,
@@ -23,6 +24,7 @@ from densitylab.density import (
     lbd_profile,
     log_profile,
 )
+from densitylab.views import ElementView
 
 from conftest import random_explicit
 from oracles import (
@@ -334,8 +336,8 @@ def test_strided_reads_have_the_bits_of_a_row_per_member(rng, monkeypatch, chunk
     # bits of a table with a row per member, on an empty view, on one
     # shorter than a stride and on a sieve view that grew, whose extended
     # table equals a fresh build; the Banach scans agree with the brute scan
-    monkeypatch.setattr(numerics, "_CHUNK", chunk)
-    monkeypatch.setattr(numerics, "STRIDE", stride)
+    monkeypatch.setattr(views_module, "_CHUNK", chunk)
+    monkeypatch.setattr(views_module, "STRIDE", stride)
     views = {}
     monkeypatch.setattr(intset, "_VIEWS", views)
     sf = IntegerSetSpec.squarefree()
@@ -346,12 +348,12 @@ def test_strided_reads_have_the_bits_of_a_row_per_member(rng, monkeypatch, chunk
         assert spec is not sf or view._tables[1.0][1] is grown  # carried over from the view at 1000
         a = view.starts
         table = view.sums_table(1.0)
-        full = numerics.PrefixSums.at_counts(np.arange(len(a) + 1), lambda i: 1.0 / a[i].astype(np.float64))
+        full = views_module.PrefixSums.at_counts(np.arange(len(a) + 1), lambda i: 1.0 / a[i].astype(np.float64))
         rows = sorted({r for r in (0, 1, 15, 16, 17, len(a) - 1, len(a)) if 0 <= r <= len(a)})
         for r in rows:  # one row each, then pairs far apart, then all at once in reverse
             assert density_module._row(table, a, r) == (full._s[r], full._c[r]), (spec, r)
         for ask in [[r] for r in rows] + [[0, r] for r in rows] + [rows[::-1]]:
-            s, c = table.carried(np.array(ask, dtype=np.int64), intset._member_weights(a, 1.0))
+            s, c = table.carried(np.array(ask, dtype=np.int64), views_module._member_weights(a, 1.0))
             assert np.array_equal(s.view(np.int64), full._s[ask].view(np.int64)), (spec, ask)
             assert np.array_equal(c.view(np.int64), full._c[ask].view(np.int64)), (spec, ask)
         assert len(table._s) == len(a) // stride + 1
@@ -362,7 +364,7 @@ def test_strided_reads_have_the_bits_of_a_row_per_member(rng, monkeypatch, chunk
         ask = rng.randint(0, len(a) // stride, size=64) * stride + rng.randint(0, depth, size=64)
         ask[:2] = depth - 1, (len(a) // stride - 1) * stride + depth - 1
         assert ask.max() - ask.min() > stride * len(ask)  # not one sorted pass
-        s, c = table.carried(ask, intset._member_weights(a, 1.0))
+        s, c = table.carried(ask, views_module._member_weights(a, 1.0))
         assert np.array_equal(s.view(np.int64), full._s[ask].view(np.int64)), depth
         assert np.array_equal(c.view(np.int64), full._c[ask].view(np.int64)), depth
     views.clear()
@@ -408,13 +410,13 @@ def test_banach_grid_reads_few_window_rows(monkeypatch):
     spec, H = IntegerSetSpec.squarefree(), 10**6
     monkeypatch.setattr(intset, "_VIEWS", {})
     size = len(spec.view(H).starts)
-    rows, weights, carried = [], [], numerics.PrefixSums.carried
+    rows, weights, carried = [], [], views_module.PrefixSums.carried
 
     def spy_carried(table, counts, weights_of):
         rows.append(len(counts))
         return carried(table, counts, lambda i: weights.append(np.size(i)) or weights_of(i))
 
-    monkeypatch.setattr(numerics.PrefixSums, "carried", spy_carried)
+    monkeypatch.setattr(views_module.PrefixSums, "carried", spy_carried)
     lbd_profile(spec, 1000, H)
     assert rows and sum(rows) / 2 <= size / 512
     assert sum(weights) <= size / 32
@@ -760,7 +762,7 @@ def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
     # at 0, on chunk edges and at the last member, and every row keeps the
     # bits of a full table's, also when a smaller horizon follows a larger
     # one and reads a prefix of the cached rows
-    monkeypatch.setattr(numerics, "_CHUNK", 3)
+    monkeypatch.setattr(views_module, "_CHUNK", 3)
     views = {}
     monkeypatch.setattr(intset, "_VIEWS", views)
     beta, hit = (m - 1) / m, {"edge": False, "last": False}
@@ -769,7 +771,7 @@ def test_root_sums_match_the_full_prefix_sums(rng, monkeypatch, m):
         els = (np.flatnonzero(rng.random_sample(H) < rng.choice([0.02, 0.3, 0.9])) + 1).tolist()
         spec = IntegerSetSpec.explicit(els)
         a = spec.view(H).starts
-        full = numerics.PrefixSums.at_counts(np.arange(len(a) + 1), lambda i: a[i].astype(np.float64) ** -beta)
+        full = views_module.PrefixSums.at_counts(np.arange(len(a) + 1), lambda i: a[i].astype(np.float64) ** -beta)
         big = numerics.floor_nth_root(H, m)
         for h in (H, int(rng.randint(1, H + 1)), H):
             root = numerics.floor_nth_root(h, m)
@@ -801,7 +803,7 @@ def test_grown_root_sums_equal_a_fresh_pass(kind, m, monkeypatch):
     # the last row of the smaller table, reading only the members above its
     # root**m, and keep the bits of a fresh ``at_counts`` pass (3 weights per
     # chunk, so both passes cross many chunk edges at different places)
-    monkeypatch.setattr(numerics, "_CHUNK", 3)
+    monkeypatch.setattr(views_module, "_CHUNK", 3)
     monkeypatch.setattr(intset, "_VIEWS", {})
     spec, beta, read = IntegerSetSpec(kind), (m - 1) / m, []
     weights = density_module._member_weights
@@ -813,7 +815,7 @@ def test_grown_root_sums_equal_a_fresh_pass(kind, m, monkeypatch):
         view = spec.view(h)
         table = density_module._root_sums(root, m, view)
         counts = view.count_le(np.arange(root + 1, dtype=np.int64) ** m)
-        fresh = numerics.PrefixSums.at_counts(counts, weights(view.starts, beta))
+        fresh = views_module.PrefixSums.at_counts(counts, weights(view.starts, beta))
         assert np.array_equal(table._s.view(np.int64), fresh._s.view(np.int64)), h
         assert np.array_equal(table._c.view(np.int64), fresh._c.view(np.int64)), h
         assert sum(hi - lo for lo, hi in read) == counts[-1] - last and all(lo >= last for lo, _ in read), h
@@ -858,7 +860,7 @@ def test_a_sieve_view_grows_without_its_per_member_table(monkeypatch):
     grown = views[spec]._tables[1.0][1]
     views.clear()
     rebuilt = spec.view(H).sums_table(1.0)
-    assert len(grown._s) == len(spec.view(H).starts) // numerics.STRIDE + 1
+    assert len(grown._s) == len(spec.view(H).starts) // views_module.STRIDE + 1
     assert np.array_equal(grown._s.view(np.int64), rebuilt._s.view(np.int64))
     assert np.array_equal(grown._c.view(np.int64), rebuilt._c.view(np.int64))
 

@@ -11,6 +11,7 @@ in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -185,4 +186,52 @@ def test_search_certify_productset_report_digest(name, tmp_path):
     args, code, digest = GOLDEN_SEARCH[name]
     out = tmp_path / "report"
     assert cli.main([*args, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Explicit sets whose header element lists run past two chunks of the
+# report writer (2^14 elements each), one of exactly two chunks, and an
+# empty one; captured while the header was encoded in one piece.
+LONG = [7 * i + i * i % 5 + 1 for i in range(40000)]
+TWO_CHUNKS = [3 * i + 2 for i in range(1 << 15)]
+
+GOLDEN_LONG_HEADER = {
+    "density-csv": (
+        ["density", "--set", LONG, "--horizon", "1e4", "--nmax", "100"],
+        0, "853e60540f23e06c5add9252b1668e5da86ac9b8c3e462017423addb44d90b36",
+    ),
+    "density-json": (
+        ["density", "--set", LONG, "--horizon", "1e4", "--nmax", "100", "--format", "json"],
+        0, "3434fb2a0c1c330e9507e43eab9457560eebed6241f027399727eaf642359ba1",
+    ),
+    "density-empty-json": (
+        ["density", "--set", [], "--horizon", "1e3", "--nmax", "10", "--format", "json"],
+        0, "0dfa1a8856ffd157988cf207a142cdd32f62e071ce9ab7c44f535f0cac22bd6b",
+    ),
+    "productset-two-sets-csv": (
+        ["productset", "--set-a", LONG, "--set-b", TWO_CHUNKS, "--n", "2,4", "--horizon", "1e3"],
+        0, "9d7b8da180194a4b030f7c24339a0c9334877d944e7b2a49c8783c7fb1e76a1e",
+    ),
+    "productset-two-sets-json": (
+        ["productset", "--set-a", LONG, "--set-b", TWO_CHUNKS, "--n", "2,4", "--horizon", "1e3", "--format", "json"],
+        0, "f281d731709d7b13636321f16b2e636897c1bba275a981508a0df892d527fcb5",
+    ),
+    "search-gp-payload": (
+        ["search-gp", "--set", TWO_CHUNKS, "--l", "3", "--n", "2", "--min", "16", "--horizon", "1e5"],
+        0, "dfa11def9b57b73a5362909dc2cb78b1e2f964c67bcc5250a710119652be2b65",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LONG_HEADER))
+def test_long_explicit_header_digest(name, tmp_path):
+    args, code, digest = GOLDEN_LONG_HEADER[name]
+    argv = []
+    for i, arg in enumerate(args):
+        if isinstance(arg, list):  # an explicit set, passed as a JSON spec file
+            arg = tmp_path / f"set{i}.json"
+            arg.write_text(json.dumps({"kind": "explicit", "params": {"elements": args[i]}}))
+        argv.append(str(arg))
+    out = tmp_path / "report"
+    assert cli.main([*argv, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -7,7 +7,10 @@ answer by point queries, so those runs never import numpy.  Neither do
 ``productset`` on windows within the probe's budget, which it enumerates
 by point queries, and on two explicit sets whose products up to the
 horizon fit that budget, which the same probe lists for the exact scan,
-nor ``monad`` on intervals, which it sums in closed form.  numpy is
+nor ``monad`` on intervals, which it sums in closed form.  None of them
+imports the array layer, ``densitylab.views``, which only ``density``
+loads at import: without written bytecode each process compiles every
+module it imports.  numpy is
 imported in one module, ``densitylab._np``, which loads it without OpenBLAS's
 worker threads.  The set, window, report and witness types are plain
 classes: ``dataclasses`` would load ``inspect``, ``ast``, ``dis`` and
@@ -89,12 +92,41 @@ def test_density_loads_numpy():
     _check("import sys, densitylab.density\nassert 'numpy' in sys.modules")
 
 
+def test_cli_and_numerics_imports_leave_views_out():
+    # the array layer (views, sieves, sum tables) is compiled only where it runs
+    _check("import sys, densitylab.cli, densitylab.numerics\n"
+           "assert not {'densitylab.views', 'numpy'} & set(sys.modules)")
+
+
+def test_density_loads_views():
+    _check("import sys, densitylab.density\nassert 'densitylab.views' in sys.modules")
+
+
+def test_numerics_forwards_the_array_kernels_to_views():
+    # perfbench/trace.py wraps numerics.PrefixSums in place: it must be the
+    # class the views use
+    from densitylab import numerics, views
+
+    for name in ("PrefixSums", "BlockSums", "power_sums", "STRIDE"):
+        assert getattr(numerics, name) is getattr(views, name), name
+    with pytest.raises(AttributeError):
+        numerics.no_such_name
+
+
 @pytest.mark.parametrize("key", sorted(POINT_QUERY_RUNS))
 def test_point_query_commands_leave_numpy_out(key):
     argv, exit_code, module = POINT_QUERY_RUNS[key]
     imported = _imported(argv, exit_code)
     assert module in imported  # the command's module shows in the trace
     assert "numpy" not in imported
+
+
+@pytest.mark.parametrize("key", sorted(POINT_QUERY_RUNS))
+def test_point_query_commands_leave_views_out(key):
+    argv, exit_code, module = POINT_QUERY_RUNS[key]
+    imported = _imported(argv, exit_code)
+    assert module in imported
+    assert "densitylab.views" not in imported
 
 
 @pytest.mark.parametrize("key", sorted(POINT_QUERY_RUNS))

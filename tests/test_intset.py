@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitylab import intset, numerics
+from densitylab import intset, views
 from densitylab.errors import CapacityError, DomainError, ValidationError
 from densitylab.intset import (
-    BlockView,
-    ElementView,
     IntegerSetSpec,
     IntervalSet,
     Window,
@@ -23,6 +21,7 @@ from densitylab.intset import (
     materialize,
 )
 from densitylab.monad import RatioCut
+from densitylab.views import BlockView, ElementView
 
 from oracles import brute_primes, brute_squarefree, is_prime_td, is_squarefree_td
 
@@ -140,7 +139,7 @@ def empty_view_cache(monkeypatch):
 @pytest.mark.parametrize("kind, brute", [("squarefree", brute_squarefree), ("primes", brute_primes)])
 def test_sieve_build_vs_trial_division(kind, brute):
     for hi in (1, 2, 3, 4, 9, 10, 97, 2000):
-        got = intset._sieve_members(kind, hi).starts
+        got = views._sieve_members(kind, hi).starts
         assert got.dtype == np.uint32 and got.tolist() == brute(hi)
 
 
@@ -148,9 +147,9 @@ def test_sieve_build_vs_trial_division(kind, brute):
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_sieve_build_at_segment_edges(kind, k, delta):
-    hi = k * intset._SEGMENT + delta
-    got = intset._sieve_members(kind, hi).starts
-    want = np.flatnonzero(intset._sieve_segment(kind, 1, hi)) + 1
+    hi = k * views._SEGMENT + delta
+    got = views._sieve_members(kind, hi).starts
+    want = np.flatnonzero(views._sieve_segment(kind, 1, hi)) + 1
     assert got.dtype == np.uint32 and np.array_equal(got, want)
     assert not got.flags.writeable
 
@@ -159,17 +158,17 @@ def test_sieve_build_cap_trips_before_allocation(monkeypatch, empty_view_cache):
     # the buffer is filled only after every segment is counted, so a cap trip
     # in the first of three segments means no buffer was allocated
     sieved = []
-    segment = intset._sieve_segment
+    segment = views._sieve_segment
 
     def counting_segment(kind, lo, hi):
         sieved.append((lo, hi))
         return segment(kind, lo, hi)
 
     monkeypatch.setattr(intset, "MATERIALIZE_LIMIT", 1000)
-    monkeypatch.setattr(intset, "_sieve_segment", counting_segment)
+    monkeypatch.setattr(views, "_sieve_segment", counting_segment)
     with pytest.raises(CapacityError):
-        IntegerSetSpec.squarefree().view(3 * intset._SEGMENT)
-    assert sieved == [(1, intset._SEGMENT)]
+        IntegerSetSpec.squarefree().view(3 * views._SEGMENT)
+    assert sieved == [(1, views._SEGMENT)]
     assert intset._VIEWS == {}
 
 
@@ -186,7 +185,7 @@ def _check_members(view, want):
     xs = np.arange(view.horizon + 1, dtype=np.int64)
     oracle = [bisect_right(want, x) for x in xs.tolist()]
     assert view.count_le(xs).tolist() == oracle
-    edges = [0, view.horizon] + list(range(0, view.horizon + 1, intset._SEGMENT))
+    edges = [0, view.horizon] + list(range(0, view.horizon + 1, views._SEGMENT))
     for x in sorted({x for e in edges for x in range(e - 130, e + 131) if 0 <= x <= view.horizon}):
         assert view.count_le(x) == oracle[x], x
 
@@ -195,7 +194,7 @@ def _check_members(view, want):
 def test_sieve_view_holds_the_oracle_members(kind, monkeypatch, empty_view_cache):
     # at horizons on and around byte, word and segment edges, with segments
     # of 1000 integers: a whole number of bytes but not of 64-bit words
-    monkeypatch.setattr(intset, "_SEGMENT", 1000)
+    monkeypatch.setattr(views, "_SEGMENT", 1000)
     spec, seg = IntegerSetSpec(kind), 1000
     want = _BRUTE[kind](3 * seg + 5)
     for horizon in (1, 2, 7, 8, 9, 63, 64, 65, 127, seg - 1, seg, seg + 1, 2 * seg + 1, 3 * seg + 5):
@@ -280,7 +279,7 @@ def test_sieve_view_holds_nothing_sized_by_the_horizon(empty_view_cache):
     view.sums_table(1.0)
     arrays = {id(a): a for a in vars(view).values() if isinstance(a, np.ndarray)}
     assert sum(a.nbytes for a in arrays.values()) == 4 * len(view.starts) == 4 * 607_926
-    rows = len(view.starts) // numerics.STRIDE + 1
+    rows = len(view.starts) // views.STRIDE + 1
     assert [(len(t._s), len(t._c)) for _, t in view._tables.values()] == [(rows, rows)]
 
 
@@ -296,17 +295,17 @@ def test_grown_sieve_view_equals_a_fresh_build(kind):
     # horizons off the byte and word edges (639, 63, 9), on both sides of a
     # segment edge, one integer more, and a chain of five steps checked
     # against the oracle; the old view is left as it was
-    seg = intset._SEGMENT
+    seg = views._SEGMENT
     steps = [(640, 5000), (639, 5000), (64, 65), (63, 64), (9, 17), (1, 2), (seg - 1, seg + 70),
              (seg + 1, seg + 64), (seg - 1, seg), (seg, seg + 1), (seg + 1, 2 * seg + 1)]
     for h0, h in steps:
-        old = intset._sieve_members(kind, h0)
+        old = views._sieve_members(kind, h0)
         before = old.starts.copy()
-        _assert_same_sieve(intset._sieve_members(kind, h, old), intset._sieve_members(kind, h))
+        _assert_same_sieve(views._sieve_members(kind, h, old), views._sieve_members(kind, h))
         assert old.horizon == h0 and np.array_equal(old.starts, before)
     view, want = None, _BRUTE[kind](2 * 10**5 + 63)
     for h in (100, 4097, 4160, 70_001, 2 * 10**5 + 63):
-        view = intset._sieve_members(kind, h, view)
+        view = views._sieve_members(kind, h, view)
         assert view.starts.tolist() == want[: bisect_right(want, h)], h
 
 

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitylab import numerics
+from densitylab import numerics, views
 from densitylab.numerics import (
-    BlockSums,
-    PrefixSums,
     ceil_nth_root,
     floor_nth_root,
     geometric_grid,
@@ -16,6 +14,7 @@ from densitylab.numerics import (
     harmonic_range,
     power_sum_range,
 )
+from densitylab.views import BlockSums, PrefixSums
 
 from oracles import brute_harmonic
 
@@ -54,7 +53,7 @@ def test_prefix_sums_empty_and_singleton():
 def test_prefix_sums_chunked_build_matches_one_cumsum(rng, monkeypatch, chunk):
     # the chunked build carries its running sums from chunk to chunk, so
     # both tables keep the bits of one sequential cumulative sum
-    monkeypatch.setattr(numerics, "_CHUNK", chunk)
+    monkeypatch.setattr(views, "_CHUNK", chunk)
     x = np.cumsum(rng.randint(1, 9, size=2000)).astype(np.float64)
     for w in (np.reciprocal(x), x**-0.5, rng.random_sample(7), np.empty(0)):
         s = np.zeros(len(w) + 1)
@@ -74,7 +73,7 @@ def test_prefix_sums_at_counts_extend_with_the_bits_of_a_fresh_pass(rng, monkeyp
     # last row, reading only the weights past that row's count: every row
     # has the bits of a fresh pass, also where counts repeat the last old
     # count or no weight lies past it
-    monkeypatch.setattr(numerics, "_CHUNK", chunk)
+    monkeypatch.setattr(views, "_CHUNK", chunk)
     x = np.cumsum(rng.randint(1, 9, size=3000)).astype(np.float64)
     for w in (np.reciprocal(x), x**-0.5, x ** (-2 / 3)):
         def weights_of(i, w=w):
@@ -123,8 +122,8 @@ def test_block_sums_cut_at_most_two_blocks_per_window(rng, monkeypatch):
     # grow with the blocks it covers
     starts, ends = _random_blocks(rng, 5000, 50, 50)
     calls = []
-    real = numerics.power_sums
-    monkeypatch.setattr(numerics, "power_sums", lambda a, b, beta: calls.append(b - a + 1) or real(a, b, beta))
+    real = views.power_sums
+    monkeypatch.setattr(views, "power_sums", lambda a, b, beta: calls.append(b - a + 1) or real(a, b, beta))
     sums = BlockSums(starts, ends, 1.0)
     assert len(calls) == 1 and len(calls[0]) == 5000
     calls.clear()
@@ -146,7 +145,7 @@ def test_estimate_range_vs_fsum(beta):
         for length in (1, 2, 255, 256, 257, 10**4, 10**6):
             x = np.arange(lo, lo + length, dtype=np.float64)
             want = math.fsum((np.reciprocal(x) if beta == 1.0 else x ** -beta).tolist())
-            got = numerics.power_sums(np.array([lo]), np.array([lo + length - 1]), beta)[0]
+            got = views.power_sums(np.array([lo]), np.array([lo + length - 1]), beta)[0]
             assert abs(got - want) <= 1e-14 * want
 
 
@@ -160,13 +159,13 @@ def test_power_sums_bits_do_not_depend_on_position(rng, monkeypatch, beta):
     lo = np.where(rng.rand(count) < 0.5, rng.randint(1, 2 * S, count), rng.randint(1, 10**12, count))
     length = np.where(rng.rand(count) < 0.5, rng.randint(0, S + 40, count), rng.randint(1, 10**7, count))
     lo, hi = lo.astype(np.int64), (lo + length - 1).astype(np.int64)  # a few empty ranges
-    whole = numerics.power_sums(lo, hi, beta)
+    whole = views.power_sums(lo, hi, beta)
     for shift in (1, 3, 1000):
-        assert np.array_equal(numerics.power_sums(lo[shift:], hi[shift:], beta), whole[shift:])
-    alone = [numerics.power_sums(lo[i : i + 1], hi[i : i + 1], beta)[0] for i in range(0, count, 29)]
+        assert np.array_equal(views.power_sums(lo[shift:], hi[shift:], beta), whole[shift:])
+    alone = [views.power_sums(lo[i : i + 1], hi[i : i + 1], beta)[0] for i in range(0, count, 29)]
     assert np.array_equal(alone, whole[::29])
-    monkeypatch.setattr(numerics, "_ROWS", 3)
-    assert np.array_equal(numerics.power_sums(lo, hi, beta), whole)
+    monkeypatch.setattr(views, "_ROWS", 3)
+    assert np.array_equal(views.power_sums(lo, hi, beta), whole)
 
 
 @pytest.mark.parametrize("lo,hi,beta", [
@@ -194,7 +193,7 @@ def test_power_sum_range_agrees_with_power_sums(beta, lo, span):
     # the head summed by math.fsum in one and row by row in the other, so
     # their floats may differ in the last place, within the 1e-14 bound of
     # both; span < _T is a range summed term by term, span >= _T a long one
-    want = float(numerics.power_sums(np.array([lo], dtype=np.int64), np.array([lo + span], dtype=np.int64), beta)[0])
+    want = float(views.power_sums(np.array([lo], dtype=np.int64), np.array([lo + span], dtype=np.int64), beta)[0])
     assert abs(power_sum_range(lo, lo + span, beta) - want) <= 1e-14 * want
 
 

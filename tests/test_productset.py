@@ -3,7 +3,7 @@ import bisect
 import numpy as np
 import pytest
 
-from densitylab import intset, productset
+from densitylab import productset, views
 from densitylab.errors import CapacityError, DomainError
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.numerics import geometric_grid
@@ -428,8 +428,8 @@ def test_gap_witness_sieves_only_before_m2(monkeypatch):
     # products, so the probe enumerates each by point queries, before the
     # first window with m = 2 and after it: no set is sieved or materialized
     calls, events = [], []
-    sieve = intset._sieve_members
-    monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi, old=None: calls.append(hi) or sieve(kind, hi, old))
+    sieve = views._sieve_members
+    monkeypatch.setattr(views, "_sieve_members", lambda kind, hi, old=None: calls.append(hi) or sieve(kind, hi, old))
     members = IntegerSetSpec.members
     monkeypatch.setattr(IntegerSetSpec, "members", lambda self, lo, hi: events.append("members") or members(self, lo, hi))
     probe = productset._probe

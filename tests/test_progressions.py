@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from densitylab.errors import CapacityError, DomainError
 from densitylab.intset import IntegerSetSpec, IntervalSet
 from densitylab.numerics import ceil_nth_root, floor_nth_root
-from densitylab import intset, progressions
+from densitylab import progressions, views
 from densitylab.progressions import (
     _allowed,
     ApproxWitness,
@@ -193,7 +193,7 @@ def test_allowed_sieve_kinds_by_point_queries(spec, rng, monkeypatch):
     # the oracle's edges come from the sieved view; _allowed itself sieves nothing
     _check_allowed(spec, 10**6, rng)
     sieve = []
-    monkeypatch.setattr(intset, "_sieve_members", lambda kind, hi, old=None: sieve.append(hi))
+    monkeypatch.setattr(views, "_sieve_members", lambda kind, hi, old=None: sieve.append(hi))
     assert _allowed(spec, 10**6 // 3, 3, 10**6) == 10**6 // 3
     assert sieve == []
 
