@@ -79,21 +79,20 @@ def parse_set_spec(text: str) -> IntegerSetSpec:
 
 
 # An explicit set's element list in a report header stands as this marker,
-# numbered by set, until the report is written (no parameter's text holds a
-# NUL); the writer reads the elements from the spec, _HEADER_CHUNK at a time.
+# with the name of its parameter (an identifier), until the report is
+# written (no parameter's text holds a NUL); the writer reads the elements
+# from the spec, _HEADER_CHUNK at a time.
 _ELEMENTS = "\0elements {}"
-_ELEMENTS_JSON = r'"\\u0000elements (\d+)"'  # the marker in JSON text
+_ELEMENTS_JSON = r'"\\u0000elements (\w+)"'  # the marker in JSON text
 _HEADER_CHUNK = 1 << 14
 
 
-def _jsonable(v, elements: list | None = None):
-    """``v`` as a JSON value.  With ``elements``, an explicit set's element
-    tuple is appended to that list, and its element list in the value is the
-    marker ``_ELEMENTS.format(i)``, i the tuple's index there."""
-    if elements is not None and isinstance(v, IntegerSetSpec) and v.kind == "explicit":
-        elements.append(v.elements)
-        return {"kind": v.kind, "params": {"elements": _ELEMENTS.format(len(elements) - 1)}}
-    if isinstance(v, (IntegerSetSpec, IntervalSet)):
+def _jsonable(name: str, v):
+    """``v``, the value of parameter ``name``, as a JSON value; an explicit
+    set's element list is the marker ``_ELEMENTS.format(name)``."""
+    if isinstance(v, IntegerSetSpec):
+        return v.to_json(lambda elements: _ELEMENTS.format(name))
+    if isinstance(v, IntervalSet):
         return v.to_json()
     return v if v is None or isinstance(v, (bool, int, float, str, list)) else str(v)
 
@@ -105,11 +104,12 @@ class RunConfig:
         self.command, self.out, self.fmt = command, out, fmt
         self.params = {} if params is None else params
 
-    def header(self, elements: list | None = None) -> dict:
-        """The command, the format and every parameter, as JSON values; with
-        ``elements``, explicit sets' element lists are markers (``_jsonable``)."""
+    def header(self) -> dict:
+        """The command, the format and every parameter, as JSON values; an
+        explicit set's element list is a marker, which the report writer
+        replaces by the list (``_write_json``)."""
         items = {"command": self.command, "format": self.fmt}
-        items.update({k: _jsonable(v, elements) for k, v in sorted(self.params.items())})
+        items.update({k: _jsonable(k, v) for k, v in sorted(self.params.items())})
         return items
 
 
@@ -364,11 +364,10 @@ def _write_report(fh, config: RunConfig, report):
     joining them into one text first: the header of an explicit set holds
     all of its elements, which are written a chunk at a time in place of
     their marker (``_write_json``)."""
-    elements: list = []
-    header = config.header(elements)
+    header = config.header()
     if isinstance(report, tuple) and config.fmt == "csv":
         fh.write("# ")
-        _write_json(fh, json.dumps(header, sort_keys=True), elements)
+        _write_json(fh, json.dumps(header, sort_keys=True), config.params)
         fh.write("\n")
         csv.writer(fh, lineterminator="\n").writerows([report[0], *report[1]])
         return
@@ -377,19 +376,20 @@ def _write_report(fh, config: RunConfig, report):
         report = [dict(zip(columns, row)) for row in rows]
     # one string: json.dump writes each indented element by a call of its own
     text = json.dumps({"config": header, "report": report}, sort_keys=True, indent=2)
-    _write_json(fh, text, elements, indent=2)
+    _write_json(fh, text, config.params, indent=2)
     fh.write("\n")
 
 
-def _write_json(fh, text: str, elements: list, indent: int | None = None):
+def _write_json(fh, text: str, params: dict, indent: int | None = None):
     """Write the JSON ``text`` with each element marker in it replaced by
-    its list, as ``json.dumps`` with ``indent`` writes that list.  The list
+    the element list of its set in ``params``, as ``json.dumps`` with
+    ``indent`` writes that list.  The list
     is encoded _HEADER_CHUNK elements at a time, each chunk by the C encoder
     with the item separator of the list's depth, so no text of the whole
     list is built."""
     pieces = re.split(_ELEMENTS_JSON, text)
     for k in range(0, len(pieces) - 1, 2):
-        before, values = pieces[k], elements[int(pieces[k + 1])]
+        before, values = pieces[k], params[pieces[k + 1]].elements
         fh.write(before)
         if not values:
             fh.write("[]")

@@ -304,9 +304,9 @@ class IntegerSetSpec(_Value):
         materialization cap.  Horizons above 2^63 - 1 raise CapacityError.
         The largest view so far is cached (``_VIEWS``): a smaller horizon gets
         a clip sharing its arrays and tables.  A larger one makes a new view,
-        and the cached one is taken out of the cache and handed to the build,
-        so no frame here holds it.  A sieve kind's view grows from it
-        (``_sieve_members``): its members are held only until they are
+        built by ``views.build``, which takes the cached one out of the cache
+        (``_take_view``), so no frame here holds it.  A sieve kind's view
+        grows from it (``views._sieve_members``): its members are held only until they are
         copied, and its tables, which extend, are kept.  The other kinds
         drop the cached view and build anew.  An explicit view holds
         its elements below 2^63: it never grows."""
@@ -318,34 +318,15 @@ class IntegerSetSpec(_Value):
         view = _VIEWS.get(self)
         if view is None or view.horizon < horizon:
             view = None  # the smaller view is handed to the build, not held here
-            view = self._build_view(horizon)
+            if self.kind in _SIEVE_KINDS and horizon > SIEVE_HORIZON:
+                raise CapacityError(f"sieve horizon capped at {SIEVE_HORIZON}")
+            if self.kind == "even":
+                _check_size(horizon // 2)
+            from . import views
+
+            view = views.build(self, horizon, _take_view)
         _VIEWS[self] = view
         return view if view.horizon == horizon else view.clip(horizon)
-
-    def _build_view(self, horizon: int) -> views.ElementView | views.BlockView:
-        """The view up to ``horizon``, in place of the cached one: a sieve
-        kind hands it to ``_sieve_members`` to grow from, unnamed, so only
-        that frame holds it; the other kinds drop it before they build."""
-        from . import views
-
-        if self.kind in _SIEVE_KINDS:
-            if horizon > SIEVE_HORIZON:
-                raise CapacityError(f"sieve horizon capped at {SIEVE_HORIZON}")
-            return views._sieve_members(self.kind, horizon, _take_view(self))
-        _take_view(self)
-        if self.kind == "even":
-            _check_size(horizon // 2)
-            members = np.arange(2, horizon + 1, 2, dtype=np.uint32)
-        elif self.kind == "explicit":
-            members, horizon = np.asarray(self.elements[: bisect_left(self.elements, 2**63)], dtype=np.int64), 2**63 - 1
-        else:
-            i = bisect_right(self._blocks[0], horizon)  # blocks starting at or below the horizon
-            starts, ends = self._blocks[0][:i], self._blocks[1][:i]
-            if i and ends[-1] > horizon:
-                ends[-1] = horizon
-            return views.BlockView(horizon, np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64))
-        members.flags.writeable = False  # cached: every caller shares it
-        return views.ElementView(horizon, members)
 
     # -- membership and materialization -------------------------------------
 
@@ -429,10 +410,13 @@ class IntegerSetSpec(_Value):
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self) -> dict:
+    def to_json(self, elements=list) -> dict:
+        """The spec as a JSON object; an explicit set's element list is
+        ``elements(self.elements)``, a list unless the caller puts a stand-in
+        in its place (the report header writes the list itself)."""
         params: dict = {}
         if self.kind == "explicit":
-            params["elements"] = list(self.elements)
+            params["elements"] = elements(self.elements)
         elif self.kind == "interval_union":
             params["intervals"] = self.intervals.to_json()
         elif self.kind == "example2":

@@ -17,9 +17,9 @@ float arithmetic, none of which numpy picks a kernel for by CPU, so it
 gives the same bits whatever CPU features numpy finds; it may differ from
 ``power_sums`` in the last place.
 
-``PrefixSums``, ``BlockSums``, ``power_sums`` and ``STRIDE`` read through
-this module resolve to the objects of ``views`` (loading it): the span
-tracer of ``perfbench`` wraps ``numerics.PrefixSums`` in place.
+``PrefixSums`` read through this module is the class of ``views``
+(loading it): the span tracer of ``perfbench`` wraps
+``numerics.PrefixSums`` in place.
 """
 
 from __future__ import annotations
@@ -124,12 +124,9 @@ def geometric_grid(lo: int, hi: int, ratio: float = math.sqrt(2.0)) -> list[int]
     return grid
 
 
-_FORWARDED = ("PrefixSums", "BlockSums", "power_sums", "STRIDE")
-
-
 def __getattr__(name):
-    if name in _FORWARDED:
-        from . import views
+    if name == "PrefixSums":
+        from .views import PrefixSums
 
-        return getattr(views, name)
+        return PrefixSums
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

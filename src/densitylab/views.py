@@ -4,9 +4,10 @@ members of squarefree and primes.
 
 This module answers, for every set kind, how many members lie in [lo, hi]
 and what their x**(-beta) sum is, for arrays of windows at once
-(``_View.window_sums``).  ``IntegerSetSpec.view`` builds and caches the
-views; it and ``IntegerSetSpec.members`` import this module on first use,
-and ``density`` at import, so the point-query commands (searches, certify,
+(``_View.window_sums``).  ``build`` makes a set's view, and
+``IntegerSetSpec.view`` caches it.  That method and
+``IntegerSetSpec.members`` import this module on first use, and
+``density`` at import, so the point-query commands (searches, certify,
 productset on small windows, monad) never compile it or load numpy.  It
 uses the real numpy module, not the lazy stand-in of ``densitylab._np``.
 
@@ -56,7 +57,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .errors import ValidationError
-from .intset import _check_size, _small_primes
+from .intset import _SIEVE_KINDS, _check_size, _small_primes
 from .numerics import EXACT_TERMS
 
 # numpy last: a module compiled after numpy has loaded raises the process's
@@ -453,3 +454,33 @@ def _sieve_members(kind: str, hi: int, old: ElementView | None = None) -> Elemen
     arr.flags.writeable = False
     return ElementView(hi, arr, tables)
 
+
+# ---------------------------------------------------------------------------
+# Building
+# ---------------------------------------------------------------------------
+
+
+def build(spec, horizon: int, take) -> ElementView | BlockView:
+    """The view of ``spec`` up to ``horizon``, whose caps
+    ``IntegerSetSpec.view`` has checked, in place of the cached view that
+    ``take(spec)`` takes out of the cache (None if there is none).  A sieve
+    kind hands that view, unnamed, to ``_sieve_members`` to grow from, so
+    only that frame holds it; the other kinds drop it before they build.
+    ``even`` holds uint32 members, ``explicit`` its int64 elements below
+    2^63 (its view never grows), and the block kinds their blocks starting
+    at or below the horizon, the last one clipped to it."""
+    if spec.kind in _SIEVE_KINDS:
+        return _sieve_members(spec.kind, horizon, take(spec))
+    take(spec)
+    if spec.kind == "even":
+        members = np.arange(2, horizon + 1, 2, dtype=np.uint32)
+    elif spec.kind == "explicit":
+        members, horizon = np.asarray(spec.elements[: bisect_left(spec.elements, 2**63)], dtype=np.int64), 2**63 - 1
+    else:
+        i = bisect_right(spec._blocks[0], horizon)  # blocks starting at or below the horizon
+        starts, ends = spec._blocks[0][:i], spec._blocks[1][:i]
+        if i and ends[-1] > horizon:
+            ends[-1] = horizon
+        return BlockView(horizon, np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64))
+    members.flags.writeable = False  # cached: every caller shares it
+    return ElementView(horizon, members)
